@@ -84,21 +84,18 @@ pub mod wire {
     /// daemon drops each family plus its dependents, tombstoning every
     /// removal. Answered with [`RESP_ACK`] carrying the dropped count.
     pub const EVICT: u8 = 0x04;
-    /// Daemon statistics. Empty payload; answered with [`RESP_STATS`].
-    pub const STATS: u8 = 0x05;
     /// Liveness probe. Empty payload; answered with [`RESP_ACK`].
     pub const PING: u8 = 0x06;
     /// Orderly shutdown (test and CI harness use). Answered with
     /// [`RESP_ACK`] before the daemon exits its accept loop.
     pub const SHUTDOWN: u8 = 0x07;
-    /// Extended daemon metrics. Empty payload; answered with
-    /// [`RESP_STATS_V2`] carrying the daemon's full metrics registry
-    /// (request counters and latency histograms) rendered in the
-    /// Prometheus text exposition format. Unlike the fixed-layout
-    /// [`STATS`], the payload is self-describing, so the daemon can add
-    /// series without a protocol revision; a pre-`STATS_V2` daemon
-    /// answers [`RESP_ERR`], which clients surface as
-    /// [`FleetError::Daemon`] and treat as "not supported".
+    /// Daemon metrics. Empty payload; answered with [`RESP_STATS_V2`]
+    /// carrying the daemon's full metrics registry (request counters and
+    /// latency histograms) plus its [`DaemonStats`] counters, rendered in
+    /// the Prometheus text exposition format. The payload is
+    /// self-describing, so the daemon can add series without a protocol
+    /// revision. (Opcode `0x05`, the fixed-layout binary predecessor, is
+    /// retired.)
     pub const STATS_V2: u8 = 0x08;
 
     // ----- response opcodes --------------------------------------------------
@@ -107,9 +104,7 @@ pub mod wire {
     pub const RESP_SNAPSHOT: u8 = 0x81;
     /// Acknowledgement carrying one `u64` value.
     pub const RESP_ACK: u8 = 0x82;
-    /// Daemon statistics (see [`DaemonStats`]).
-    pub const RESP_STATS: u8 = 0x83;
-    /// Extended daemon metrics: the payload is UTF-8 Prometheus text.
+    /// Daemon metrics: the payload is UTF-8 Prometheus text.
     pub const RESP_STATS_V2: u8 = 0x84;
     /// Typed daemon-side failure: payload is a UTF-8 message. The
     /// connection stays usable.
@@ -296,7 +291,8 @@ pub mod wire {
         })
     }
 
-    /// Daemon-side counters carried by [`RESP_STATS`].
+    /// Daemon-side counters, carried in [`RESP_STATS_V2`] as one
+    /// `hb_fleetd_<field>` series each.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct DaemonStats {
         /// Live derivations in the daemon's tier.
@@ -317,41 +313,66 @@ pub mod wire {
         pub writebacks: u64,
     }
 
-    /// Encodes a [`RESP_STATS`] payload.
-    pub fn encode_stats(s: &DaemonStats) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        for v in [
-            s.entries,
-            s.seq,
-            s.fetches,
-            s.deltas,
-            s.publishes,
-            s.evictions,
-            s.compactions,
-            s.writebacks,
-        ] {
-            put_u64(&mut out, v);
+    impl DaemonStats {
+        /// Renders one `hb_fleetd_<field>` Prometheus series per counter
+        /// (`entries` is a gauge, the rest are counters).
+        pub fn to_prometheus(&self) -> String {
+            let mut out = String::new();
+            for (name, value) in [
+                ("entries", self.entries),
+                ("seq", self.seq),
+                ("fetches", self.fetches),
+                ("deltas", self.deltas),
+                ("publishes", self.publishes),
+                ("evictions", self.evictions),
+                ("compactions", self.compactions),
+                ("writebacks", self.writebacks),
+            ] {
+                let kind = if name == "entries" {
+                    "gauge"
+                } else {
+                    "counter"
+                };
+                out.push_str(&format!("# TYPE hb_fleetd_{name} {kind}\n"));
+                out.push_str(&format!("hb_fleetd_{name} {value}\n"));
+            }
+            out
         }
-        out
-    }
 
-    /// Decodes a [`RESP_STATS`] payload.
-    pub fn decode_stats(payload: &[u8]) -> Result<DaemonStats, FleetError> {
-        let mut c = PayloadCursor::new(payload);
-        let s = DaemonStats {
-            entries: c.u64()?,
-            seq: c.u64()?,
-            fetches: c.u64()?,
-            deltas: c.u64()?,
-            publishes: c.u64()?,
-            evictions: c.u64()?,
-            compactions: c.u64()?,
-            writebacks: c.u64()?,
-        };
-        if c.remaining() != 0 {
-            return Err(FleetError::BadFrame("trailing bytes after stats"));
+        /// Reads the counters back out of a [`RESP_STATS_V2`] payload,
+        /// ignoring every other series in it.
+        pub fn from_prometheus(text: &str) -> Result<DaemonStats, FleetError> {
+            let mut s = DaemonStats::default();
+            let mut seen = 0;
+            for line in text.lines() {
+                let Some((name, value)) = line
+                    .strip_prefix("hb_fleetd_")
+                    .and_then(|rest| rest.split_once(' '))
+                else {
+                    continue;
+                };
+                let slot = match name {
+                    "entries" => &mut s.entries,
+                    "seq" => &mut s.seq,
+                    "fetches" => &mut s.fetches,
+                    "deltas" => &mut s.deltas,
+                    "publishes" => &mut s.publishes,
+                    "evictions" => &mut s.evictions,
+                    "compactions" => &mut s.compactions,
+                    "writebacks" => &mut s.writebacks,
+                    _ => continue,
+                };
+                *slot = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| FleetError::BadFrame("daemon counter is not an integer"))?;
+                seen += 1;
+            }
+            if seen < 8 {
+                return Err(FleetError::BadFrame("stats text lacks a daemon counter"));
+            }
+            Ok(s)
         }
-        Ok(s)
     }
 }
 
@@ -542,20 +563,14 @@ impl FleetClient {
         self.expect_ack(wire::EVICT, &payload)
     }
 
-    /// Fetches the daemon's counters.
+    /// Fetches the daemon's counters (parsed out of the `STATS_V2` text).
     pub fn daemon_stats(&mut self) -> Result<wire::DaemonStats, FleetError> {
-        let (op, body) = self.call(wire::STATS, &[])?;
-        if op != wire::RESP_STATS {
-            return Err(FleetError::UnexpectedOpcode(op));
-        }
-        wire::decode_stats(&body)
+        wire::DaemonStats::from_prometheus(&self.daemon_stats_v2()?)
     }
 
-    /// Fetches the daemon's extended metrics (request counters and
-    /// latency histograms) as Prometheus text — the `STATS_V2` exchange.
-    /// A daemon predating the opcode answers [`wire::RESP_ERR`], which
-    /// surfaces here as [`FleetError::Daemon`]; callers degrade to
-    /// [`daemon_stats`](FleetClient::daemon_stats).
+    /// Fetches the daemon's metrics (request counters, latency histograms
+    /// and the [`wire::DaemonStats`] counters) as Prometheus text — the
+    /// `STATS_V2` exchange.
     pub fn daemon_stats_v2(&mut self) -> Result<String, FleetError> {
         let (op, body) = self.call(wire::STATS_V2, &[])?;
         if op != wire::RESP_STATS_V2 {
@@ -920,7 +935,16 @@ mod tests {
             compactions: 7,
             writebacks: 8,
         };
-        assert_eq!(wire::decode_stats(&wire::encode_stats(&s)).unwrap(), s);
+        // The counters survive embedding in a larger metrics document.
+        let text = format!(
+            "# TYPE hb_fleetd_requests_total counter\nhb_fleetd_requests_total{{op=\"ping\"}} 9\n{}",
+            s.to_prometheus()
+        );
+        assert_eq!(wire::DaemonStats::from_prometheus(&text).unwrap(), s);
+        assert!(matches!(
+            wire::DaemonStats::from_prometheus("hb_fleetd_seq 2\n"),
+            Err(FleetError::BadFrame(_))
+        ));
     }
 
     #[test]

@@ -54,8 +54,8 @@ use hb_check::{
     verify_candidate, CheckError, CheckOptions, CheckOutcome, CheckPolicy, CheckRequest,
 };
 use hb_il::MethodCfg;
-use hb_interp::{Interp, MethodBody};
-use hb_rdl::{type_of, AnnotationSource, MethodKey, TableEntry};
+use hb_interp::Interp;
+use hb_rdl::{AnnotationSource, MethodKey, TableEntry};
 use hb_sched::{Scheduler, WorldSnapshot};
 use hb_syntax::{BlameTarget, DiagCode, Span, TypeDiagnostic};
 use hb_types::{MethodSig, Type, TypeEnv};
@@ -167,26 +167,14 @@ fn overlay_entry(c: &SigCandidate) -> TableEntry {
 }
 
 /// The captured type environment of a proc-backed (`define_method`) body,
-/// mirroring the engine's task-extraction path: proc bodies are judged
-/// under the types of their captured locals (Fig. 2).
+/// exactly as the engine computes it: proc bodies are judged under the
+/// types of their captured locals (Fig. 2).
 fn captured_env(interp: &Interp, key: &MethodKey) -> Option<TypeEnv> {
     let cid = interp.registry.lookup(key.class.as_str())?;
-    let found = if key.class_level {
-        interp.registry.find_smethod(cid, key.method.as_str())
-    } else {
-        interp.registry.find_method(cid, key.method.as_str())
-    };
-    let (_, mentry) = found?;
-    match &mentry.body {
-        MethodBody::FromProc(p) => Some(
-            p.env
-                .collect_bindings()
-                .into_iter()
-                .map(|(k, v)| (k, type_of(interp, &v)))
-                .collect(),
-        ),
-        _ => None,
-    }
+    let (_, mentry) = interp
+        .registry
+        .find_method_at(cid, key.method.as_str(), key.class_level)?;
+    crate::engine::captured_env(interp, &mentry)
 }
 
 /// A computed return type worth writing into an annotation: plain

@@ -64,6 +64,7 @@
 //! start, carried across processes (see [`snapshot`]).
 
 pub mod analyze;
+pub mod derivation;
 pub mod engine;
 pub mod fleet;
 pub mod infer;
@@ -76,6 +77,7 @@ pub mod snapshot;
 pub mod stats;
 
 pub use analyze::AnalysisReport;
+pub use derivation::{Derivation, Epochs};
 pub use engine::{CacheDumpEntry, Config, Engine};
 pub use fleet::{FleetClient, FleetError, FleetSyncReport, FleetWatermark};
 pub use hb_analyze::ResidueSummary;
@@ -83,7 +85,7 @@ pub use infer::InferReport;
 pub use info::RegistryInfo;
 pub use obs::EngineObs;
 pub use reload::{FileMethod, ReloadReport};
-pub use shared_cache::{SharedCache, SharedCacheStats, SharedDerivation};
+pub use shared_cache::{SharedCache, SharedCacheStats};
 pub use snapshot::{CacheSnapshot, SnapshotError};
 pub use stats::{CheckLogItem, CheckVerdict, EngineStats};
 
@@ -474,44 +476,6 @@ impl Hummingbird {
     /// The embedding entry point: a [`HummingbirdBuilder`] with defaults.
     pub fn builder() -> HummingbirdBuilder {
         HummingbirdBuilder::default()
-    }
-
-    /// A fully enabled system with core-library annotations loaded.
-    #[deprecated(note = "use `Hummingbird::builder().build()` (Embedding API v1)")]
-    pub fn new() -> Hummingbird {
-        Hummingbird::builder().build()
-    }
-
-    /// A fully enabled system attached to a process-wide shared derivation
-    /// tier: one *tenant* of a multi-tenant deployment.
-    #[deprecated(
-        note = "use `Hummingbird::builder().shared_cache(shared).build()` (Embedding API v1)"
-    )]
-    pub fn new_tenant(shared: Arc<SharedCache>) -> Hummingbird {
-        Hummingbird::builder().shared_cache(shared).build()
-    }
-
-    /// A tenant in an explicit evaluation mode.
-    #[deprecated(
-        note = "use `Hummingbird::builder().mode(mode).shared_cache(shared).build()` \
-                (Embedding API v1)"
-    )]
-    pub fn tenant_with_mode(mode: Mode, shared: Arc<SharedCache>) -> Hummingbird {
-        Hummingbird::builder()
-            .mode(mode)
-            .shared_cache(shared)
-            .build()
-    }
-
-    /// Builds a system in the given evaluation mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bundled core-library annotations fail to load (a build
-    /// defect, not a runtime condition).
-    #[deprecated(note = "use `Hummingbird::builder().mode(mode).build()` (Embedding API v1)")]
-    pub fn with_mode(mode: Mode) -> Hummingbird {
-        Hummingbird::builder().mode(mode).build()
     }
 
     /// Loads a source file into the running system.

@@ -58,11 +58,9 @@ impl crate::Hummingbird {
                 d.name
             );
             let existing = self.interp.registry.lookup(&d.owner).and_then(|cid| {
-                if d.self_method {
-                    self.interp.registry.find_smethod(cid, &d.name)
-                } else {
-                    self.interp.registry.find_method(cid, &d.name)
-                }
+                self.interp
+                    .registry
+                    .find_method_at(cid, &d.name, d.self_method)
             });
             match existing {
                 None => report.added.push(display),

@@ -42,11 +42,7 @@ pub fn capture_world(interp: &hb_interp::Interp, rdl: &RdlState) -> WorldSnapsho
     let ivars = rdl.ivar_decls().into_iter().collect();
     let cvars = rdl.cvar_decls().into_iter().collect();
     let gvars = rdl.gvar_decls().into_iter().collect();
-    let epochs = (
-        rdl.table_fingerprint(),
-        registry.shape_fingerprint(),
-        rdl.var_fingerprint(),
-    );
+    let epochs = crate::derivation::epochs_of(interp, rdl);
     WorldSnapshot::new(chains, table, ivars, cvars, gvars, epochs)
 }
 

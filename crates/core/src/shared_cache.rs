@@ -28,82 +28,19 @@
 //! optimisation rather than a soundness requirement, which is what lets
 //! the tiers stay loosely coupled.
 
-use hb_rdl::{MethodKey, RdlEvent, RdlEventSink, Resolution};
+use crate::derivation::{Derivation, VersionKey};
+use hb_rdl::{MethodKey, RdlEvent, RdlEventSink};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// One dependency of a shared derivation: a (TApp) resolution witness plus
-/// — when the lookup found an annotation — the signature version and
-/// content fingerprint it had when the derivation was built. A consumer
-/// *replays* the witness against its own table and hierarchy: the lookup
-/// must resolve to the same key (shadowing anywhere along the chain
-/// changes the answer and rejects adoption) and that key's signature must
-/// still match by version *and* content. Version numbers are per-tenant
-/// load-order counters, so two tenants running different code can collide
-/// on a version; the content fingerprint is what makes adoption sound
-/// across arbitrary tenants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SharedDep {
-    pub resolution: Resolution,
-    /// Version of the target's entry at check time (0 when `target` is
-    /// `None` — a negative witness has no entry).
-    pub sig_version: u64,
-    /// Content fingerprint of the target's signature at check time.
-    pub sig_fingerprint: u64,
-}
-
-/// A shared derivation: everything a foreign tenant needs to decide the
-/// derivation is valid for *its* table.
-#[derive(Debug, Clone)]
-pub struct SharedDerivation {
-    /// Content fingerprint of the checked method's own signature, compared
-    /// against the adopting tenant's entry in addition to the version.
-    pub own_sig_fingerprint: u64,
-    /// The publisher's rolling type-table fingerprint at check time. A
-    /// consumer whose own table fingerprint equals this has performed the
-    /// *identical* mutation sequence — every dependency (including ivar/
-    /// cvar/gvar types, which witnesses don't cover) is trivially
-    /// satisfied, so adoption is O(1). The common case for fleets of
-    /// identical tenants.
-    pub table_fp: u64,
-    /// The publisher's class-hierarchy shape fingerprint at check time.
-    /// Subtyping judgements read the hierarchy without recording per-use
-    /// witnesses, so — like `var_fp` — the witness-replay path requires
-    /// this to match exactly; witnesses only cover (TApp) resolutions.
-    pub hier_fp: u64,
-    /// The publisher's variable-type (ivar/cvar/gvar) fingerprint at
-    /// check time. Derivations read variable types without recording
-    /// per-variable witnesses, so the witness-replay path requires this
-    /// to match exactly; the epoch fast path subsumes it (`table_fp`
-    /// folds every variable registration too).
-    pub var_fp: u64,
-    /// Dependency witnesses with their at-check signature versions and
-    /// contents — replayed one by one when the epoch fast path misses.
-    pub deps: Arc<[SharedDep]>,
-    /// The derivation's `rdl_cast` sites as `(file, lo, hi)` span
-    /// triples: facts about the checked body, replicated on adoption so
-    /// warm tenants report the Casts statistic identically to cold ones.
-    /// (Adoption implies identical body text; file ids can only differ
-    /// between tenants whose load orders diverge, which at worst
-    /// double-counts a statistic, never affects soundness.)
-    pub cast_sites: Arc<[(u32, u32, u32)]>,
-}
-
-/// Versioned sub-key: the method-table entry id the body was lowered from,
-/// the signature version it was checked against, and the body fingerprint
-/// (`engine::body_fingerprint`: source content hash + definition span +
-/// captured-environment types) — the last guards against entry-id/version
-/// counter coincidences between tenants running *different* codebases.
-type VersionKey = (u64, u64, u64);
-
 #[derive(Default)]
 struct Shard {
-    /// Method → (entry id, sig version) → derivation. The outer key groups
-    /// an entry *family* so eviction of a method drops every cached
-    /// version in one probe.
-    entries: HashMap<MethodKey, HashMap<VersionKey, SharedDerivation>>,
+    /// Method → version key → derivation. The outer key groups an entry
+    /// *family* so eviction of a method drops every cached version in one
+    /// probe.
+    entries: HashMap<MethodKey, HashMap<VersionKey, Derivation>>,
     /// dep (annotation key) → methods whose shared derivations used it.
     dependents: HashMap<MethodKey, HashSet<MethodKey>>,
 }
@@ -115,9 +52,6 @@ pub struct SharedCacheStats {
     pub misses: u64,
     pub inserts: u64,
     pub evictions: u64,
-    /// Snapshots loaded from the legacy (pre-checksum) `HBSNAP01` layout
-    /// — the "old artifact, no integrity check" warning counter.
-    pub legacy_loads: u64,
 }
 
 /// Observer of tier mutations, called *after* the shard lock is released.
@@ -142,7 +76,6 @@ pub struct SharedCache {
     misses: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
-    legacy_loads: AtomicU64,
     hooks: RwLock<Vec<Arc<dyn CacheEventHook>>>,
 }
 
@@ -168,7 +101,6 @@ impl SharedCache {
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            legacy_loads: AtomicU64::new(0),
             hooks: RwLock::new(Vec::new()),
         }
     }
@@ -253,7 +185,7 @@ impl SharedCache {
         method_entry_id: u64,
         sig_version: u64,
         body_fingerprint: u64,
-    ) -> Option<SharedDerivation> {
+    ) -> Option<Derivation> {
         let shard = self.shard_read(self.shard_of(key));
         let found = shard
             .entries
@@ -290,41 +222,24 @@ impl SharedCache {
         })
     }
 
-    /// Publishes a derivation and registers its dependency edges.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert(
-        &self,
-        key: MethodKey,
-        method_entry_id: u64,
-        sig_version: u64,
-        body_fingerprint: u64,
-        own_sig_fingerprint: u64,
-        epochs: (u64, u64, u64),
-        deps: Vec<SharedDep>,
-        cast_sites: Vec<(u32, u32, u32)>,
-    ) {
-        let deps: Arc<[SharedDep]> = deps.into();
-        {
-            let mut shard = self.shard_write(self.shard_of(&key));
-            shard.entries.entry(key).or_default().insert(
-                (method_entry_id, sig_version, body_fingerprint),
-                SharedDerivation {
-                    own_sig_fingerprint,
-                    table_fp: epochs.0,
-                    hier_fp: epochs.1,
-                    var_fp: epochs.2,
-                    deps: deps.clone(),
-                    cast_sites: cast_sites.into(),
-                },
-            );
-        }
-        for dep in deps.iter() {
-            // Negative witnesses have no entry to hang an eviction edge on;
-            // replay-validation alone guards them.
-            if let Some(target) = dep.resolution.target {
-                let mut shard = self.shard_write(self.shard_of(&target));
-                shard.dependents.entry(target).or_default().insert(key);
-            }
+    /// Publishes a derivation and registers its dependency edges. A
+    /// derivation without a body fingerprint has no identity another
+    /// tenant could match, so it is not published.
+    pub fn insert(&self, key: MethodKey, d: Derivation) {
+        let Some(version) = d.version_key() else {
+            return;
+        };
+        let witnesses = d.witnesses.clone();
+        self.shard_write(self.shard_of(&key))
+            .entries
+            .entry(key)
+            .or_default()
+            .insert(version, d);
+        // Negative witnesses have no entry to hang an eviction edge on;
+        // replay-validation alone guards them.
+        for target in witnesses.iter().filter_map(|w| w.resolution.target) {
+            let mut shard = self.shard_write(self.shard_of(&target));
+            shard.dependents.entry(target).or_default().insert(key);
         }
         self.inserts.fetch_add(1, Ordering::Relaxed);
         for hook in self.hooks() {
@@ -347,10 +262,7 @@ impl SharedCache {
         // the entry shard; never hold two shard locks at once — the entry
         // shard's lock is already released, so a self-recursive method's
         // own edge prunes like any other).
-        let targets: HashSet<MethodKey> = family
-            .values()
-            .flat_map(|d| d.deps.iter().filter_map(|dep| dep.resolution.target))
-            .collect();
+        let targets: HashSet<MethodKey> = family.values().flat_map(Derivation::deps).collect();
         for t in targets {
             let mut shard = self.shard_write(self.shard_of(&t));
             if let Some(set) = shard.dependents.get_mut(&t) {
@@ -441,19 +353,17 @@ impl SharedCache {
 
     // ----- snapshots ---------------------------------------------------------
 
-    /// Every live derivation as `(key, (entry_id, sig_version, body_fp),
-    /// derivation)`, in deterministic key order (snapshot support).
-    pub(crate) fn iter_derivations(&self) -> Vec<(MethodKey, VersionKey, SharedDerivation)> {
-        let mut out: Vec<(MethodKey, VersionKey, SharedDerivation)> = Vec::new();
+    /// Every live derivation with its method key, in deterministic (key,
+    /// version) order (snapshot support).
+    pub(crate) fn iter_derivations(&self) -> Vec<(MethodKey, Derivation)> {
+        let mut out: Vec<(MethodKey, Derivation)> = Vec::new();
         for lock in self.shards.iter() {
             let shard = self.shard_read(lock);
             for (key, family) in &shard.entries {
-                for (version, d) in family {
-                    out.push((*key, *version, d.clone()));
-                }
+                out.extend(family.values().map(|d| (*key, d.clone())));
             }
         }
-        out.sort_by_key(|(key, version, _)| (*key, *version));
+        out.sort_by_key(|(key, d)| (*key, d.version_key()));
         out
     }
 
@@ -491,18 +401,7 @@ impl SharedCache {
         &self,
         snap: &crate::snapshot::CacheSnapshot,
     ) -> Result<usize, crate::snapshot::SnapshotError> {
-        let loaded = crate::snapshot::load_into(self, snap)?;
-        if snap.is_legacy() {
-            // Counted, not refused: the entries are still candidates that
-            // adoption validates, but the artifact had no integrity
-            // checksum and operators should know one flowed in.
-            self.legacy_loads.fetch_add(1, Ordering::Relaxed);
-            hb_obs::hb_warn!(
-                "hummingbird: loaded legacy HBSNAP01 snapshot ({} entries, no checksum)",
-                loaded
-            );
-        }
-        Ok(loaded)
+        crate::snapshot::load_into(self, snap)
     }
 
     /// Counter snapshot.
@@ -512,7 +411,6 @@ impl SharedCache {
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            legacy_loads: self.legacy_loads.load(Ordering::Relaxed),
         }
     }
 }
@@ -550,16 +448,30 @@ impl RdlEventSink for SharedEvictionSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hb_rdl::{Resolution, Witness};
 
     fn k(c: &str, m: &str) -> MethodKey {
         MethodKey::instance(c, m)
     }
 
-    fn dep(c: &str, m: &str, v: u64) -> SharedDep {
-        SharedDep {
+    fn dep(c: &str, m: &str, v: u64) -> Witness {
+        Witness {
             resolution: Resolution::of(c, false, m, Some(k(c, m))),
             sig_version: v,
             sig_fingerprint: 0xF00D,
+        }
+    }
+
+    /// A derivation under version key `(entry_id, sig_version, body_fp)`.
+    fn der(entry_id: u64, sig_version: u64, body_fp: u64, deps: Vec<Witness>) -> Derivation {
+        Derivation {
+            entry_id,
+            sig_version,
+            body_fp: Some(body_fp),
+            own_sig_fp: 1,
+            epochs: (1, 1, 1),
+            witnesses: deps.into(),
+            cast_sites: Arc::new([]),
         }
     }
 
@@ -567,18 +479,9 @@ mod tests {
     fn insert_lookup_and_version_mismatch() {
         let c = SharedCache::new();
         let key = k("Talk", "owner?");
-        c.insert(
-            key,
-            7,
-            3,
-            0xB0D7,
-            0x5167,
-            (1, 1, 1),
-            vec![dep("User", "name", 2)],
-            vec![],
-        );
+        c.insert(key, der(7, 3, 0xB0D7, vec![dep("User", "name", 2)]));
         let d = c.lookup(&key, 7, 3, 0xB0D7).expect("exact version hits");
-        assert_eq!(d.deps.as_ref(), &[dep("User", "name", 2)]);
+        assert_eq!(d.witnesses.as_ref(), &[dep("User", "name", 2)]);
         assert!(
             c.lookup(&key, 7, 4, 0xB0D7).is_none(),
             "sig version mismatch"
@@ -597,27 +500,9 @@ mod tests {
         let c = SharedCache::new();
         let caller = k("Talk", "owner?");
         let other = k("Talk", "title");
-        c.insert(
-            caller,
-            1,
-            1,
-            1,
-            1,
-            (1, 1, 1),
-            vec![dep("User", "name", 1)],
-            vec![],
-        );
-        c.insert(
-            caller,
-            2,
-            2,
-            1,
-            1,
-            (1, 1, 1),
-            vec![dep("User", "name", 1)],
-            vec![],
-        ); // second family version
-        c.insert(other, 3, 1, 1, 1, (1, 1, 1), vec![], vec![]);
+        c.insert(caller, der(1, 1, 1, vec![dep("User", "name", 1)]));
+        c.insert(caller, der(2, 2, 1, vec![dep("User", "name", 1)])); // second family version
+        c.insert(other, der(3, 1, 1, vec![]));
         assert_eq!(c.len(), 3);
         assert_eq!(
             c.evict_with_dependents(&k("User", "name")),
@@ -632,16 +517,7 @@ mod tests {
     fn self_recursive_eviction_prunes_own_edge() {
         let c = SharedCache::new();
         let key = k("Talk", "visit");
-        c.insert(
-            key,
-            1,
-            1,
-            1,
-            1,
-            (1, 1, 1),
-            vec![dep("Talk", "visit", 1)],
-            vec![],
-        );
+        c.insert(key, der(1, 1, 1, vec![dep("Talk", "visit", 1)]));
         assert_eq!(c.edge_count(), 1);
         assert_eq!(c.evict_method(&key), 1);
         assert_eq!(c.edge_count(), 0, "self edge pruned like any other");
@@ -661,16 +537,7 @@ mod tests {
     fn poisoned_shard_recovers_instead_of_bricking_adopters() {
         let c = Arc::new(SharedCache::with_shards(1));
         let key = k("Talk", "owner?");
-        c.insert(
-            key,
-            1,
-            1,
-            1,
-            1,
-            (1, 1, 1),
-            vec![dep("User", "name", 1)],
-            vec![],
-        );
+        c.insert(key, der(1, 1, 1, vec![dep("User", "name", 1)]));
         assert!(c.lookup(&key, 1, 1, 1).is_some());
 
         // Poison the (only) shard: a thread panics while holding the
@@ -698,16 +565,7 @@ mod tests {
         assert!(!c.shards[0].is_poisoned(), "poison is cleared");
 
         // The tier keeps working end to end: publish again, adopt again.
-        c.insert(
-            key,
-            1,
-            1,
-            1,
-            1,
-            (1, 1, 1),
-            vec![dep("User", "name", 1)],
-            vec![],
-        );
+        c.insert(key, der(1, 1, 1, vec![dep("User", "name", 1)]));
         assert!(c.lookup(&key, 1, 1, 1).is_some());
         assert_eq!(c.evict_with_dependents(&k("User", "name")), 1);
     }

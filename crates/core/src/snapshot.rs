@@ -46,25 +46,18 @@
 //! over everything before it), verified before any parsing, so a
 //! bit-flipped artifact fails loudly with
 //! [`SnapshotError::BadChecksum`] instead of desynchronizing the cursor
-//! into garbage entries. Legacy `HBSNAP01` artifacts (no checksum) still
-//! parse — [`CacheSnapshot::is_legacy`] is set, and
-//! [`SharedCache::load_snapshot`] counts the load in
-//! [`crate::SharedCacheStats::legacy_loads`] so fleets can see unchecked
-//! artifacts flowing in.
+//! into garbage entries. The checksum-less `HBSNAP01` layout is rejected
+//! as [`SnapshotError::BadMagic`] like any other unknown version.
 
-use crate::shared_cache::{SharedCache, SharedDep};
+use crate::derivation::Derivation;
+use crate::shared_cache::SharedCache;
 use hb_intern::{fingerprint64, MethodKey, SymDictReader, SymDictWriter};
-use hb_rdl::Resolution;
+use hb_rdl::{Resolution, Witness};
 
 /// Magic + format version (v2: trailing content checksum). Bump when the
 /// layout changes; `from_bytes` rejects unknown versions instead of
 /// misparsing them.
 const MAGIC: &[u8; 8] = b"HBSNAP02";
-
-/// The pre-checksum format, still accepted on load (with a warning
-/// counted in [`crate::SharedCacheStats::legacy_loads`]) so artifacts
-/// written by earlier builds keep booting fleets during a rollout.
-const MAGIC_V1: &[u8; 8] = b"HBSNAP01";
 
 /// A method key with its symbols replaced by dictionary ids.
 #[derive(Debug, Clone, Copy)]
@@ -74,7 +67,7 @@ pub(crate) struct SnapKey {
     pub method: u32,
 }
 
-/// A [`SharedDep`] with its symbols replaced by dictionary ids.
+/// A [`Witness`] with its symbols replaced by dictionary ids.
 #[derive(Debug, Clone)]
 pub(crate) struct SnapDep {
     pub start: u32,
@@ -110,18 +103,14 @@ pub(crate) struct SnapEntry {
 pub struct CacheSnapshot {
     pub(crate) symbols: Vec<String>,
     pub(crate) entries: Vec<SnapEntry>,
-    /// True when the bytes parsed as the legacy `HBSNAP01` layout (no
-    /// content checksum). Loading such a snapshot works but is counted in
-    /// [`crate::SharedCacheStats::legacy_loads`].
-    pub(crate) legacy: bool,
 }
 
 /// Why a snapshot failed to parse or load. Malformed bytes are reported,
 /// never partially applied past the point of detection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The buffer does not start with the `HBSNAP02` (or legacy
-    /// `HBSNAP01`) magic — wrong file or an incompatible format version.
+    /// The buffer does not start with the `HBSNAP02` magic — wrong file or
+    /// an incompatible format version.
     BadMagic,
     /// The buffer ended mid-structure.
     Truncated,
@@ -246,15 +235,6 @@ impl CacheSnapshot {
         Ok(keys)
     }
 
-    /// True when this snapshot was parsed from the legacy (pre-checksum)
-    /// `HBSNAP01` layout. Loads are still sound — entries are candidates
-    /// validated at adoption — but the artifact had no integrity check,
-    /// so [`SharedCache::load_snapshot`] counts it in
-    /// [`crate::SharedCacheStats::legacy_loads`].
-    pub fn is_legacy(&self) -> bool {
-        self.legacy
-    }
-
     /// Every entry's `(method key, entry id, sig version, body
     /// fingerprint)` version tuple, interned into the live process — the
     /// identity a [`SharedCache::contains`] probe takes. The fleet daemon
@@ -330,9 +310,8 @@ impl CacheSnapshot {
         out
     }
 
-    /// Parses the `HBSNAP02` wire format — checksum verified before any
-    /// structure is read — or the legacy `HBSNAP01` layout (no checksum;
-    /// the result has [`CacheSnapshot::is_legacy`] set).
+    /// Parses the `HBSNAP02` wire format, verifying the checksum before
+    /// any structure is read.
     ///
     /// # Errors
     ///
@@ -341,22 +320,17 @@ impl CacheSnapshot {
     /// surface later, from [`SharedCache::load_snapshot`].)
     pub fn from_bytes(bytes: &[u8]) -> Result<CacheSnapshot, SnapshotError> {
         let magic = bytes.get(..MAGIC.len()).ok_or(SnapshotError::Truncated)?;
-        let (body, legacy) = if magic == MAGIC {
-            // v2: split off and verify the trailing checksum first.
-            if bytes.len() < MAGIC.len() + 8 {
-                return Err(SnapshotError::Truncated);
-            }
-            let (body, tail) = bytes.split_at(bytes.len() - 8);
-            let expected = u64::from_le_bytes(tail.try_into().unwrap());
-            if fingerprint64(body) != expected {
-                return Err(SnapshotError::BadChecksum);
-            }
-            (body, false)
-        } else if magic == MAGIC_V1 {
-            (bytes, true)
-        } else {
+        if magic != MAGIC {
             return Err(SnapshotError::BadMagic);
-        };
+        }
+        if bytes.len() < MAGIC.len() + 8 {
+            return Err(SnapshotError::Truncated);
+        }
+        let (body, tail) = bytes.split_at(bytes.len() - 8);
+        let expected = u64::from_le_bytes(tail.try_into().unwrap());
+        if fingerprint64(body) != expected {
+            return Err(SnapshotError::BadChecksum);
+        }
         let mut c = Cursor {
             buf: body,
             pos: MAGIC.len(),
@@ -415,11 +389,7 @@ impl CacheSnapshot {
                 cast_sites,
             });
         }
-        Ok(CacheSnapshot {
-            symbols,
-            entries,
-            legacy,
-        })
+        Ok(CacheSnapshot { symbols, entries })
     }
 }
 
@@ -447,13 +417,17 @@ pub(crate) fn snapshot_of_filtered(
 ) -> CacheSnapshot {
     let mut dict = SymDictWriter::new();
     let mut entries = Vec::new();
-    for (key, version, d) in cache.iter_derivations() {
+    for (key, d) in cache.iter_derivations() {
+        // The tier only holds derivations with a body fingerprint.
+        let Some((method_entry_id, sig_version, body_fp)) = d.version_key() else {
+            continue;
+        };
         if !keep(&key) {
             continue;
         }
         let skey = key_id(&mut dict, &key);
         let deps = d
-            .deps
+            .witnesses
             .iter()
             .map(|dep| SnapDep {
                 start: dict.id(dep.resolution.start),
@@ -467,13 +441,13 @@ pub(crate) fn snapshot_of_filtered(
             .collect();
         entries.push(SnapEntry {
             key: skey,
-            method_entry_id: version.0,
-            sig_version: version.1,
-            body_fp: version.2,
-            own_sig_fp: d.own_sig_fingerprint,
-            table_fp: d.table_fp,
-            hier_fp: d.hier_fp,
-            var_fp: d.var_fp,
+            method_entry_id,
+            sig_version,
+            body_fp,
+            own_sig_fp: d.own_sig_fp,
+            table_fp: d.epochs.0,
+            hier_fp: d.epochs.1,
+            var_fp: d.epochs.2,
             deps,
             cast_sites: d.cast_sites.to_vec(),
         });
@@ -481,7 +455,6 @@ pub(crate) fn snapshot_of_filtered(
     CacheSnapshot {
         symbols: dict.strings().iter().map(|s| s.to_string()).collect(),
         entries,
-        legacy: false,
     }
 }
 
@@ -504,7 +477,7 @@ pub(crate) fn load_into(cache: &SharedCache, snap: &CacheSnapshot) -> Result<usi
         let k = key(&e.key)?;
         let mut deps = Vec::with_capacity(e.deps.len());
         for d in &e.deps {
-            deps.push(SharedDep {
+            deps.push(Witness {
                 resolution: Resolution {
                     start: sym(d.start)?,
                     skip_receiver: d.skip_receiver,
@@ -516,20 +489,22 @@ pub(crate) fn load_into(cache: &SharedCache, snap: &CacheSnapshot) -> Result<usi
                 sig_fingerprint: d.sig_fingerprint,
             });
         }
-        translated.push((k, e, deps));
+        translated.push((
+            k,
+            Derivation {
+                entry_id: e.method_entry_id,
+                sig_version: e.sig_version,
+                body_fp: Some(e.body_fp),
+                own_sig_fp: e.own_sig_fp,
+                epochs: (e.table_fp, e.hier_fp, e.var_fp),
+                witnesses: deps.into(),
+                cast_sites: e.cast_sites.as_slice().into(),
+            },
+        ));
     }
     let loaded = translated.len();
-    for (k, e, deps) in translated {
-        cache.insert(
-            k,
-            e.method_entry_id,
-            e.sig_version,
-            e.body_fp,
-            e.own_sig_fp,
-            (e.table_fp, e.hier_fp, e.var_fp),
-            deps,
-            e.cast_sites.clone(),
-        );
+    for (k, d) in translated {
+        cache.insert(k, d);
     }
     Ok(loaded)
 }
@@ -544,34 +519,46 @@ mod tests {
 
     fn sample_cache() -> SharedCache {
         let c = SharedCache::new();
+        let d =
+            |entry_id, sig_version, body_fp, own_sig_fp, dep: Witness, casts: &[_]| Derivation {
+                entry_id,
+                sig_version,
+                body_fp: Some(body_fp),
+                own_sig_fp,
+                epochs: (11, 22, 33),
+                witnesses: vec![dep].into(),
+                cast_sites: casts.into(),
+            };
         c.insert(
             k("Talk", "owner?"),
-            7,
-            3,
-            0xB0D7,
-            0x5167,
-            (11, 22, 33),
-            vec![SharedDep {
-                resolution: Resolution::of("User", false, "name", Some(k("User", "name"))),
-                sig_version: 2,
-                sig_fingerprint: 0xF00D,
-            }],
-            vec![(1, 10, 20)],
+            d(
+                7,
+                3,
+                0xB0D7,
+                0x5167,
+                Witness {
+                    resolution: Resolution::of("User", false, "name", Some(k("User", "name"))),
+                    sig_version: 2,
+                    sig_fingerprint: 0xF00D,
+                },
+                &[(1, 10, 20)],
+            ),
         );
         c.insert(
             k("Talk", "title"),
-            9,
-            1,
-            0xCAFE,
-            0x7777,
-            (11, 22, 33),
-            vec![SharedDep {
-                // Negative witness: no target.
-                resolution: Resolution::of("Talk", false, "missing", None),
-                sig_version: 0,
-                sig_fingerprint: 0,
-            }],
-            vec![],
+            d(
+                9,
+                1,
+                0xCAFE,
+                0x7777,
+                Witness {
+                    // Negative witness: no target.
+                    resolution: Resolution::of("Talk", false, "missing", None),
+                    sig_version: 0,
+                    sig_fingerprint: 0,
+                },
+                &[],
+            ),
         );
         c
     }
@@ -592,26 +579,17 @@ mod tests {
         let d = fresh
             .lookup(&k("Talk", "owner?"), 7, 3, 0xB0D7)
             .expect("restored derivation hits under the original version key");
-        assert_eq!(d.own_sig_fingerprint, 0x5167);
-        assert_eq!((d.table_fp, d.hier_fp, d.var_fp), (11, 22, 33));
-        assert_eq!(d.deps.len(), 1);
-        assert_eq!(d.deps[0].resolution.target, Some(k("User", "name")));
+        assert_eq!(d.own_sig_fp, 0x5167);
+        assert_eq!(d.epochs, (11, 22, 33));
+        assert_eq!(d.witnesses.len(), 1);
+        assert_eq!(d.witnesses[0].resolution.target, Some(k("User", "name")));
         assert_eq!(d.cast_sites.as_ref(), &[(1, 10, 20)]);
         // Negative witnesses survive too.
         let d2 = fresh.lookup(&k("Talk", "title"), 9, 1, 0xCAFE).unwrap();
-        assert_eq!(d2.deps[0].resolution.target, None);
+        assert_eq!(d2.witnesses[0].resolution.target, None);
         // Dependency edges were rebuilt: evicting the dep key drops the
         // dependent derivation.
         assert_eq!(fresh.evict_with_dependents(&k("User", "name")), 1);
-    }
-
-    /// Rewrites v2 bytes into the legacy HBSNAP01 layout: v1 magic, no
-    /// trailing checksum. What an artifact written by a pre-checksum
-    /// build looks like.
-    fn as_legacy(bytes: &[u8]) -> Vec<u8> {
-        let mut v1 = bytes[..bytes.len() - 8].to_vec();
-        v1[..MAGIC_V1.len()].copy_from_slice(MAGIC_V1);
-        v1
     }
 
     #[test]
@@ -637,33 +615,13 @@ mod tests {
             CacheSnapshot::from_bytes(&flipped).unwrap_err(),
             SnapshotError::BadChecksum
         );
-        // Legacy bytes have no checksum, so truncation surfaces as the
-        // structural error.
-        let mut legacy_short = as_legacy(&bytes);
-        legacy_short.truncate(legacy_short.len() - 3);
+        // The checksum-less HBSNAP01 layout is an unknown version.
+        let mut v1 = bytes[..bytes.len() - 8].to_vec();
+        v1[..8].copy_from_slice(b"HBSNAP01");
         assert_eq!(
-            CacheSnapshot::from_bytes(&legacy_short).unwrap_err(),
-            SnapshotError::Truncated
+            CacheSnapshot::from_bytes(&v1).unwrap_err(),
+            SnapshotError::BadMagic
         );
-    }
-
-    #[test]
-    fn legacy_hbsnap01_artifacts_still_load_with_a_warning_stat() {
-        let snap = sample_cache().snapshot();
-        let v1 = as_legacy(&snap.to_bytes());
-        let parsed = CacheSnapshot::from_bytes(&v1).expect("legacy layout parses");
-        assert!(parsed.is_legacy());
-        assert_eq!(parsed.entry_count(), snap.entry_count());
-        let fresh = SharedCache::new();
-        assert_eq!(fresh.load_snapshot(&parsed).unwrap(), 2);
-        assert_eq!(
-            fresh.stats().legacy_loads,
-            1,
-            "loading a checksum-less artifact is counted"
-        );
-        // A v2 load does not touch the counter.
-        assert_eq!(fresh.load_snapshot(&snap).unwrap(), 2);
-        assert_eq!(fresh.stats().legacy_loads, 1);
     }
 
     #[test]
@@ -705,7 +663,6 @@ mod tests {
                 entry(1), // valid
                 entry(9), // dangling
             ],
-            legacy: false,
         };
         let fresh = SharedCache::new();
         assert_eq!(

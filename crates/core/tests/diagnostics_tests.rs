@@ -85,7 +85,7 @@ T.new.ok
     assert_eq!(log[1].outcome, CheckVerdict::Blame(DiagCode::ReturnType));
 }
 
-/// The engine.rs dummy-span satellite: when the checker positions an error
+/// The engine's dummy-span rule: when the checker positions an error
 /// at synthesized code (a `define_method`-style proc with no source span),
 /// the old surface silently dropped the checker span and showed only the
 /// call site. Structured labels must emit *both*: primary = call site,

@@ -197,7 +197,7 @@ impl FleetDaemon {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Counter snapshot (the `STATS` opcode).
+    /// Counter snapshot.
     pub fn stats(&self) -> DaemonStats {
         let st = self.state();
         DaemonStats {
@@ -214,25 +214,11 @@ impl FleetDaemon {
 
     /// The daemon-side metrics as Prometheus text (the `STATS_V2`
     /// opcode): the request counters/histogram from the registry plus
-    /// one `hb_fleetd_<field>` series per [`DaemonStats`] field, so the
-    /// legacy binary `STATS` counters and the text export can never
-    /// disagree about what the daemon has done.
+    /// one `hb_fleetd_<field>` series per [`DaemonStats`] field, which
+    /// `FleetClient::daemon_stats` parses back out.
     pub fn metrics_prometheus(&self) -> String {
         let mut out = self.registry.render_prometheus();
-        let s = self.stats();
-        for (name, value, kind) in [
-            ("entries", s.entries, "gauge"),
-            ("seq", s.seq, "counter"),
-            ("fetches", s.fetches, "counter"),
-            ("deltas", s.deltas, "counter"),
-            ("publishes", s.publishes, "counter"),
-            ("evictions", s.evictions, "counter"),
-            ("compactions", s.compactions, "counter"),
-            ("writebacks", s.writebacks, "counter"),
-        ] {
-            out.push_str(&format!("# TYPE hb_fleetd_{name} {kind}\n"));
-            out.push_str(&format!("hb_fleetd_{name} {value}\n"));
-        }
+        out.push_str(&self.stats().to_prometheus());
         out
     }
 

@@ -208,10 +208,6 @@ fn handle_request(
             }
             Ok(ack(daemon.evict(&keys)))
         }
-        wire::STATS => Ok(Response::Frame(
-            wire::RESP_STATS,
-            wire::encode_stats(&daemon.stats()),
-        )),
         wire::STATS_V2 => Ok(Response::Frame(
             wire::RESP_STATS_V2,
             daemon.metrics_prometheus().into_bytes(),

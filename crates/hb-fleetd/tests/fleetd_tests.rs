@@ -690,10 +690,10 @@ fn stats_v2_serves_parseable_prometheus_text_over_the_socket() {
         v.parse::<f64>()
             .unwrap_or_else(|_| panic!("non-numeric value in line: {line:?}"));
     }
-    // The legacy binary STATS counters and the text export agree.
+    // The typed counters parse back out of the same text.
     let stats = client.daemon_stats().expect("stats");
     assert!(
         text.contains(&format!("hb_fleetd_seq {}", stats.seq)),
-        "text and binary stats diverge on seq:\n{text}"
+        "text and typed stats diverge on seq:\n{text}"
     );
 }

@@ -381,6 +381,21 @@ impl ClassRegistry {
         None
     }
 
+    /// [`ClassRegistry::find_smethod`] when `class_level`,
+    /// [`ClassRegistry::find_method`] otherwise.
+    pub fn find_method_at(
+        &self,
+        class: ClassId,
+        name: &str,
+        class_level: bool,
+    ) -> Option<(ClassId, MethodEntry)> {
+        if class_level {
+            self.find_smethod(class, name)
+        } else {
+            self.find_method(class, name)
+        }
+    }
+
     /// Like [`ClassRegistry::find_method`] but starting strictly above
     /// `owner` in `class`'s ancestor chain (for `super`).
     pub fn find_method_above(

@@ -1175,11 +1175,9 @@ impl Interp {
             ),
             None => {
                 // method_missing, looked up in the same receiver position.
-                let mm = if class_level {
-                    self.registry.find_smethod(lookup_class, "method_missing")
-                } else {
-                    self.registry.find_method(lookup_class, "method_missing")
-                };
+                let mm = self
+                    .registry
+                    .find_method_at(lookup_class, "method_missing", class_level);
                 if let Some((owner, entry)) = mm {
                     let mut margs = vec![Value::sym(name)];
                     margs.extend(args);

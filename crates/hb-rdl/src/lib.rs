@@ -50,5 +50,5 @@ pub use conform::{type_of, value_conforms};
 pub use hook::RdlHook;
 pub use state::{
     AnnotationSource, CheckPolicy, DiagnosticSink, MethodKey, PreHook, RdlEvent, RdlEventSink,
-    RdlState, RdlStats, Resolution, TableEntry, DEFAULT_DIAGNOSTICS_CAP,
+    RdlState, RdlStats, Resolution, TableEntry, Witness, DEFAULT_DIAGNOSTICS_CAP,
 };

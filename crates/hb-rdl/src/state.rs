@@ -172,6 +172,24 @@ impl Resolution {
     }
 }
 
+/// One dependency of a derivation: a (TApp) [`Resolution`] plus — when the
+/// lookup found an annotation — the signature version and content
+/// fingerprint the target had when the derivation was built. A consumer
+/// *replays* the resolution against its own table and hierarchy: it must
+/// resolve to the same key, and that key's signature must still match by
+/// version *and* content. Versions are per-tenant load-order counters, so
+/// two tenants running different code can collide on one; the content
+/// fingerprint is what makes adoption sound across arbitrary tenants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Witness {
+    pub resolution: Resolution,
+    /// Version of the target's entry at check time (0 for a negative
+    /// witness, which has no entry).
+    pub sig_version: u64,
+    /// Content fingerprint of the target's signature at check time.
+    pub sig_fingerprint: u64,
+}
+
 /// Where an annotation came from (paper Table 1's "Static types" vs
 /// "Dynamic types" columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,6 +232,15 @@ pub struct TableEntry {
     /// every fingerprint: identical annotations registered from different
     /// locations must still share derivations across tenants.
     pub span: Span,
+}
+
+impl TableEntry {
+    /// Content fingerprint of the signature: what a [`Witness`] records,
+    /// so a dependency is known to mean the *same thing* in another
+    /// tenant's table (version counters alone can coincide).
+    pub fn sig_fingerprint(&self) -> u64 {
+        hb_intern::fingerprint64(&self.sig)
+    }
 }
 
 /// A type-table change event, drained by the Hummingbird engine to drive

@@ -32,5 +32,5 @@ pub mod world;
 
 pub use periodic::PeriodicTask;
 pub use pool::{Job, Scheduler};
-pub use task::{CheckTask, CompletionQueue, DepFact, TaskCompletion, TaskVerdict};
+pub use task::{CheckTask, CompletionQueue, TaskCompletion, TaskVerdict};
 pub use world::WorldSnapshot;

@@ -14,37 +14,23 @@
 use crate::world::WorldSnapshot;
 use hb_check::{check_sig, CheckOptions, CheckRequest};
 use hb_il::MethodCfg;
-use hb_rdl::{CheckPolicy, MethodKey, Resolution};
+use hb_rdl::{CheckPolicy, MethodKey, Witness};
 use hb_syntax::{Span, TypeDiagnostic};
 use hb_types::{MethodSig, TypeEnv};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// One dependency fact of a passing worker derivation: the (TApp)
-/// resolution witness plus the signature version and content fingerprint
-/// the target had *in the task's world snapshot*. The engine validates
-/// these against its current table at publication (the same shape as the
-/// shared tier's `SharedDep` replay) and publishes them onward so other
-/// tenants adopt the worker's derivation exactly as they adopt a
-/// tenant-published one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DepFact {
-    pub resolution: Resolution,
-    /// Version of the target's entry at capture time (0 for negative
-    /// witnesses).
-    pub sig_version: u64,
-    /// Content fingerprint of the target's signature at capture time.
-    pub sig_fingerprint: u64,
-}
-
 /// How a scheduled check ended on the worker.
 #[derive(Debug, Clone)]
 pub enum TaskVerdict {
     /// The derivation succeeded against the task's world snapshot.
     Pass {
-        /// Dependency facts (witnesses + at-capture versions/fingerprints).
-        deps: Vec<DepFact>,
+        /// Dependency witnesses, with the versions and fingerprints their
+        /// targets had *in the task's world snapshot*. The engine replays
+        /// them against its current table at harvest, exactly as it does
+        /// for a derivation adopted from the shared tier.
+        deps: Vec<Witness>,
         /// Distinct `rdl_cast` sites the derivation encountered.
         cast_sites: Vec<(u32, u32, u32)>,
     },
@@ -76,13 +62,10 @@ pub struct TaskCompletion {
     pub own_sig_fp: u64,
     /// The world snapshot's `(table_fp, hier_fp, var_fp)` at capture.
     pub epochs: (u64, u64, u64),
-    /// The triggering call site for deferred JIT admissions (`None` for
-    /// eager parallel linting).
+    /// The triggering call site for deferred JIT admissions, whose blame
+    /// the engine records. `None` for eager parallel linting, which leaves
+    /// blame reporting to the deterministic serial sweep.
     pub trigger: Option<Span>,
-    /// Whether the engine should record a blame diagnostic from this
-    /// task (deferred admissions record; parallel-lint tasks leave blame
-    /// reporting to the deterministic serial sweep).
-    pub record_blame: bool,
     /// The policy the task ran under.
     pub policy: CheckPolicy,
     pub verdict: TaskVerdict,
@@ -120,11 +103,8 @@ pub struct CheckTask {
     pub world: Arc<WorldSnapshot>,
     /// The enforcement policy the check runs under.
     pub policy: CheckPolicy,
-    /// The triggering call site (deferred JIT admission) or `None`
-    /// (parallel eager linting).
+    /// See [`TaskCompletion::trigger`].
     pub trigger: Option<Span>,
-    /// See [`TaskCompletion::record_blame`].
-    pub record_blame: bool,
     /// Checker tunables.
     pub opts: CheckOptions,
     /// The submitting engine's completion channel.
@@ -164,8 +144,8 @@ impl CheckTask {
                         let (v, fp) = res
                             .target
                             .and_then(|t| self.world.table_entry(&t))
-                            .map_or((0, 0), |e| (e.version, hb_intern::fingerprint64(&e.sig)));
-                        DepFact {
+                            .map_or((0, 0), |e| (e.version, e.sig_fingerprint()));
+                        Witness {
                             resolution: *res,
                             sig_version: v,
                             sig_fingerprint: fp,
@@ -198,7 +178,6 @@ impl CheckTask {
             own_sig_fp: self.own_sig_fp,
             epochs: self.world.epochs,
             trigger: self.trigger,
-            record_blame: self.record_blame,
             policy: self.policy,
             verdict,
             duration_ns,
@@ -319,7 +298,6 @@ mod tests {
             own_sig_fp: 0,
             epochs: (0, 0, 0),
             trigger: None,
-            record_blame: false,
             policy: CheckPolicy::Deferred,
             verdict: TaskVerdict::Panicked("x".into()),
             duration_ns: 1,
