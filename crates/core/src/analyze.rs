@@ -30,7 +30,7 @@ use hb_intern::MethodKey;
 use hb_interp::{ClassId, MethodBody, MethodEntry};
 use hb_rdl::AnnotationSource;
 use hb_sched::Scheduler;
-use hb_syntax::{parse_with_file, TypeDiagnostic};
+use hb_syntax::{parse_file, TypeDiagnostic};
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -112,37 +112,23 @@ pub fn build_view(hb: &Hummingbird) -> ProgramView {
         );
     }
 
-    // Roots come from re-parsing every loaded file with its original
-    // FileId (so spans resolve against the live source map). Bracketed
-    // files — `<corelib>`, `<rails/…>`, `<eval>` — are framework
-    // substrate and harness glue: their load-time code still contributes
-    // roots and call edges, but warnings are scoped to app files.
+    // Roots come from every loaded file's program, the one the thread's
+    // parse store already holds for that file id (so spans resolve
+    // against the live source map). Bracketed files — `<corelib>`,
+    // `<rails/…>`, `<eval>` — are framework substrate and harness glue:
+    // their load-time code still contributes roots and call edges, but
+    // warnings are scoped to app files.
     let sm = &hb.interp.source_map;
     for (fid, file) in sm.files() {
         if !file.name.starts_with('<') {
             view.warn_files.insert(fid);
         }
-        let Ok(program) = parse_with_file(&file.text, fid) else {
+        let Ok(program) = parse_file(fid, file) else {
             continue;
         };
         view.roots.extend(collect_roots(&program, &file.name));
     }
     view
-}
-
-/// Registers an embedder entry snippet in the source map so
-/// [`build_view`] collects its roots. Re-registering an identical
-/// `(name, text)` pair is a no-op: repeated analyze/infer calls on the
-/// same instance must not multiply the snippet's call edges.
-pub(crate) fn intern_entry_file(hb: &mut Hummingbird, name: &str, src: &str) {
-    let present = hb
-        .interp
-        .source_map
-        .files()
-        .any(|(_, f)| f.name == name && f.text == src);
-    if !present {
-        hb.interp.source_map.add_file(name, src);
-    }
 }
 
 /// One analyzable unit: a method or a root, with its display label.
@@ -223,8 +209,10 @@ impl Hummingbird {
         jobs: usize,
         entries: &[(&str, &str)],
     ) -> AnalysisReport {
+        // Re-registering an identical snippet reuses its file, so
+        // repeated calls do not multiply its call edges.
         for (name, src) in entries {
-            intern_entry_file(self, name, src);
+            self.interp.source_map.add_file(name, src);
         }
         let view = Arc::new(build_view(self));
         let mut diagnostics = if jobs > 1 {

@@ -217,7 +217,7 @@ impl Hummingbird {
         engine.sched_harvest(&self.interp);
 
         for (name, src) in entries {
-            crate::analyze::intern_entry_file(self, name, src);
+            self.interp.source_map.add_file(name, src);
         }
         let view = build_view(self);
         let graph = build_call_graph(&view);

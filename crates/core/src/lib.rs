@@ -484,8 +484,11 @@ impl Hummingbird {
     ///
     /// Parse errors and uncaught runtime errors (including blame).
     pub fn load_file(&mut self, name: &str, src: &str) -> Result<Value, HbError> {
-        self.track_file_methods(name, src);
-        self.interp.load_program(name, src)
+        let program = self.interp.parse(name, src)?;
+        // The reload baseline comes from the same program the file runs.
+        self.file_methods
+            .insert(name.to_string(), reload::file_methods(&program));
+        self.interp.eval_program(&program)
     }
 
     /// Evaluates a source string.

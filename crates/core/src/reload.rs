@@ -7,7 +7,7 @@
 //! their dependents; removed methods invalidate dependents.
 
 use hb_il::{collect_method_defs, lower_method};
-use hb_syntax::parser::parse_in;
+use hb_syntax::Program;
 
 /// What a reload changed (feeds Table 2's columns).
 #[derive(Debug, Clone, Default)]
@@ -38,13 +38,7 @@ impl crate::Hummingbird {
         name: &str,
         src: &str,
     ) -> Result<ReloadReport, hb_interp::HbError> {
-        let program = parse_in(&mut self.interp.source_map, name, src).map_err(|e| {
-            hb_interp::HbError::new(
-                hb_interp::ErrorKind::Internal,
-                e.render(&self.interp.source_map),
-                e.span,
-            )
-        })?;
+        let program = self.interp.parse(name, src)?;
         let defs = collect_method_defs(&program);
         let mut report = ReloadReport::default();
         let mut new_set: Vec<FileMethod> = Vec::new();
@@ -107,18 +101,13 @@ impl crate::Hummingbird {
         report.dependents_invalidated = self.engine.stats().dependent_invalidations - before;
         Ok(report)
     }
+}
 
-    /// Records the methods a file defines on first load (reload diffing
-    /// baseline).
-    pub(crate) fn track_file_methods(&mut self, name: &str, src: &str) {
-        if let Ok(program) = hb_syntax::parse_program(src, name) {
-            let defs = collect_method_defs(&program);
-            self.file_methods.insert(
-                name.to_string(),
-                defs.iter()
-                    .map(|d| (d.owner.clone(), d.self_method, d.name.clone()))
-                    .collect(),
-            );
-        }
-    }
+/// The methods a program defines: the reload diffing baseline
+/// [`crate::Hummingbird::load_file`] records for each file.
+pub(crate) fn file_methods(program: &Program) -> Vec<FileMethod> {
+    collect_method_defs(program)
+        .into_iter()
+        .map(|d| (d.owner, d.self_method, d.name))
+        .collect()
 }

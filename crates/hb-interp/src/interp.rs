@@ -14,7 +14,7 @@ use crate::tier::ExecTierState;
 use crate::value::{ClassId, HashObj, Instance, ProcVal, Value};
 use hb_intern::Sym;
 use hb_syntax::ast::*;
-use hb_syntax::parser::parse_in;
+use hb_syntax::parse_in;
 use hb_syntax::{SourceMap, Span};
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -341,14 +341,24 @@ impl Interp {
 
     // ----- program loading -------------------------------------------------
 
+    /// Registers a source file and returns its program, parsed at most
+    /// once per thread for that text (see [`hb_syntax::store`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns parse errors.
+    pub fn parse(&mut self, name: &str, src: &str) -> Result<Rc<Program>, HbError> {
+        parse_in(&mut self.source_map, name, src)
+            .map_err(|e| HbError::new(ErrorKind::Internal, e.render(&self.source_map), e.span))
+    }
+
     /// Parses and evaluates a source file.
     ///
     /// # Errors
     ///
     /// Returns parse errors and uncaught runtime errors.
     pub fn load_program(&mut self, name: &str, src: &str) -> Result<Value, HbError> {
-        let prog = parse_in(&mut self.source_map, name, src)
-            .map_err(|e| HbError::new(ErrorKind::Internal, e.render(&self.source_map), e.span))?;
+        let prog = self.parse(name, src)?;
         self.eval_program(&prog)
     }
 

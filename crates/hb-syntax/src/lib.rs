@@ -6,7 +6,8 @@
 //! string interpolation and paren-less "command" calls. This crate provides
 //! the lexer, abstract syntax tree, recursive-descent parser, pretty-printer
 //! and source-location/diagnostic machinery shared by the rest of the
-//! workspace.
+//! workspace, and the per-thread [`store`] through which [`parse_in`]
+//! parses each loaded text once per thread.
 //!
 //! # Example
 //!
@@ -30,12 +31,14 @@ pub mod lexer;
 pub mod parser;
 pub mod pretty;
 pub mod span;
+pub mod store;
 pub mod token;
 
 pub use ast::{Arg, BlockArg, Expr, ExprKind, Lhs, Param, ParamKind, Program, StrPart};
 pub use diag::{
     BlameTarget, DiagCode, DiagLabel, Diagnostic, LabelRole, ParseError, Severity, TypeDiagnostic,
 };
-pub use parser::{parse_expr, parse_in, parse_program, parse_with_file};
+pub use parser::{parse_expr, parse_program};
 pub use pretty::pretty_program;
 pub use span::{FileId, SourceFile, SourceMap, Span};
+pub use store::{parse_file, parse_in, store_stats, StoreStats};

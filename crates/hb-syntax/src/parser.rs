@@ -11,20 +11,10 @@
 use crate::ast::*;
 use crate::diag::ParseError;
 use crate::lexer::lex;
-use crate::span::{FileId, SourceMap, Span};
+use crate::span::{FileId, Span};
 use crate::token::{StrTokenPart, Token, TokenKind};
 use std::collections::HashSet;
 use std::rc::Rc;
-
-/// Parses a full program from `src`, registering it in `map` under `name`.
-///
-/// # Errors
-///
-/// Returns the first lexing or parsing error encountered.
-pub fn parse_in(map: &mut SourceMap, name: &str, src: &str) -> Result<Program, ParseError> {
-    let file = map.add_file(name, src);
-    parse_with_file(src, file)
-}
 
 /// Parses a full program using a throwaway source map.
 ///
@@ -35,12 +25,9 @@ pub fn parse_program(src: &str, _name: &str) -> Result<Program, ParseError> {
     parse_with_file(src, FileId(0))
 }
 
-/// Parses a program whose tokens carry the given file id.
-///
-/// # Errors
-///
-/// Returns the first lexing or parsing error encountered.
-pub fn parse_with_file(src: &str, file: FileId) -> Result<Program, ParseError> {
+/// Parses a program whose tokens carry the given file id. Systems load
+/// through [`crate::parse_in`], which calls this once per text per thread.
+pub(crate) fn parse_with_file(src: &str, file: FileId) -> Result<Program, ParseError> {
     let tokens = lex(src, file)?;
     let mut p = Parser::new(tokens, file);
     let body = p.parse_body(&[TokenKind::Eof])?;

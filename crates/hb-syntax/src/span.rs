@@ -1,5 +1,6 @@
 //! Source locations, spans and the source map.
 
+use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies a source file registered in a [`SourceMap`].
@@ -53,14 +54,13 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    fn new(name: String, text: String) -> SourceFile {
+    fn new(name: String, text: String, content_hash: u64) -> SourceFile {
         let mut line_starts = vec![0u32];
         for (i, b) in text.bytes().enumerate() {
             if b == b'\n' {
                 line_starts.push(i as u32 + 1);
             }
         }
-        let content_hash = hb_intern::fingerprint64(&text);
         SourceFile {
             name,
             text,
@@ -94,6 +94,9 @@ impl SourceFile {
 #[derive(Debug, Default)]
 pub struct SourceMap {
     files: Vec<SourceFile>,
+    /// Content hash → files with that hash, for [`SourceMap::add_file`]'s
+    /// dedup.
+    by_hash: HashMap<u64, Vec<FileId>>,
 }
 
 impl SourceMap {
@@ -102,10 +105,24 @@ impl SourceMap {
         SourceMap::default()
     }
 
-    /// Registers a file and returns its id.
-    pub fn add_file(&mut self, name: impl Into<String>, text: impl Into<String>) -> FileId {
-        let id = FileId(self.files.len() as u32);
-        self.files.push(SourceFile::new(name.into(), text.into()));
+    /// Registers a file and returns its id. Registering a byte-identical
+    /// `(name, text)` pair again returns the existing id, so a system
+    /// that evaluates the same snippet on every request keeps one file
+    /// for it (and its spans, and its parsed program, stay the same).
+    pub fn add_file(&mut self, name: &str, text: &str) -> FileId {
+        let content_hash = hb_intern::fingerprint64(text);
+        let files = &self.files;
+        let same = self.by_hash.entry(content_hash).or_default();
+        if let Some(&id) = same.iter().find(|id| {
+            let f = &files[id.0 as usize];
+            f.name == name && f.text == text
+        }) {
+            return id;
+        }
+        let id = FileId(files.len() as u32);
+        same.push(id);
+        self.files
+            .push(SourceFile::new(name.into(), text.into(), content_hash));
         id
     }
 
@@ -115,8 +132,8 @@ impl SourceMap {
     }
 
     /// Iterates every registered file with its id, in registration order.
-    /// Whole-program tools (the `hb-analyze` root collector) re-parse the
-    /// loaded sources through this.
+    /// Whole-program tools (the `hb-analyze` root collector) fetch each
+    /// file's program through this and [`crate::parse_file`].
     pub fn files(&self) -> impl Iterator<Item = (FileId, &SourceFile)> {
         self.files
             .iter()
@@ -156,7 +173,7 @@ mod tests {
 
     #[test]
     fn line_col_lookup() {
-        let f = SourceFile::new("t.rb".into(), "ab\ncd\nef".into());
+        let f = SourceFile::new("t.rb".into(), "ab\ncd\nef".into(), 0);
         assert_eq!(f.line_col(0), (1, 1));
         assert_eq!(f.line_col(1), (1, 2));
         assert_eq!(f.line_col(3), (2, 1));
@@ -165,7 +182,7 @@ mod tests {
 
     #[test]
     fn line_col_at_newline_boundary() {
-        let f = SourceFile::new("t.rb".into(), "ab\ncd".into());
+        let f = SourceFile::new("t.rb".into(), "ab\ncd".into(), 0);
         // The newline itself belongs to line 1.
         assert_eq!(f.line_col(2), (1, 3));
     }
@@ -176,6 +193,18 @@ mod tests {
         let id = sm.add_file("app.rb", "x = 1\ny = 2\n");
         let sp = Span::new(id, 6, 7);
         assert_eq!(sm.describe(sp), "app.rb:2:1");
+    }
+
+    #[test]
+    fn identical_registration_reuses_the_file() {
+        let mut sm = SourceMap::new();
+        let a = sm.add_file("<eval>", "x = 1");
+        assert_eq!(sm.add_file("<eval>", "x = 1"), a);
+        // Same text under another name, or another text under the same
+        // name, is a new file.
+        assert_ne!(sm.add_file("app.rb", "x = 1"), a);
+        assert_ne!(sm.add_file("<eval>", "x = 2"), a);
+        assert_eq!(sm.files().count(), 3);
     }
 
     #[test]
