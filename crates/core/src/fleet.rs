@@ -87,7 +87,8 @@ pub mod wire {
     /// Liveness probe. Empty payload; answered with [`RESP_ACK`].
     pub const PING: u8 = 0x06;
     /// Orderly shutdown (test and CI harness use). Answered with
-    /// [`RESP_ACK`] before the daemon exits its accept loop.
+    /// [`RESP_ACK`]; the daemon then closes every open connection and
+    /// stops accepting.
     pub const SHUTDOWN: u8 = 0x07;
     /// Daemon metrics. Empty payload; answered with [`RESP_STATS_V2`]
     /// carrying the daemon's full metrics registry (request counters and
@@ -584,7 +585,8 @@ impl FleetClient {
         self.expect_ack(wire::PING, &[]).map(|_| ())
     }
 
-    /// Asks the daemon to exit its accept loop (test/CI harness use).
+    /// Asks the daemon to shut down (test/CI harness use): it acks,
+    /// then closes every open connection and stops accepting.
     pub fn shutdown(&mut self) -> Result<(), FleetError> {
         self.expect_ack(wire::SHUTDOWN, &[]).map(|_| ())
     }

@@ -1,4 +1,5 @@
-//! The daemon's tier and request semantics, independent of any socket.
+//! The daemon's tier and request semantics, plus the registry of live
+//! connections that shutdown cuts.
 //!
 //! [`FleetDaemon`] owns a [`SharedCache`] plus the publication metadata
 //! that makes *delta* serving possible: a monotonic sequence number
@@ -14,15 +15,21 @@
 //! snapshot writeback for crash recovery — is exposed both as a
 //! deterministic [`FleetDaemon::maintain`] (tests, CI) and as a
 //! recurring `hb-sched` pool job ([`FleetDaemon::start_maintenance`]).
+//!
+//! Shutdown ([`FleetDaemon::request_shutdown`]) is event-driven: it
+//! shuts down every registered connection, so blocked reads return
+//! EOF, and wakes each listener's blocked `accept` with one connect.
 
 use hb_obs::{Counter, Histogram, Registry};
 use hummingbird::fleet::wire::{DaemonStats, SnapshotResp};
 use hummingbird::fleet::FleetError;
 use hummingbird::{CacheSnapshot, MethodKey, Scheduler, SharedCache};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// How many handed-out watermarks the daemon remembers. A client whose
@@ -93,6 +100,18 @@ impl DaemonState {
     }
 }
 
+/// The live connections and the listeners shutdown must wake, guarded
+/// together with the shutdown flag: a connection either registers
+/// before shutdown, and is cut by it, or is dropped unregistered.
+#[derive(Default)]
+struct Connections {
+    shutdown: bool,
+    /// A clone of each open connection's stream, by connection id.
+    open: HashMap<u64, UnixStream>,
+    /// Socket paths of listeners not yet woken by a shutdown.
+    listeners: Vec<PathBuf>,
+}
+
 /// The daemon: a [`SharedCache`] tier plus delta/compaction metadata.
 /// All request handling is `&self` and thread-safe — the socket server
 /// calls straight in from per-connection threads.
@@ -113,7 +132,14 @@ pub struct FleetDaemon {
     pub errors_total: Arc<Counter>,
     /// Wall-clock nanoseconds spent handling each request.
     pub request_ns: Arc<Histogram>,
-    shutdown: AtomicBool,
+    connections_total: Arc<Counter>,
+    connections_closed_total: Arc<Counter>,
+    connections: Mutex<Connections>,
+    /// Signalled when shutdown is requested ([`FleetServer::join`]
+    /// waits on it).
+    ///
+    /// [`FleetServer::join`]: crate::FleetServer::join
+    shutdown_signal: Condvar,
 }
 
 impl FleetDaemon {
@@ -171,8 +197,15 @@ impl FleetDaemon {
                 "hb_fleetd_request_ns",
                 "wall-clock nanoseconds handling each HBFLEET1 request",
             ),
+            connections_total: registry
+                .counter("hb_fleetd_connections_total", "client connections accepted"),
+            connections_closed_total: registry.counter(
+                "hb_fleetd_connections_closed_total",
+                "client connections closed",
+            ),
             registry,
-            shutdown: AtomicBool::new(false),
+            connections: Mutex::new(Connections::default()),
+            shutdown_signal: Condvar::new(),
         });
         (daemon, recovery_warning)
     }
@@ -182,15 +215,77 @@ impl FleetDaemon {
         &self.cache
     }
 
-    /// True after a `SHUTDOWN` request (the server's accept loop polls
-    /// this).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
+    fn connections(&self) -> MutexGuard<'_, Connections> {
+        // Every update below leaves the registry consistent, so a
+        // poisoned lock is safe to recover.
+        self.connections.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Requests shutdown (the `SHUTDOWN` opcode lands here).
+    /// True once shutdown has been requested.
+    pub fn shutdown_requested(&self) -> bool {
+        self.connections().shutdown
+    }
+
+    /// Shuts the daemon's servers down. From this call on no connection
+    /// registers; every open one is shut down in both directions, so a
+    /// read blocked on a hung client returns EOF; and each listener is
+    /// woken from `accept` by one connect to its socket. Reached from
+    /// the `SHUTDOWN` opcode, [`FleetServer`] drop and embedders; calling
+    /// it again is harmless.
+    ///
+    /// [`FleetServer`]: crate::FleetServer
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        let listeners = {
+            let mut conns = self.connections();
+            conns.shutdown = true;
+            for stream in conns.open.values() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            std::mem::take(&mut conns.listeners)
+        };
+        self.shutdown_signal.notify_all();
+        // Outside the lock: the accept loop takes it to see the flag.
+        for path in listeners {
+            let _ = UnixStream::connect(path);
+        }
+    }
+
+    /// Blocks until shutdown is requested.
+    pub(crate) fn wait_for_shutdown(&self) {
+        let mut conns = self.connections();
+        while !conns.shutdown {
+            conns = self
+                .shutdown_signal
+                .wait(conns)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Records a listener on `path` for shutdown to wake.
+    pub(crate) fn add_listener(&self, path: &Path) {
+        self.connections().listeners.push(path.to_path_buf());
+    }
+
+    /// Registers an accepted connection by a clone of its stream and
+    /// returns its id, or `None` once shutdown was requested (the
+    /// caller drops the connection unserved and stops accepting).
+    pub(crate) fn register(&self, clone: UnixStream) -> Option<u64> {
+        let mut conns = self.connections();
+        if conns.shutdown {
+            return None;
+        }
+        // Bumped only under this lock, the accepted count doubles as a
+        // unique connection id.
+        let id = self.connections_total.get();
+        self.connections_total.inc();
+        conns.open.insert(id, clone);
+        Some(id)
+    }
+
+    /// Releases a registered connection's stream clone.
+    pub(crate) fn deregister(&self, id: u64) {
+        self.connections().open.remove(&id);
+        self.connections_closed_total.inc();
     }
 
     fn state(&self) -> std::sync::MutexGuard<'_, DaemonState> {

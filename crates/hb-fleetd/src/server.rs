@@ -8,26 +8,43 @@
 //! — the daemon, its tier, and every other connected client are
 //! untouched either way. A panicking handler is likewise contained to
 //! its connection thread.
+//!
+//! Nothing here waits on a timer: the accept thread blocks in `accept`,
+//! connection threads block in [`wire::read_frame`], and
+//! [`FleetDaemon::request_shutdown`] unblocks both.
 
 use crate::daemon::FleetDaemon;
 use hummingbird::fleet::wire;
 use hummingbird::fleet::FleetError;
 use std::io::{Read, Write};
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How often the accept loop wakes to poll the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How long teardown waits for the accept thread after the shutdown
+/// wake. The wake misses only when this server's socket file was
+/// deleted or re-bound by another server; the thread then stays blocked
+/// in `accept` and is detached.
+const ACCEPT_EXIT_GRACE: Duration = Duration::from_millis(250);
 
 /// A listening `HBFLEET1` server bound to a socket path. Dropping it
 /// requests shutdown and joins the accept thread; the socket file is
-/// removed.
+/// removed while it is still this server's.
 pub struct FleetServer {
     daemon: Arc<FleetDaemon>,
     path: PathBuf,
+    /// `(device, inode)` of the socket file this server bound.
+    file_id: Option<(u64, u64)>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
+    /// Disconnects when the accept thread exits.
+    accept_done: mpsc::Receiver<()>,
+}
+
+fn file_id(path: &Path) -> Option<(u64, u64)> {
+    std::fs::metadata(path).ok().map(|m| (m.dev(), m.ino()))
 }
 
 impl FleetServer {
@@ -36,15 +53,22 @@ impl FleetServer {
     pub fn bind(daemon: Arc<FleetDaemon>, path: &Path) -> std::io::Result<FleetServer> {
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
+        daemon.add_listener(path);
+        let (done, accept_done) = mpsc::channel::<()>();
         let accept_daemon = daemon.clone();
         let accept_thread = std::thread::Builder::new()
             .name("hb-fleetd-accept".into())
-            .spawn(move || accept_loop(listener, accept_daemon))?;
+            .spawn(move || {
+                // Dropped as the thread exits, by return or by panic.
+                let _done = done;
+                accept_loop(listener, &accept_daemon);
+            })?;
         Ok(FleetServer {
             daemon,
             path: path.to_path_buf(),
+            file_id: file_id(path),
             accept_thread: Some(accept_thread),
+            accept_done,
         })
     }
 
@@ -53,13 +77,11 @@ impl FleetServer {
         &self.daemon
     }
 
-    /// Blocks until the accept loop exits (a `SHUTDOWN` request or
-    /// [`FleetDaemon::request_shutdown`]).
-    pub fn join(mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let _ = std::fs::remove_file(&self.path);
+    /// Blocks until shutdown is requested (a `SHUTDOWN` request,
+    /// [`FleetDaemon::request_shutdown`], or the accept loop failing),
+    /// then tears the server down as drop does.
+    pub fn join(self) {
+        self.daemon.wait_for_shutdown();
     }
 }
 
@@ -67,42 +89,55 @@ impl Drop for FleetServer {
     fn drop(&mut self) {
         self.daemon.request_shutdown();
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            let exited = matches!(
+                self.accept_done.recv_timeout(ACCEPT_EXIT_GRACE),
+                Err(mpsc::RecvTimeoutError::Disconnected)
+            );
+            if exited {
+                let _ = t.join();
+            }
         }
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-fn accept_loop(listener: UnixListener, daemon: Arc<FleetDaemon>) {
-    while !daemon.shutdown_requested() {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let daemon = daemon.clone();
-                let _ = std::thread::Builder::new()
-                    .name("hb-fleetd-conn".into())
-                    .spawn(move || {
-                        // A panicking handler must not take the daemon
-                        // down; the connection dies, the tier survives.
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            serve_connection(stream, daemon)
-                        }));
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
+        if self.file_id.is_some() && file_id(&self.path) == self.file_id {
+            let _ = std::fs::remove_file(&self.path);
         }
     }
 }
 
-/// Handshake + request loop for one client.
-fn serve_connection(mut stream: UnixStream, daemon: Arc<FleetDaemon>) {
-    // Connection reads poll so a hung client cannot pin the thread past
-    // daemon shutdown.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+/// Serves connections until shutdown; a connection accepted after it
+/// (the shutdown wake among them) is dropped unregistered.
+fn accept_loop(listener: UnixListener, daemon: &Arc<FleetDaemon>) {
+    while let Ok((stream, _addr)) = listener.accept() {
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        let Some(id) = daemon.register(clone) else {
+            break;
+        };
+        let conn_daemon = daemon.clone();
+        let spawned = std::thread::Builder::new()
+            .name("hb-fleetd-conn".into())
+            .spawn(move || {
+                // A panicking handler must not take the daemon down;
+                // the connection dies, the tier survives.
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    serve_connection(stream, &conn_daemon)
+                }));
+                conn_daemon.deregister(id);
+            });
+        if spawned.is_err() {
+            daemon.deregister(id);
+        }
+    }
+    // Only shutdown or a failing listener ends the loop; either way the
+    // daemon stops serving.
+    daemon.request_shutdown();
+}
+
+/// Handshake + request loop for one client. Reads block; shutdown cuts
+/// them with EOF.
+fn serve_connection(mut stream: UnixStream, daemon: &FleetDaemon) {
     let mut magic = [0u8; 8];
-    if read_exact_polling(&mut stream, &mut magic, &daemon).is_err() || &magic != wire::MAGIC {
+    if stream.read_exact(&mut magic).is_err() || &magic != wire::MAGIC {
         // Not an HBFLEET1 peer: close without a frame (there is no
         // framing to speak yet).
         return;
@@ -111,23 +146,18 @@ fn serve_connection(mut stream: UnixStream, daemon: Arc<FleetDaemon>) {
         return;
     }
     loop {
-        if daemon.shutdown_requested() {
-            return;
-        }
-        let frame = read_frame_polling(&mut stream, &daemon);
-        let (opcode, payload) = match frame {
+        let (opcode, payload) = match wire::read_frame(&mut stream) {
             Ok(f) => f,
-            Err(FleetError::Io(_)) => return, // disconnect / shutdown
             Err(e @ (FleetError::BadFrame(_) | FleetError::FrameTooLarge(_))) => {
                 // The length prefix cannot be trusted, so the stream
                 // cannot be resynchronized: answer once, then close.
                 let _ = wire::write_frame(&mut stream, wire::RESP_ERR, e.to_string().as_bytes());
                 return;
             }
-            Err(_) => return,
+            Err(_) => return, // disconnect or shutdown
         };
         let t_req = std::time::Instant::now();
-        let outcome = handle_request(&daemon, opcode, &payload);
+        let outcome = handle_request(daemon, opcode, &payload);
         daemon.requests_total.inc();
         daemon.request_ns.record(t_req.elapsed().as_nanos() as u64);
         let keep_going = match outcome {
@@ -219,59 +249,4 @@ fn handle_request(
             _ => "unknown request opcode",
         })),
     }
-}
-
-/// `read_exact` that tolerates the poll timeout: keeps retrying until
-/// the buffer fills, the peer disconnects, or the daemon shuts down.
-fn read_exact_polling(
-    stream: &mut UnixStream,
-    buf: &mut [u8],
-    daemon: &FleetDaemon,
-) -> std::io::Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if daemon.shutdown_requested() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::Interrupted,
-                        "daemon shutting down",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// [`wire::read_frame`] over the polling reader.
-fn read_frame_polling(
-    stream: &mut UnixStream,
-    daemon: &FleetDaemon,
-) -> Result<(u8, Vec<u8>), FleetError> {
-    let mut len = [0u8; 4];
-    read_exact_polling(stream, &mut len, daemon).map_err(FleetError::Io)?;
-    let len = u32::from_le_bytes(len);
-    if len == 0 {
-        return Err(FleetError::BadFrame("zero-length frame"));
-    }
-    if len > wire::MAX_FRAME {
-        return Err(FleetError::FrameTooLarge(len));
-    }
-    let mut body = vec![0u8; len as usize];
-    read_exact_polling(stream, &mut body, daemon).map_err(FleetError::Io)?;
-    let opcode = body[0];
-    body.drain(..1);
-    Ok((opcode, body))
 }

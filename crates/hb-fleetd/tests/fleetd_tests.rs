@@ -18,6 +18,7 @@ use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Same fixture as `snapshot_tests.rs`: both worlds load this file, so
 /// entry ids, sig versions, and body fingerprints coincide and only the
@@ -696,4 +697,190 @@ fn stats_v2_serves_parseable_prometheus_text_over_the_socket() {
         text.contains(&format!("hb_fleetd_seq {}", stats.seq)),
         "text and typed stats diverge on seq:\n{text}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Connections: no timer between connect and reply, shutdown cuts every
+// blocked thread, teardown never hangs.
+// ---------------------------------------------------------------------
+
+/// A raw client past the magic handshake. Its reads time out, so a
+/// connection shutdown failed to cut fails the test instead of hanging
+/// it.
+fn raw_client(path: &std::path::Path) -> UnixStream {
+    let mut stream = UnixStream::connect(path).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(wire::MAGIC).unwrap();
+    let mut echo = [0u8; 8];
+    stream.read_exact(&mut echo).expect("handshake echo");
+    assert_eq!(&echo, wire::MAGIC);
+    stream
+}
+
+/// A second name for the server's socket file, so the listener can be
+/// probed after teardown removes the first.
+fn socket_link(path: &std::path::Path) -> PathBuf {
+    let link = path.with_extension("link");
+    let _ = std::fs::remove_file(&link);
+    std::fs::hard_link(path, &link).expect("link socket file");
+    link
+}
+
+/// True when nothing listens behind `link` any more: the accept thread
+/// was woken and exited, closing the listener, rather than detached.
+fn listener_closed(link: &std::path::Path) -> bool {
+    let refused = UnixStream::connect(link).is_err();
+    let _ = std::fs::remove_file(link);
+    refused
+}
+
+/// `(accepted, closed)` from the daemon's connection counters.
+fn connection_counts(daemon: &FleetDaemon) -> (u64, u64) {
+    let text = daemon.metrics_prometheus();
+    let series = |name: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing from:\n{text}"))
+    };
+    (
+        series("hb_fleetd_connections_total"),
+        series("hb_fleetd_connections_closed_total"),
+    )
+}
+
+/// Waits (at most 5 s) for connection threads to finish closing.
+fn wait_until_all_closed(daemon: &FleetDaemon) -> (u64, u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (accepted, closed) = connection_counts(daemon);
+        if accepted == closed {
+            return (accepted, closed);
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{} connections still open",
+            accepted - closed
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn back_to_back_connects_are_answered_without_waiting_on_a_timer() {
+    let (_daemon, _server, path) = start_daemon("back-to-back", DaemonConfig::default());
+    let t = Instant::now();
+    for _ in 0..20 {
+        FleetClient::connect(&path)
+            .expect("connect")
+            .ping()
+            .expect("ping");
+    }
+    let elapsed = t.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "20 connect + ping cycles took {elapsed:?}"
+    );
+}
+
+#[test]
+fn dropping_the_server_cuts_idle_and_mid_frame_clients() {
+    let (_daemon, server, path) = start_daemon("cut", DaemonConfig::default());
+    let mut idle = raw_client(&path);
+    let mut mid_frame = raw_client(&path);
+    mid_frame.write_all(&16u32.to_le_bytes()).unwrap();
+    let link = socket_link(&path);
+
+    let t = Instant::now();
+    drop(server);
+    let elapsed = t.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "drop took {elapsed:?}");
+    assert!(listener_closed(&link), "the accept thread exited");
+
+    let mut buf = [0u8; 8];
+    assert_eq!(idle.read(&mut buf).expect("idle read"), 0, "idle: EOF");
+    assert_eq!(
+        mid_frame.read(&mut buf).expect("mid-frame read"),
+        0,
+        "mid-frame: EOF"
+    );
+}
+
+#[test]
+fn shutdown_request_makes_join_return() {
+    let (daemon, server, path) = start_daemon("join", DaemonConfig::default());
+    let (joined, join_returned) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        server.join();
+        joined.send(()).unwrap();
+    });
+    let mut client = FleetClient::connect(&path).expect("connect");
+    let link = socket_link(&path);
+    client.shutdown().expect("shutdown acked");
+    join_returned
+        .recv_timeout(Duration::from_secs(1))
+        .expect("join returned within 1 s of SHUTDOWN");
+    joiner.join().unwrap();
+    assert!(daemon.shutdown_requested());
+    assert!(!path.exists(), "socket file removed");
+    assert!(listener_closed(&link), "the accept thread exited");
+    assert!(
+        matches!(client.ping(), Err(FleetError::Io(_))),
+        "the requesting connection is closed after its ack"
+    );
+}
+
+#[test]
+fn drop_returns_when_the_socket_file_was_deleted() {
+    let (_daemon, server, path) = start_daemon("deleted", DaemonConfig::default());
+    std::fs::remove_file(&path).unwrap();
+    let t = Instant::now();
+    drop(server);
+    let elapsed = t.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "drop took {elapsed:?}");
+}
+
+#[test]
+fn drop_returns_when_the_path_was_rebound_and_leaves_the_new_server_serving() {
+    let (_first_daemon, first, path) = start_daemon("rebound", DaemonConfig::default());
+    let (second_daemon, _) = FleetDaemon::new(DaemonConfig::default());
+    let second = FleetServer::bind(second_daemon, &path).expect("re-bind");
+    let t = Instant::now();
+    drop(first);
+    let elapsed = t.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "drop took {elapsed:?}");
+    FleetClient::connect(&path)
+        .expect("the second server's socket survives")
+        .ping()
+        .expect("ping");
+    drop(second);
+    assert!(!path.exists());
+}
+
+#[test]
+fn connection_counters_return_to_zero_open_after_disconnects_and_shutdown() {
+    let (daemon, server, path) = start_daemon("accounting", DaemonConfig::default());
+    for _ in 0..50 {
+        FleetClient::connect(&path)
+            .expect("connect")
+            .ping()
+            .expect("ping");
+    }
+    assert_eq!(wait_until_all_closed(&daemon), (50, 50));
+
+    // Registration precedes the handshake echo, so a connected client
+    // is already counted; the series travel over STATS_V2.
+    let mut held = FleetClient::connect(&path).expect("connect");
+    let text = held.daemon_stats_v2().expect("stats v2");
+    assert!(text.contains("hb_fleetd_connections_total 51\n"), "{text}");
+    assert!(
+        text.contains("# TYPE hb_fleetd_connections_closed_total counter"),
+        "{text}"
+    );
+
+    // Shutdown cuts the held connection; its wake is not counted.
+    drop(server);
+    assert_eq!(wait_until_all_closed(&daemon), (51, 51));
+    assert!(held.ping().is_err(), "held connection was cut");
 }

@@ -40,15 +40,18 @@ pub const BUCKETS: usize = 40;
 /// A fixed-bucket latency histogram over nanosecond values.
 ///
 /// Power-of-two buckets trade resolution for a branch-free `record`
-/// (one `leading_zeros`, three relaxed `fetch_add`s). Quantiles are
-/// estimated by linear interpolation inside the crossing bucket, which
-/// bounds the relative error at 2x — adequate for p50/p90/p99 latency
-/// monitoring, and the true `sum`/`count`/`max` are exact.
+/// (one `leading_zeros`, relaxed atomic updates). Quantiles are
+/// estimated by linear interpolation inside the crossing bucket and
+/// clamped to the observed `[min, max]`, which bounds the relative
+/// error at 2x — adequate for p50/p90/p99 latency monitoring, and the
+/// true `sum`/`count`/`min`/`max` are exact.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
+    /// `u64::MAX` until the first observation.
+    min: AtomicU64,
     max: AtomicU64,
 }
 
@@ -86,6 +89,7 @@ impl Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
         }
     }
@@ -109,6 +113,7 @@ impl Histogram {
         self.buckets[Self::index(v)].fetch_add(1, Relaxed);
         self.count.fetch_add(1, Relaxed);
         self.sum.fetch_add(v, Relaxed);
+        self.min.fetch_min(v, Relaxed);
         self.max.fetch_max(v, Relaxed);
     }
 
@@ -118,6 +123,14 @@ impl Histogram {
 
     pub fn sum(&self) -> u64 {
         self.sum.load(Relaxed)
+    }
+
+    /// Smallest observation (0 when empty).
+    pub fn min(&self) -> u64 {
+        match self.min.load(Relaxed) {
+            u64::MAX if self.count() == 0 => 0,
+            v => v,
+        }
     }
 
     pub fn max(&self) -> u64 {
@@ -131,39 +144,50 @@ impl Histogram {
 
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) by walking buckets and
     /// interpolating linearly within the one where the cumulative count
-    /// crosses `q * count`.
+    /// crosses `q * count`, clamped to the observed `[min, max]`.
     pub fn quantile(&self, q: f64) -> u64 {
-        let counts = self.bucket_counts();
+        self.quantile_of(&self.bucket_counts(), q)
+    }
+
+    fn quantile_of(&self, counts: &[u64; BUCKETS], q: f64) -> u64 {
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0;
         }
+        let (min, max) = (self.min(), self.max());
         let target = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut cum = 0u64;
+        let mut estimate = max;
         for (i, &c) in counts.iter().enumerate() {
             if cum + c >= target {
                 let lo = if i == 0 { 0 } else { 1u64 << i };
                 let hi = if i >= BUCKETS - 1 {
-                    self.max().max(lo)
+                    max.max(lo)
                 } else {
                     (1u64 << (i + 1)) - 1
                 };
-                let span = hi - lo;
                 let into = target - cum; // 1 ..= c
-                return lo + span.saturating_mul(into) / c.max(1);
+                estimate = lo + (hi - lo).saturating_mul(into) / c.max(1);
+                break;
             }
             cum += c;
         }
-        self.max()
+        // A reader racing `record` can see a bucket before its bounds.
+        if min <= max {
+            estimate.clamp(min, max)
+        } else {
+            estimate
+        }
     }
 
     pub fn summary(&self) -> HistogramSummary {
+        let counts = self.bucket_counts();
         HistogramSummary {
             count: self.count(),
             sum: self.sum(),
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
+            p50: self.quantile_of(&counts, 0.50),
+            p90: self.quantile_of(&counts, 0.90),
+            p99: self.quantile_of(&counts, 0.99),
             max: self.max(),
         }
     }
@@ -389,11 +413,47 @@ mod tests {
     }
 
     #[test]
+    fn quantiles_never_leave_the_observed_range() {
+        // One bucket (131072..=262143) holding only 135952: unclamped
+        // interpolation reported p99 = 262143, above the max.
+        let h = Histogram::new();
+        h.record(135_952);
+        let s = h.summary();
+        assert_eq!(
+            (s.p50, s.p90, s.p99, s.max),
+            (135_952, 135_952, 135_952, 135_952)
+        );
+        assert_eq!(h.min(), 135_952);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        #[test]
+        fn quantiles_are_ordered_within_min_and_max(
+            samples in proptest::prop::collection::vec(0u64..(1 << 42), 1..200),
+            scale in 0u32..40,
+        ) {
+            let h = Histogram::new();
+            for v in &samples {
+                h.record(v >> scale);
+            }
+            let min = samples.iter().map(|v| v >> scale).min().unwrap();
+            let s = h.summary();
+            proptest::prop_assert_eq!(h.min(), min);
+            proptest::prop_assert!(
+                min <= s.p50 && s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max,
+                "min {} p50 {} p90 {} p99 {} max {}", min, s.p50, s.p90, s.p99, s.max
+            );
+        }
+    }
+
+    #[test]
     fn empty_histogram_is_all_zero() {
         let h = Histogram::new();
         let s = h.summary();
         assert_eq!(s, HistogramSummary::default());
         assert_eq!(h.quantile(0.99), 0);
+        assert_eq!(h.min(), 0);
     }
 
     #[test]
