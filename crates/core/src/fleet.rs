@@ -706,40 +706,46 @@ pub struct FleetSession {
 
 impl FleetSession {
     /// Connects to the daemon at `path`, registers the mutation tracker
-    /// on `shared`, and warm-boots the tier with a full snapshot fetch.
-    /// Returns the session and the number of candidate derivations
-    /// loaded.
+    /// on `shared`, and warm-boots the tier with a full snapshot fetch,
+    /// which `engine` counts in `fleet_fetches` and, with observability
+    /// on, records in the fleet-fetch histogram and as a span.
     ///
     /// # Errors
     ///
     /// Any [`FleetError`]; on `Err` the tier holds whatever the fetch
     /// managed to validate (snapshot loads are all-or-nothing, so in
-    /// practice: nothing) and the caller degrades to local checking.
+    /// practice: nothing), nothing is counted, and the caller degrades to
+    /// local checking.
     pub(crate) fn attach(
         path: &Path,
         shared: Arc<SharedCache>,
-    ) -> Result<(FleetSession, usize), FleetError> {
+        engine: &Engine,
+    ) -> Result<FleetSession, FleetError> {
+        let t0 = std::time::Instant::now();
         let mut client = FleetClient::connect(path)?;
         let tracker = Arc::new(FleetTracker::default());
         shared.add_event_hook(tracker.clone());
         let resp = client.fetch_full()?;
         let snap = CacheSnapshot::from_bytes(&resp.snapshot).map_err(FleetError::Snapshot)?;
-        let loaded = {
+        {
             let _mask = tracker.suppressed();
-            shared.load_snapshot(&snap).map_err(FleetError::Snapshot)?
-        };
-        Ok((
-            FleetSession {
-                client,
-                tracker,
-                shared,
-                watermark: Some(FleetWatermark {
-                    seq: resp.seq,
-                    epochs: resp.epochs,
-                }),
-            },
-            loaded,
-        ))
+            shared.load_snapshot(&snap).map_err(FleetError::Snapshot)?;
+        }
+        engine.add_fleet_counters(1, 0, 0, 0);
+        if let Some(obs) = engine.obs() {
+            let ns = t0.elapsed().as_nanos() as u64;
+            obs.fleet_fetch.record(ns);
+            obs.record_span(hb_obs::EventKind::FleetFetch, crate::obs::fleet_key(), ns);
+        }
+        Ok(FleetSession {
+            client,
+            tracker,
+            shared,
+            watermark: Some(FleetWatermark {
+                seq: resp.seq,
+                epochs: resp.epochs,
+            }),
+        })
     }
 
     /// The watermark of the last successful fetch.

@@ -64,6 +64,7 @@
 //! start, carried across processes (see [`snapshot`]).
 
 pub mod analyze;
+pub mod corelib;
 pub mod derivation;
 pub mod engine;
 pub mod fleet;
@@ -77,6 +78,7 @@ pub mod snapshot;
 pub mod stats;
 
 pub use analyze::AnalysisReport;
+pub use corelib::{corelib_stats, CorelibStats};
 pub use derivation::{Derivation, Epochs};
 pub use engine::{CacheDumpEntry, Config, Engine};
 pub use fleet::{FleetClient, FleetError, FleetSyncReport, FleetWatermark};
@@ -122,9 +124,10 @@ pub enum Mode {
 /// Defaults: [`Mode::Full`], no shared tier, caching and dynamic argument
 /// checks per mode, [`CheckPolicy::Enforce`], default store caps, core
 /// library loaded. Every knob is a chainable setter; [`build`] assembles
-/// the interpreter + RDL + engine stack, loads the core-library
-/// annotations (unless disabled or `Mode::Original`), and resets the
-/// statistics so app code starts from a clean slate.
+/// the interpreter + RDL + engine stack and gives it the core-library
+/// annotations (unless disabled or `Mode::Original`) by seeding its type
+/// table from the thread's evaluated copy (see [`corelib`]). Building runs
+/// no code, so the statistics start at zero without a reset.
 ///
 /// ```
 /// use hummingbird::{CheckPolicy, Hummingbird, SharedCache};
@@ -328,8 +331,9 @@ impl HummingbirdBuilder {
         self
     }
 
-    /// Skips loading the bundled core-library annotations (fixtures and
-    /// micro-harnesses; production embeddings want them).
+    /// Builds without the bundled core-library annotations: the type
+    /// table starts empty and no `<corelib>` file is registered (fixtures
+    /// and micro-harnesses; production embeddings want them).
     pub fn without_corelib(mut self) -> Self {
         self.corelib = false;
         self
@@ -348,17 +352,26 @@ impl HummingbirdBuilder {
     }
 
     /// Assembles the system: interpreter + RDL + engine, hooks installed
-    /// per mode, configuration applied, core library loaded, statistics
-    /// reset.
+    /// per mode, configuration applied (observability included), fleet
+    /// attached, core library seeded. No code runs, so the statistics
+    /// start at zero; a fleet attachment's boot fetch is the only thing
+    /// counted.
+    ///
+    /// The core library comes from the calling thread's base (see
+    /// [`corelib`]): the first build on a thread evaluates it, every
+    /// build copies the resulting type table, and the result is the table
+    /// that evaluating [`CORELIB_ANNOTATIONS`] here would have built.
     ///
     /// # Panics
     ///
     /// Panics if the bundled core-library annotations fail to load (a
-    /// build defect, not a runtime condition).
+    /// build defect, not a runtime condition): at the first build on each
+    /// thread.
     pub fn build(self) -> Hummingbird {
         let mut interp = Interp::new();
         let rdl = install_rdl(&mut interp);
         let engine = Rc::new(Engine::new(rdl.clone()));
+        engine.set_observability(self.observability);
         let mut shared = self.shared;
         if self.fleet_socket.is_some() && shared.is_none() {
             // Fleet attachment implies a shared tier for the fetched
@@ -369,24 +382,18 @@ impl HummingbirdBuilder {
             engine.set_shared_cache(shared);
         }
         // Connect and warm-boot from the fleet daemon before any code
-        // (even the core library) loads, so boot-time checks already
-        // adopt fetched derivations. Failure degrades to local checking.
-        let mut fleet = None;
-        let mut fleet_err = None;
-        let mut fleet_boot_fetches = 0u64;
-        let mut fleet_boot_ns = 0u64;
-        if let Some(path) = &self.fleet_socket {
-            let shared = shared.clone().expect("fleet implies a shared tier");
-            let t0 = std::time::Instant::now();
-            match fleet::FleetSession::attach(path, shared) {
-                Ok((session, _loaded)) => {
-                    fleet = Some(session);
-                    fleet_boot_fetches = 1;
-                    fleet_boot_ns = t0.elapsed().as_nanos() as u64;
+        // loads, so the first checks already adopt fetched derivations.
+        // Failure degrades to local checking.
+        let (fleet, fleet_err) = match &self.fleet_socket {
+            Some(path) => {
+                let shared = shared.clone().expect("fleet implies a shared tier");
+                match fleet::FleetSession::attach(path, shared, &engine) {
+                    Ok(session) => (Some(session), None),
+                    Err(e) => (None, Some(e)),
                 }
-                Err(e) => fleet_err = Some(e),
             }
-        }
+            None => (None, None),
+        };
         if self.mode != Mode::Original {
             interp.add_hook(Rc::new(RdlHook { state: rdl.clone() }));
             interp.add_hook(engine.clone());
@@ -428,35 +435,9 @@ impl HummingbirdBuilder {
             fleet,
             fleet_err,
         };
+        // "Orig" runs without Hummingbird entirely.
         if self.corelib && self.mode != Mode::Original {
-            // "Orig" runs without Hummingbird entirely; otherwise load the
-            // bundled core-library types.
-            hb.load_file("<corelib>", CORELIB_ANNOTATIONS)
-                .expect("core-library annotations must load");
-        }
-        // Core-library annotation loading is setup, not app behaviour.
-        hb.engine.reset_stats();
-        hb.rdl.drain_events();
-        // The warm-boot fetch *is* app-relevant accounting: re-credit it
-        // after the reset so `stats().fleet_fetches` reflects the boot.
-        if fleet_boot_fetches > 0 {
-            hb.engine.add_fleet_counters(fleet_boot_fetches, 0, 0, 0);
-        }
-        // Observability comes up after the reset so core-library loading
-        // never pollutes the histograms; the boot fetch is re-recorded
-        // for the same reason the counter is re-credited above.
-        if self.observability != ObsLevel::Off {
-            hb.engine.set_observability(self.observability);
-            if fleet_boot_fetches > 0 {
-                if let Some(obs) = hb.engine.obs() {
-                    obs.fleet_fetch.record(fleet_boot_ns);
-                    obs.record_span(
-                        hb_obs::EventKind::FleetFetch,
-                        obs::fleet_key(),
-                        fleet_boot_ns,
-                    );
-                }
-            }
+            corelib::seed(&mut hb);
         }
         hb
     }

@@ -11,8 +11,10 @@
 
 use hb_fleetd::{DaemonConfig, FleetDaemon, FleetServer};
 use hummingbird::fleet::wire;
+use hummingbird::obs::stat_fields;
 use hummingbird::{
-    CacheSnapshot, FleetClient, FleetError, FleetWatermark, Hummingbird, MethodKey, SharedCache,
+    CacheSnapshot, FleetClient, FleetError, FleetWatermark, Hummingbird, MethodKey, ObsLevel,
+    SharedCache,
 };
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -346,6 +348,30 @@ fn builder_with_unreachable_socket_comes_up_detached_not_dead() {
     tenant.load_file("talk.rb", TALK_RB).unwrap();
     tenant.eval("Talk.new.compute(Sub.new)").unwrap();
     assert_eq!(tenant.stats().checks_performed, 1, "local checking intact");
+}
+
+#[test]
+fn a_fleet_attached_build_counts_its_boot_fetch_and_nothing_else() {
+    let (_daemon, _server, path) = start_daemon("boot-stats", DaemonConfig::default());
+    FleetClient::connect(&path)
+        .expect("connect")
+        .publish((7, 7, 7), &clean_world_bytes())
+        .expect("publish");
+    for level in [ObsLevel::Off, ObsLevel::Metrics] {
+        let hb = Hummingbird::builder()
+            .fleet_socket(&path)
+            .observability(level)
+            .build();
+        assert!(hb.fleet_attached(), "{:?}", hb.fleet_error());
+        for (name, value) in stat_fields(&hb.stats()) {
+            let expected = u64::from(name == "fleet_fetches");
+            assert_eq!(value, expected, "{level:?}: {name}");
+        }
+        match hb.engine.obs() {
+            Some(obs) => assert_eq!(obs.fleet_fetch.count(), 1, "one boot-fetch sample"),
+            None => assert_eq!(level, ObsLevel::Off),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -340,6 +340,26 @@ pub struct RdlInner {
     shadowed_blames: u64,
 }
 
+/// A copy of an [`RdlState`]'s type table, taken by
+/// [`RdlState::capture_table`] and planted in a fresh state by
+/// [`RdlState::seed_table`]: the entries, the variable types, the `used`
+/// set, the version counter, both rolling fingerprints and the dynamic
+/// check and cast counters. Entries stay behind their `Rc`s, so a capture
+/// and every state seeded from it share them until one is changed;
+/// [`RdlState::add_type_at`] copies an entry before changing it.
+pub struct TableCapture {
+    table: hb_intern::FastMap<MethodKey, Rc<TableEntry>>,
+    ivar_types: HashMap<(String, String), (Type, Span)>,
+    cvar_types: HashMap<(String, String), (Type, Span)>,
+    gvar_types: HashMap<String, (Type, Span)>,
+    used: HashSet<MethodKey>,
+    version_counter: u64,
+    table_fp: u64,
+    var_fp: u64,
+    dyn_checks_run: u64,
+    casts_run: u64,
+}
+
 /// Shared, internally mutable RDL state. Stored as an interpreter extension
 /// so builtins and the engine both reach it.
 #[derive(Default)]
@@ -920,6 +940,59 @@ impl RdlState {
         self.inner.borrow().var_fp
     }
 
+    /// Copies the type table (see [`TableCapture`]). Pending events,
+    /// diagnostics and policies are not part of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `pre` contract is registered: a contract is a proc of
+    /// the interpreter that ran it and cannot move to another.
+    pub fn capture_table(&self) -> TableCapture {
+        let inner = self.inner.borrow();
+        assert!(
+            inner.pres.is_empty(),
+            "a table with `pre` contracts cannot be captured"
+        );
+        TableCapture {
+            table: inner.table.clone(),
+            ivar_types: inner.ivar_types.clone(),
+            cvar_types: inner.cvar_types.clone(),
+            gvar_types: inner.gvar_types.clone(),
+            used: inner.used.clone(),
+            version_counter: inner.version_counter,
+            table_fp: inner.table_fp,
+            var_fp: inner.var_fp,
+            dyn_checks_run: inner.dyn_checks_run,
+            casts_run: inner.casts_run,
+        }
+    }
+
+    /// Makes the table a copy of `capture`: afterwards every accessor
+    /// answers as it would in the state the capture was taken from. No
+    /// event is emitted and no sink is notified; the mutations that built
+    /// the table happened elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the table is untouched, because seeding replaces it.
+    pub fn seed_table(&self, capture: &TableCapture) {
+        let mut inner = self.inner.borrow_mut();
+        assert!(
+            inner.version_counter == 0 && inner.table_fp == 0,
+            "only an untouched table can be seeded"
+        );
+        inner.table = capture.table.clone();
+        inner.ivar_types = capture.ivar_types.clone();
+        inner.cvar_types = capture.cvar_types.clone();
+        inner.gvar_types = capture.gvar_types.clone();
+        inner.used = capture.used.clone();
+        inner.version_counter = capture.version_counter;
+        inner.table_fp = capture.table_fp;
+        inner.var_fp = capture.var_fp;
+        inner.dyn_checks_run = capture.dyn_checks_run;
+        inner.casts_run = capture.casts_run;
+    }
+
     /// Snapshot statistics for the evaluation tables.
     pub fn stats(&self) -> RdlStats {
         let inner = self.inner.borrow();
@@ -1128,6 +1201,44 @@ mod tests {
             "Array<Fixnum>"
         );
         assert!(st.ivar_type(&chain, "other").is_none());
+    }
+
+    #[test]
+    fn a_seeded_table_answers_like_its_source_and_copies_on_write() {
+        let src = RdlState::new();
+        let key = MethodKey::instance("A", "m");
+        src.add_type(
+            key,
+            mt("() -> nil"),
+            false,
+            false,
+            AnnotationSource::Static,
+            false,
+        );
+        src.set_ivar_type("A", "x", hb_types::parse_type("Fixnum").unwrap());
+        src.set_gvar_type("g", hb_types::parse_type("String").unwrap());
+        let seeded = RdlState::new();
+        seeded.seed_table(&src.capture_table());
+        assert_eq!(seeded.table_fingerprint(), src.table_fingerprint());
+        assert_eq!(seeded.var_fingerprint(), src.var_fingerprint());
+        assert_eq!(seeded.table_generation(), src.table_generation());
+        assert_eq!(seeded.ivar_decls(), src.ivar_decls());
+        assert_eq!(seeded.gvar_decls(), src.gvar_decls());
+        assert!(seeded.drain_events().is_empty(), "seeding emits no event");
+        assert!(Rc::ptr_eq(
+            &seeded.entry(&key).unwrap(),
+            &src.entry(&key).unwrap()
+        ));
+        seeded.add_type(
+            key,
+            mt("() -> String"),
+            false,
+            false,
+            AnnotationSource::Static,
+            false,
+        );
+        assert_eq!(seeded.entry(&key).unwrap().sig.arms.len(), 2);
+        assert_eq!(src.entry(&key).unwrap().sig.arms.len(), 1);
     }
 
     #[test]
