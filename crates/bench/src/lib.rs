@@ -2,18 +2,6 @@
 
 use hb_apps::Table1Row;
 
-/// Detected core count, with the ROADMAP-item-5 caveat banner the
-/// scaling probes share: numbers measured on a small host must not be
-/// read as parallel speedup. `caveat` is the probe-specific clause
-/// printed after the core count.
-pub fn host_cores_banner(caveat: &str) -> usize {
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if host_cores < 8 {
-        eprintln!("CAVEAT: host_cores = {host_cores} (< 8). {caveat}");
-    }
-    host_cores
-}
-
 /// Formats a Table 1 row in the paper's column order.
 pub fn format_table1_row(r: &Table1Row) -> String {
     format!(

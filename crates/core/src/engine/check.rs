@@ -63,7 +63,7 @@ impl Engine {
         }
         // Hot-tier miss: the first-call path. Everything below is either
         // a derivation (check_ns) or a shared-tier adoption
-        // (shared_adopt_ns); the split feeds the multi-tenant probe.
+        // (shared_adopt_ns), so warm boots can be told from cold ones.
         let t_first = Instant::now();
         // The body fingerprint (file content hash + definition span, plus
         // the captured locals' types for procs) is O(1), so a warm tenant

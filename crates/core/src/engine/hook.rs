@@ -12,7 +12,7 @@ impl Engine {
     /// the Enforce-everywhere default never takes this path, and keeping
     /// the map probes out of `before_call`'s body keeps the steady-state
     /// cache-hit path at its pre-policy register layout (measured: the
-    /// inlined version cost ~8% on dispatch_probe).
+    /// inlined version cost ~8% per cache-hit call).
     #[cold]
     #[inline(never)]
     fn resolve_policy(&self, cache_key: &MethodKey, annotation_key: &MethodKey) -> CheckPolicy {
@@ -228,7 +228,7 @@ impl CallHook for Engine {
                     // that could change one of these flushes or depatches
                     // the table.
                     if mark_checked
-                        && interp.tier.elision_enabled()
+                        && interp.tier.bytecode_enabled()
                         && self.config.borrow().caching
                         && self.rdl.policies_trivial()
                         && self.rdl.no_pre_named(info.name, info.class_level)

@@ -456,7 +456,7 @@ pub struct FleetWatermark {
 
 /// A connected `HBFLEET1` client: one framed request/response exchange
 /// at a time over a Unix-domain socket. [`FleetSession`] drives it for
-/// an embedded tenant; probes and tests use it directly.
+/// an embedded tenant; the benchmark and tests use it directly.
 pub struct FleetClient {
     stream: UnixStream,
 }

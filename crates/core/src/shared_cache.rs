@@ -45,7 +45,7 @@ struct Shard {
     dependents: HashMap<MethodKey, HashSet<MethodKey>>,
 }
 
-/// Aggregate counters (monotonic, relaxed; feeds `tenant_probe`).
+/// Aggregate counters (monotonic, relaxed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedCacheStats {
     pub hits: u64,

@@ -4,7 +4,7 @@
 //! invalidated — reloads, annotation changes, enforcement changes, cache
 //! flushes — and re-patch once the fresh derivation lands.
 
-use hummingbird::{CheckPolicy, ErrorKind, ExecTier, Hummingbird};
+use hummingbird::{CheckPolicy, ErrorKind, ExecTier, Hummingbird, Value};
 
 fn hb_bytecode() -> Hummingbird {
     Hummingbird::builder().exec_tier(ExecTier::Bytecode).build()
@@ -214,4 +214,75 @@ fn dynamic_arg_checks_still_run_from_unchecked_callers() {
     assert!(hb.stats().fast_entries_patched >= 1);
     let err = hb.eval("Steady.new.inner(\"oops\")").unwrap_err();
     assert_eq!(err.kind, ErrorKind::ContractBlame);
+}
+
+/// The dispatch gate's program: `idm` is called from Rust (an unchecked
+/// caller, so every call takes the guarded entry) and from the checked
+/// `call_loop` (checked→checked, where the bytecode tier patches the fast
+/// prologue); `empty_loop` is the same loop without the call.
+const DISPATCH: &str = r#"
+class Dispatch
+  type :idm, "(Fixnum) -> Fixnum", { "check" => true }
+  type :call_loop, "(Fixnum) -> Fixnum", { "check" => true }
+  type :empty_loop, "(Fixnum) -> Fixnum", { "check" => true }
+  def idm(x)
+    x
+  end
+  def call_loop(n)
+    i = 0
+    while i < n
+      idm(i)
+      i = i + 1
+    end
+    i
+  end
+  def empty_loop(n)
+    i = 0
+    while i < n
+      i = i + 1
+    end
+    i
+  end
+end
+Dispatch.new.idm(1)
+"#;
+
+#[test]
+fn steady_dispatch_hits_the_cache_and_patches_only_on_bytecode() {
+    const CALLS: u64 = 50_000;
+    for tier in [ExecTier::TreeWalk, ExecTier::Bytecode] {
+        let mut hb = Hummingbird::builder().exec_tier(tier).build();
+        hb.eval(DISPATCH).unwrap();
+        let recv = hb.eval("Dispatch.new").unwrap();
+        let span = hb_syntax::Span::dummy();
+        let mut call = |name: &str, arg: u64| {
+            hb.interp
+                .call_method(recv.clone(), name, vec![Value::Int(arg as i64)], None, span)
+                .unwrap()
+        };
+        call("idm", 0);
+        for i in 0..CALLS {
+            call("idm", i);
+        }
+        for name in ["call_loop", "empty_loop"] {
+            call(name, 64);
+            assert_eq!(format!("{:?}", call(name, CALLS)), CALLS.to_string());
+        }
+        let s = hb.stats();
+        assert!(
+            s.cache_hits >= CALLS,
+            "{tier:?}: the loop hits the cache: {s:?}"
+        );
+        assert_eq!(
+            s.checks_performed, 3,
+            "{tier:?}: idm, call_loop and empty_loop each check exactly once"
+        );
+        match tier {
+            ExecTier::Bytecode => assert!(
+                s.fast_entries_patched >= 1,
+                "steady state patches the fast prologue: {s:?}"
+            ),
+            ExecTier::TreeWalk => assert_eq!(s.fast_entries_patched, 0, "{s:?}"),
+        }
+    }
 }

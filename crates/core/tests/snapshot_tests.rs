@@ -3,7 +3,7 @@
 //! snapshot is a set of *candidates*, and the normal adoption gate
 //! (epoch fast path, witness replay) decides per tenant. The six-app
 //! round trip lives in `hb-apps/tests/snapshot_apps.rs`, and the true
-//! fresh-process boot is gated in CI by `tenant_probe --snapshot-smoke`.
+//! fresh-process boot in `hb-bench/tests/fresh_process.rs`.
 
 use hummingbird::{CacheSnapshot, Hummingbird, SharedCache, SnapshotError};
 use std::sync::Arc;

@@ -17,9 +17,7 @@ pub use apps::{all_apps, boxroom, cct, countries, pubs, rolify, talks, AppSpec};
 pub use infer_corpus::{infer_case, infer_case_with, infer_cases, InferCase};
 pub use lint_corpus::{analyze_case, corpus_cases, CorpusCase};
 pub use table1::{measure_app, AppCounts, Table1Row};
-pub use tenant::{
-    fleet_snapshot, run_tenant, run_tenant_fleet, run_tenant_from_snapshot, TenantRun,
-};
+pub use tenant::{run_tenant, run_tenant_fleet, run_tenant_from_snapshot, TenantRun};
 
 use hummingbird::{Hummingbird, HummingbirdBuilder, Mode, SharedCache};
 use std::sync::Arc;

@@ -5,26 +5,18 @@
 //! static check and publishes the derivation; every other instance adopts
 //! it after structural validation, without running `check_sig`.
 //!
-//! Used by the `tenant_probe` benchmark binary and the multi-tenant tests.
+//! Used by the multi-tenant, snapshot and fleet warm-boot tests.
 
 use crate::apps::all_apps;
 use crate::{build_app_shared, build_app_with, run_workload};
 use hummingbird::{CacheSnapshot, FleetSyncReport, Hummingbird, Mode, SharedCache};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// What one tenant did, split into the build phase (parse/load/seed) and
-/// the serve phase (first requests — where the check storm lives — plus
-/// the steady workload).
+/// What one tenant's six apps did, summed over their engine statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TenantRun {
     pub tenant: usize,
-    /// Wall time constructing all six apps (parsing, loading, seeding).
-    pub build_ns: u64,
-    /// Wall time serving the workloads, including each app's first-call
-    /// check storm.
-    pub serve_ns: u64,
     /// Static checks this tenant actually ran (misses in both tiers).
     pub checks_performed: u64,
     /// First calls answered by adopting another tenant's derivation.
@@ -33,36 +25,6 @@ pub struct TenantRun {
     pub cache_hits: u64,
     /// Calls intercepted by the engine hook.
     pub intercepted_calls: u64,
-    /// Nanoseconds this tenant spent deriving (lowering + `check_sig`).
-    pub check_ns: u64,
-    /// Nanoseconds this tenant spent adopting shared derivations instead.
-    pub shared_adopt_ns: u64,
-    /// Check tasks enqueued onto the concurrent scheduler.
-    pub sched_tasks_enqueued: u64,
-    /// Scheduler completions harvested.
-    pub sched_tasks_completed: u64,
-    /// Scheduler completions discarded as stale (fingerprint mismatch at
-    /// publication).
-    pub sched_tasks_stale: u64,
-    /// Cold calls admitted under `CheckPolicy::Deferred`.
-    pub deferred_admissions: u64,
-    /// Method bodies compiled to register bytecode (zero on the
-    /// tree-walk tier).
-    pub bytecode_compiled: u64,
-    /// `(receiver class, entry)` pairs patched onto the checked fast
-    /// prologue once their derivation landed.
-    pub fast_entries_patched: u64,
-    /// Fast entries patched back to the guarded prologue by
-    /// invalidation.
-    pub deopts: u64,
-    /// Full snapshot fetches from a fleet daemon (boot).
-    pub fleet_fetches: u64,
-    /// Delta fetches from a fleet daemon (steady state).
-    pub fleet_deltas: u64,
-    /// Locally derived entries published back to a fleet daemon.
-    pub fleet_publishes: u64,
-    /// Eviction notices sent to a fleet daemon.
-    pub fleet_evictions: u64,
 }
 
 impl TenantRun {
@@ -76,16 +38,6 @@ impl TenantRun {
         self.shared_hits as f64 / first_calls as f64
     }
 
-    /// Total first calls resolved (derived or adopted).
-    pub fn first_calls(&self) -> u64 {
-        self.shared_hits + self.checks_performed
-    }
-
-    /// Total time spent resolving first calls, derived or adopted.
-    pub fn first_call_ns(&self) -> u64 {
-        self.check_ns + self.shared_adopt_ns
-    }
-
     /// Folds one app's engine statistics into this tenant's totals.
     fn absorb(&mut self, hb: &Hummingbird) {
         let s = hb.stats();
@@ -93,19 +45,6 @@ impl TenantRun {
         self.shared_hits += s.shared_hits;
         self.cache_hits += s.cache_hits;
         self.intercepted_calls += s.intercepted_calls;
-        self.check_ns += s.check_ns;
-        self.shared_adopt_ns += s.shared_adopt_ns;
-        self.sched_tasks_enqueued += s.sched_tasks_enqueued;
-        self.sched_tasks_completed += s.sched_tasks_completed;
-        self.sched_tasks_stale += s.sched_tasks_stale;
-        self.deferred_admissions += s.deferred_admissions;
-        self.bytecode_compiled += s.bytecode_compiled;
-        self.fast_entries_patched += s.fast_entries_patched;
-        self.deopts += s.deopts;
-        self.fleet_fetches += s.fleet_fetches;
-        self.fleet_deltas += s.fleet_deltas;
-        self.fleet_publishes += s.fleet_publishes;
-        self.fleet_evictions += s.fleet_evictions;
     }
 }
 
@@ -118,17 +57,13 @@ pub fn run_tenant(tenant: usize, shared: &Arc<SharedCache>, iters: usize) -> Ten
         ..TenantRun::default()
     };
     let specs = all_apps();
-    let t0 = Instant::now();
     let mut apps: Vec<_> = specs
         .iter()
         .map(|spec| build_app_shared(spec, Mode::Full, Some(shared.clone())))
         .collect();
-    out.build_ns = t0.elapsed().as_nanos() as u64;
-    let t1 = Instant::now();
     for (spec, hb) in specs.iter().zip(apps.iter_mut()) {
         run_workload(spec, hb, iters);
     }
-    out.serve_ns = t1.elapsed().as_nanos() as u64;
     for hb in &apps {
         out.absorb(hb);
     }
@@ -157,7 +92,6 @@ pub fn run_tenant_fleet(
     };
     let shared = Arc::new(SharedCache::new());
     let specs = all_apps();
-    let t0 = Instant::now();
     let mut apps: Vec<Hummingbird> = specs
         .iter()
         .enumerate()
@@ -171,27 +105,14 @@ pub fn run_tenant_fleet(
             build_app_with(spec, builder)
         })
         .collect();
-    out.build_ns = t0.elapsed().as_nanos() as u64;
-    let t1 = Instant::now();
     for (spec, hb) in specs.iter().zip(apps.iter_mut()) {
         run_workload(spec, hb, iters);
     }
-    out.serve_ns = t1.elapsed().as_nanos() as u64;
     let report = apps[0].fleet_sync().ok();
     for hb in &apps {
         out.absorb(hb);
     }
     (out, report)
-}
-
-/// Boots one cold tenant (all six apps) against a fresh shared tier and
-/// serializes the tier — the snapshot a rolling deploy would write to
-/// disk at the end of a canary boot. Returns the snapshot together with
-/// the cold tenant's run (the baseline the warm boot is compared to).
-pub fn fleet_snapshot(iters: usize) -> (CacheSnapshot, TenantRun) {
-    let shared = Arc::new(SharedCache::new());
-    let cold = run_tenant(0, &shared, iters);
-    (shared.snapshot(), cold)
 }
 
 /// Boots one tenant against a tier rebuilt from `snapshot` — the

@@ -1,11 +1,13 @@
 //! Scheduler tests on the real subject apps: Deferred soundness over the
 //! six Talks historical errors (blame arrives asynchronously but is never
-//! lost, on both the JIT and parallel-lint paths) and parallel/serial
-//! `check_all` determinism.
+//! lost, on both the JIT and parallel-lint paths), parallel/serial
+//! `check_all` determinism, and deferred admission against enforce on the
+//! Talks first-request storm.
 
 use hb_apps::talks_history::error_versions;
-use hb_apps::{all_apps, build_app_with, talks};
-use hummingbird::{CheckPolicy, Hummingbird};
+use hb_apps::{all_apps, build_app, build_app_with, run_workload, talks};
+use hummingbird::{CheckPolicy, Hummingbird, Mode, ObsLevel, Scheduler};
+use std::sync::Arc;
 
 #[test]
 fn all_six_historical_errors_keep_their_codes_under_deferred_jit() {
@@ -121,4 +123,131 @@ fn clean_apps_lint_clean_in_parallel_and_fan_out_tasks() {
             spec.name
         );
     }
+}
+
+/// One check pass over every system at `jobs` workers from a cleared
+/// cache: each system's rendered diagnostics, and the number of
+/// derivations checked.
+fn check_suite(
+    suite: &mut [Hummingbird],
+    pool: &Arc<Scheduler>,
+    jobs: usize,
+) -> (Vec<Vec<String>>, u64) {
+    let mut rendered = Vec::new();
+    let mut checks = 0;
+    for hb in suite.iter_mut() {
+        hb.engine.set_scheduler(pool.clone());
+        hb.engine.clear_cache();
+    }
+    for hb in suite.iter_mut() {
+        let before = hb.stats().checks_performed;
+        let diags = hb.check_all_parallel(jobs);
+        checks += hb.stats().checks_performed - before;
+        rendered.push(diags.iter().map(|d| d.render(hb.source_map())).collect());
+    }
+    (rendered, checks)
+}
+
+#[test]
+fn check_all_is_identical_at_every_worker_count() {
+    let mut suite: Vec<Hummingbird> = all_apps()
+        .iter()
+        .map(|spec| build_app(spec, Mode::Full))
+        .collect();
+    // A seventh system with several findings, so that a change of their
+    // order shows.
+    let mut buggy = build_app(&talks(), Mode::Full);
+    for (i, v) in error_versions().iter().enumerate() {
+        buggy
+            .load_file(&format!("talks/buggy{i}.rb"), v.buggy_source)
+            .unwrap();
+    }
+    suite.push(buggy);
+
+    let (serial, serial_checks) = check_suite(&mut suite, &Arc::new(Scheduler::new(1)), 1);
+    assert!(
+        serial[..6].iter().all(Vec::is_empty),
+        "the six clean apps lint at 0 diagnostics: {serial:?}"
+    );
+    assert!(serial[6].len() >= 2, "{:?}", serial[6]);
+    for jobs in [1, 4] {
+        let pool = Arc::new(Scheduler::new(jobs));
+        for run in 0..2 {
+            let (rendered, checks) = check_suite(&mut suite, &pool, jobs);
+            assert_eq!(
+                rendered, serial,
+                "jobs={jobs} run {run}: output byte-identical to serial"
+            );
+            assert_eq!(
+                checks, serial_checks,
+                "jobs={jobs} run {run}: the same method set is derived"
+            );
+        }
+    }
+}
+
+/// What serving the Talks first-request storm cold under one policy did.
+struct Storm {
+    checks_landed: u64,
+    deferred_admissions: u64,
+    diagnostics: usize,
+    check_durations: u64,
+    queue_waits: u64,
+}
+
+fn talks_storm(policy: CheckPolicy) -> Storm {
+    let spec = talks();
+    let mut hb = build_app_with(
+        &spec,
+        Hummingbird::builder()
+            .check_policy(policy)
+            .observability(ObsLevel::Metrics)
+            .worker_threads(4),
+    );
+    // Checks run while booting are not part of the storm.
+    hb.sched_quiesce();
+    hb.engine.clear_cache();
+    hb.engine.reset_stats();
+    run_workload(&spec, &mut hb, 1);
+    hb.sched_quiesce();
+    let s = hb.stats();
+    let obs = hb.engine.obs().expect("observability is on");
+    Storm {
+        checks_landed: s.checks_performed,
+        deferred_admissions: s.deferred_admissions,
+        diagnostics: hb.diagnostics().len(),
+        check_durations: obs.check_duration.summary().count,
+        queue_waits: obs.sched_queue.summary().count,
+    }
+}
+
+#[test]
+fn deferred_storm_admits_cold_calls_and_lands_checks_on_workers() {
+    let enforce = talks_storm(CheckPolicy::Enforce);
+    let deferred = talks_storm(CheckPolicy::Deferred);
+    assert!(
+        deferred.deferred_admissions > 0,
+        "cold first calls were admitted without waiting for their checks"
+    );
+    assert_eq!(
+        enforce.deferred_admissions, 0,
+        "enforce admits nothing asynchronously"
+    );
+    assert_eq!(
+        deferred.diagnostics, 0,
+        "the clean Talks storm produces no deferred blame"
+    );
+    assert!(
+        deferred.checks_landed > 0,
+        "the deferred checks completed on the workers and were adopted"
+    );
+    assert!(enforce.checks_landed > 0, "enforce checks inline");
+    assert!(
+        deferred.check_durations > 0 && enforce.check_durations > 0,
+        "the check-duration histogram saw the storm under both policies"
+    );
+    assert_eq!(
+        enforce.queue_waits, 0,
+        "enforce enqueues nothing, so the queue histogram stays empty"
+    );
 }

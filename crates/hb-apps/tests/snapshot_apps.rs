@@ -2,8 +2,8 @@
 //! into a brand-new tier → a tenant booting the identical apps adopts
 //! every first call (zero re-derivations), with statistics identical to
 //! an in-process warm tenant's. The *fresh-process* version of this (new
-//! interner, new source maps) is gated in CI by
-//! `tenant_probe --snapshot-smoke`, which re-execs the probe binary.
+//! interner, new source maps) is `hb-bench/tests/fresh_process.rs`, which
+//! re-runs its own test binary.
 
 use hb_apps::{run_tenant, run_tenant_from_snapshot};
 use hummingbird::{CacheSnapshot, SharedCache};
@@ -30,7 +30,7 @@ fn six_app_round_trip_boots_warm_with_identical_stats() {
     // Fresh world: a brand-new tier rebuilt from bytes. Checked twice —
     // once explicitly (so the tier's size and hit counters are
     // observable), once through the `run_tenant_from_snapshot` helper
-    // the probes build on.
+    // the fresh-process test builds on.
     let fresh = Arc::new(SharedCache::new());
     let loaded = fresh.load_snapshot(&snap).expect("loads");
     assert_eq!(loaded, snap.entry_count());
@@ -56,4 +56,28 @@ fn six_app_round_trip_boots_warm_with_identical_stats() {
         snap_hit_delta, inproc_hit_delta,
         "the rebuilt tier serves exactly the hits the live tier served"
     );
+}
+
+#[test]
+fn second_tenant_thread_adopts_the_first_tenants_derivations() {
+    // Two runs, each a fresh tier; both must pass, not just the better.
+    for run in 0..2 {
+        let shared = Arc::new(SharedCache::new());
+        let tenant = |i: usize| {
+            let shared = shared.clone();
+            std::thread::spawn(move || run_tenant(i, &shared, 1))
+                .join()
+                .expect("tenant thread")
+        };
+        let first = tenant(0);
+        // The second tenant starts only after the first has finished.
+        let second = tenant(1);
+        assert!(first.checks_performed > 0, "run {run}: {first:?}");
+        let rate = second.warm_hit_rate();
+        assert!(
+            rate >= 0.9,
+            "run {run}: the second tenant gets >= 90% of its first calls \
+             from the shared tier (got {rate:.3}: {second:?})"
+        );
+    }
 }

@@ -36,10 +36,6 @@ pub enum ExecTier {
 /// interpreter.
 pub struct ExecTierState {
     tier: Cell<ExecTier>,
-    /// Benchmark ablation knob: with elision off the bytecode tier still
-    /// runs chunks but never patches fast entries (every call keeps the
-    /// full guarded prologue).
-    elision: Cell<bool>,
     /// The probe structure for the dispatch hot path: one open-addressed
     /// `u64` set keyed on `(receiver class, entry id)`.
     hot: RefCell<FastSet>,
@@ -61,7 +57,6 @@ impl ExecTierState {
     pub fn new() -> ExecTierState {
         ExecTierState {
             tier: Cell::new(ExecTier::TreeWalk),
-            elision: Cell::new(true),
             hot: RefCell::new(FastSet::new()),
             by_key: RefCell::new(HashMap::new()),
             chunks: RefCell::new(hb_intern::FastMap::default()),
@@ -91,20 +86,6 @@ impl ExecTierState {
         self.clear_patches();
     }
 
-    /// Toggles check elision (benchmark ablation). Disabling drops current
-    /// patches so the guarded prologue is measured immediately.
-    pub fn set_elision(&self, on: bool) {
-        self.elision.set(on);
-        if !on {
-            self.clear_patches();
-        }
-    }
-
-    /// True when fast entries may be patched at all.
-    pub fn elision_enabled(&self) -> bool {
-        self.elision.get() && self.bytecode_enabled()
-    }
-
     /// Hot-path probe: is `(recv_class, entry_id)` patched onto its
     /// checked fast prologue? Counts the hit.
     #[inline]
@@ -120,7 +101,7 @@ impl ExecTierState {
     /// `(key, class, entry)` — repeated admissions of the same derivation
     /// do not recount.
     pub fn patch(&self, key: MethodKey, recv_class: ClassId, entry_id: u64) {
-        if !self.elision_enabled() {
+        if !self.bytecode_enabled() {
             return;
         }
         // Steady-state fast path: the pair is already live in the probe
@@ -399,15 +380,11 @@ mod tests {
     }
 
     #[test]
-    fn patch_requires_bytecode_and_elision() {
+    fn patch_requires_bytecode() {
         let t = ExecTierState::new();
         t.patch(key("m"), ClassId(1), 1); // tree-walk tier: ignored
         assert_eq!(t.fast_entries_patched(), 0);
         t.set_tier(ExecTier::Bytecode);
-        t.set_elision(false);
-        t.patch(key("m"), ClassId(1), 1);
-        assert_eq!(t.fast_entries_patched(), 0);
-        t.set_elision(true);
         t.patch(key("m"), ClassId(1), 1);
         assert_eq!(t.fast_entries_patched(), 1);
     }
