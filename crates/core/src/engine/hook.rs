@@ -42,7 +42,6 @@ impl Engine {
         policy: CheckPolicy,
     ) -> Result<(), HbError> {
         self.state.borrow_mut().stats.dyn_arg_checks += 1;
-        self.rdl.inner.borrow_mut().dyn_checks_run += 1;
         let mut arity_ok = false;
         for arm in &entry.sig.arms {
             if !arm.accepts_arity(args.len()) {

@@ -274,7 +274,6 @@ impl Engine {
         }
         st.phase.note_check();
         if let Some(obs) = &st.obs {
-            obs.checks_observed.inc();
             obs.check_duration.record(ns);
             let kind = if verdict.passed() {
                 hb_obs::EventKind::CheckPass
@@ -305,7 +304,6 @@ impl Engine {
             st.stats.check_log.push_back(CheckLogItem {
                 key,
                 outcome: verdict,
-                duration_ns: ns,
             });
         }
     }

@@ -306,20 +306,11 @@ impl Engine {
         }
     }
 
-    /// Folds one fleet-sync round's counters into the engine statistics
-    /// (the fleet session runs outside the engine borrow).
-    pub(crate) fn add_fleet_counters(
-        &self,
-        fetches: u64,
-        deltas: u64,
-        publishes: u64,
-        evictions: u64,
-    ) {
-        let mut st = self.state.borrow_mut();
-        st.stats.fleet_fetches += fetches;
-        st.stats.fleet_deltas += deltas;
-        st.stats.fleet_publishes += publishes;
-        st.stats.fleet_evictions += evictions;
+    /// Counts work done outside the engine's own paths: fleet sessions
+    /// and inference run beside the engine, but what they did is an
+    /// engine-level fact, so it lands in the same statistics.
+    pub(crate) fn count(&self, f: impl FnOnce(&mut EngineStats)) {
+        f(&mut self.state.borrow_mut().stats);
     }
 
     /// Attaches the interpreter's execution-tier state so derivation
@@ -420,31 +411,6 @@ impl Engine {
         // layer (which has no engine statistics) contributes too.
         s.shadowed_blames = self.rdl.shadowed_blames();
         s
-    }
-
-    /// Credits one inference run's outcome counters. The adoption path
-    /// (`crate::infer`) runs outside the engine — it verifies against a
-    /// hypothesis [`WorldSnapshot`], not the live table — but its results
-    /// are engine-level facts, so they report through the same snapshot.
-    pub fn note_inference(&self, verified: u64, adopted: u64, rejected: u64) {
-        let mut st = self.state.borrow_mut();
-        st.stats.inferred_verified += verified;
-        st.stats.inferred_adopted += adopted;
-        st.stats.inferred_rejected += rejected;
-    }
-
-    /// Clears statistics counters and collected diagnostics (not the
-    /// cache).
-    pub fn reset_stats(&self) {
-        let mut st = self.state.borrow_mut();
-        st.stats = EngineStats::default();
-        st.phase = PhaseTracker::default();
-        if let Some(t) = &st.tier {
-            t.reset_counters();
-        }
-        drop(st);
-        self.rdl.clear_diagnostics();
-        self.rdl.reset_shadowed_blames();
     }
 
     /// Every blame diagnostic produced so far — just-in-time and eager

@@ -315,29 +315,16 @@ pub mod wire {
     }
 
     impl DaemonStats {
-        /// Renders one `hb_fleetd_<field>` Prometheus series per counter
-        /// (`entries` is a gauge, the rest are counters).
+        /// Renders the two fields the daemon reads rather than counts:
+        /// `hb_fleetd_entries` (a gauge) and `hb_fleetd_seq`. The other
+        /// six are counters in the daemon's registry, which renders
+        /// them under the same `hb_fleetd_<field>` names.
         pub fn to_prometheus(&self) -> String {
-            let mut out = String::new();
-            for (name, value) in [
-                ("entries", self.entries),
-                ("seq", self.seq),
-                ("fetches", self.fetches),
-                ("deltas", self.deltas),
-                ("publishes", self.publishes),
-                ("evictions", self.evictions),
-                ("compactions", self.compactions),
-                ("writebacks", self.writebacks),
-            ] {
-                let kind = if name == "entries" {
-                    "gauge"
-                } else {
-                    "counter"
-                };
-                out.push_str(&format!("# TYPE hb_fleetd_{name} {kind}\n"));
-                out.push_str(&format!("hb_fleetd_{name} {value}\n"));
-            }
-            out
+            format!(
+                "# TYPE hb_fleetd_entries gauge\nhb_fleetd_entries {}\n\
+                 # TYPE hb_fleetd_seq counter\nhb_fleetd_seq {}\n",
+                self.entries, self.seq
+            )
         }
 
         /// Reads the counters back out of a [`RESP_STATS_V2`] payload,
@@ -724,14 +711,14 @@ impl FleetSession {
         let t0 = std::time::Instant::now();
         let mut client = FleetClient::connect(path)?;
         let tracker = Arc::new(FleetTracker::default());
-        shared.add_event_hook(tracker.clone());
+        shared.add_event_hook(Arc::downgrade(&tracker) as _);
         let resp = client.fetch_full()?;
         let snap = CacheSnapshot::from_bytes(&resp.snapshot).map_err(FleetError::Snapshot)?;
         {
             let _mask = tracker.suppressed();
             shared.load_snapshot(&snap).map_err(FleetError::Snapshot)?;
         }
-        engine.add_fleet_counters(1, 0, 0, 0);
+        engine.count(|s| s.fleet_fetches += 1);
         if let Some(obs) = engine.obs() {
             let ns = t0.elapsed().as_nanos() as u64;
             obs.fleet_fetch.record(ns);
@@ -746,11 +733,6 @@ impl FleetSession {
                 epochs: resp.epochs,
             }),
         })
-    }
-
-    /// The watermark of the last successful fetch.
-    pub fn watermark(&self) -> Option<FleetWatermark> {
-        self.watermark
     }
 
     /// One synchronization round: drain pending eviction notices and
@@ -847,13 +829,15 @@ impl FleetSession {
             seq: resp.seq,
             epochs: resp.epochs,
         });
-        let (fetches, deltas) = if resp.delta { (0, 1) } else { (1, 0) };
-        engine.add_fleet_counters(
-            fetches,
-            deltas,
-            report.published as u64,
-            report.evict_notices as u64,
-        );
+        engine.count(|s| {
+            if resp.delta {
+                s.fleet_deltas += 1;
+            } else {
+                s.fleet_fetches += 1;
+            }
+            s.fleet_publishes += report.published as u64;
+            s.fleet_evictions += report.evict_notices as u64;
+        });
         Ok(report)
     }
 }
@@ -943,9 +927,13 @@ mod tests {
             compactions: 7,
             writebacks: 8,
         };
-        // The counters survive embedding in a larger metrics document.
+        // The daemon's registry renders the six counters; `to_prometheus`
+        // adds the two readings. The fields survive embedding in a larger
+        // metrics document.
         let text = format!(
-            "# TYPE hb_fleetd_requests_total counter\nhb_fleetd_requests_total{{op=\"ping\"}} 9\n{}",
+            "# TYPE hb_fleetd_requests_total counter\nhb_fleetd_requests_total{{op=\"ping\"}} 9\n\
+             hb_fleetd_fetches 3\nhb_fleetd_deltas 4\nhb_fleetd_publishes 5\n\
+             hb_fleetd_evictions 6\nhb_fleetd_compactions 7\nhb_fleetd_writebacks 8\n{}",
             s.to_prometheus()
         );
         assert_eq!(wire::DaemonStats::from_prometheus(&text).unwrap(), s);

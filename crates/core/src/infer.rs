@@ -488,7 +488,11 @@ impl Hummingbird {
             newly_registered += 1;
             adopted.push((*k, c.annotation_line()));
         }
-        engine.note_inference(live.len() as u64, newly_registered, rejected.len() as u64);
+        engine.count(|s| {
+            s.inferred_verified += live.len() as u64;
+            s.inferred_adopted += newly_registered;
+            s.inferred_rejected += rejected.len() as u64;
+        });
         // Perform the Definition-1 invalidation the registrations demand
         // now, so depatches and dependent invalidations are attributed to
         // this call rather than the next dispatch.

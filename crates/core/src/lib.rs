@@ -148,8 +148,6 @@ pub enum Mode {
 pub struct HummingbirdBuilder {
     mode: Mode,
     shared: Option<Arc<SharedCache>>,
-    caching: Option<bool>,
-    dyn_arg_checks: Option<bool>,
     policy: CheckPolicy,
     diagnostics_cap: Option<usize>,
     check_log_cap: Option<usize>,
@@ -178,8 +176,6 @@ impl Default for HummingbirdBuilder {
         HummingbirdBuilder {
             mode: Mode::Full,
             shared: None,
-            caching: None,
-            dyn_arg_checks: None,
             policy: CheckPolicy::Enforce,
             diagnostics_cap: None,
             check_log_cap: None,
@@ -220,19 +216,6 @@ impl HummingbirdBuilder {
     /// tenants warm each other from the very first check.
     pub fn shared_cache(mut self, shared: Arc<SharedCache>) -> Self {
         self.shared = Some(shared);
-        self
-    }
-
-    /// Overrides derivation caching (default: on, except [`Mode::NoCache`]).
-    pub fn caching(mut self, on: bool) -> Self {
-        self.caching = Some(on);
-        self
-    }
-
-    /// Overrides dynamic argument checks (default: on, except
-    /// [`Mode::Original`]).
-    pub fn dyn_arg_checks(mut self, on: bool) -> Self {
-        self.dyn_arg_checks = Some(on);
         self
     }
 
@@ -404,8 +387,8 @@ impl HummingbirdBuilder {
         engine.attach_exec_tier(interp.tier.clone());
         engine.set_config(Config {
             enabled: self.mode != Mode::Original,
-            caching: self.caching.unwrap_or(self.mode != Mode::NoCache),
-            dyn_arg_checks: self.dyn_arg_checks.unwrap_or(self.mode != Mode::Original),
+            caching: self.mode != Mode::NoCache,
+            dyn_arg_checks: self.mode != Mode::Original,
         });
         if self.policy != CheckPolicy::Enforce {
             rdl.set_global_policy(self.policy);
@@ -593,20 +576,6 @@ impl Hummingbird {
         self.rdl.stats()
     }
 
-    /// Switches caching on/off at run time (ablation).
-    pub fn set_caching(&self, on: bool) {
-        let mut c = self.engine.config();
-        c.caching = on;
-        self.engine.set_config(c);
-    }
-
-    /// Switches dynamic argument checks on/off at run time (ablation).
-    pub fn set_dyn_arg_checks(&self, on: bool) {
-        let mut c = self.engine.config();
-        c.dyn_arg_checks = on;
-        self.engine.set_config(c);
-    }
-
     // ----- enforcement policies ---------------------------------------------
 
     /// Sets the global [`CheckPolicy`] at run time (rollout control; the
@@ -667,11 +636,6 @@ impl Hummingbird {
     /// if any — operational visibility for the degrade-to-local path.
     pub fn fleet_error(&self) -> Option<&FleetError> {
         self.fleet_err.as_ref()
-    }
-
-    /// The watermark of the last successful fleet fetch.
-    pub fn fleet_watermark(&self) -> Option<FleetWatermark> {
-        self.fleet.as_ref().and_then(|s| s.watermark())
     }
 
     /// One fleet synchronization round: sends this tenant's pending

@@ -11,7 +11,7 @@
 //! [`ObsLevel::Trace`], one ring slot write.
 
 use crate::stats::EngineStats;
-use hb_obs::{Counter, Event, EventKind, EventRing, Histogram, ObsLevel, Registry};
+use hb_obs::{Event, EventKind, EventRing, Histogram, ObsLevel, Registry};
 use hb_rdl::MethodKey;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -32,16 +32,13 @@ pub fn fleet_key() -> MethodKey {
 /// Lives in `Rc` next to the engine state; the [`Registry`] inside is
 /// `Arc`-shared so exports can render it without touching the engine.
 pub struct EngineObs {
-    /// How much this collector records.
-    pub level: ObsLevel,
     /// The named series store backing the Prometheus/JSON exports.
     pub registry: Arc<Registry>,
     /// The flight recorder ([`ObsLevel::Trace`] only).
     ring: Option<EventRing>,
-    /// Total checks whose durations were observed (pass and blame) —
-    /// the `_count` cross-check for `hb_check_duration_ns`.
-    pub checks_observed: Arc<Counter>,
-    /// Wall-clock duration of every static check, pass or blame.
+    /// Wall-clock duration of every static check, pass or blame. Its
+    /// `_count` and `_sum` equal `checks_performed + checks_failed` and
+    /// `check_ns + failed_check_ns` of [`EngineStats`].
     pub check_duration: Arc<Histogram>,
     /// First-request latency of a cold method: what the triggering call
     /// paid before proceeding (synchronous check, shared-tier adoption,
@@ -72,11 +69,6 @@ impl EngineObs {
             .trace_enabled()
             .then(|| EventRing::new(hb_obs::ring::DEFAULT_RING_CAP));
         EngineObs {
-            level,
-            checks_observed: registry.counter(
-                "hb_checks_observed_total",
-                "static checks whose durations were recorded (pass and blame)",
-            ),
             check_duration: registry.histogram(
                 "hb_check_duration_ns",
                 "wall-clock nanoseconds per static check (pass and blame)",
@@ -154,44 +146,14 @@ impl EngineObs {
     }
 }
 
-/// Every numeric [`EngineStats`] field as a `(series, value)` pair —
-/// the single source of truth the JSON and Prometheus stats renderers
-/// (and `docs/METRICS.md`) share. Set-valued fields export their sizes.
+/// Every [`EngineStats`] field as a `(series, value)` pair, in the order
+/// the stats declaration gives them ([`EngineStats::fields`]).
 pub fn stat_fields(stats: &EngineStats) -> Vec<(&'static str, u64)> {
-    vec![
-        ("checks_performed", stats.checks_performed),
-        ("checks_failed", stats.checks_failed),
-        ("shadowed_blames", stats.shadowed_blames),
-        ("cache_hits", stats.cache_hits),
-        ("shared_hits", stats.shared_hits),
-        ("check_ns", stats.check_ns),
-        ("failed_check_ns", stats.failed_check_ns),
-        ("shared_adopt_ns", stats.shared_adopt_ns),
-        ("intercepted_calls", stats.intercepted_calls),
-        ("sched_tasks_enqueued", stats.sched_tasks_enqueued),
-        ("sched_tasks_completed", stats.sched_tasks_completed),
-        ("sched_tasks_stale", stats.sched_tasks_stale),
-        ("deferred_admissions", stats.deferred_admissions),
-        ("deferred_shed", stats.deferred_shed),
-        ("fleet_fetches", stats.fleet_fetches),
-        ("fleet_deltas", stats.fleet_deltas),
-        ("fleet_publishes", stats.fleet_publishes),
-        ("fleet_evictions", stats.fleet_evictions),
-        ("dyn_arg_checks", stats.dyn_arg_checks),
-        ("invalidations", stats.invalidations),
-        ("dependent_invalidations", stats.dependent_invalidations),
-        ("bytecode_compiled", stats.bytecode_compiled),
-        ("fast_entries_patched", stats.fast_entries_patched),
-        ("deopts", stats.deopts),
-        ("inferred_verified", stats.inferred_verified),
-        ("inferred_adopted", stats.inferred_adopted),
-        ("inferred_rejected", stats.inferred_rejected),
-        ("cast_sites", stats.cast_sites.len() as u64),
-        ("checked_methods", stats.checked_methods.len() as u64),
-        ("phases", stats.phases),
-        ("cache_entries", stats.cache_entries as u64),
-        ("check_log_len", stats.check_log.len() as u64),
-    ]
+    stats
+        .fields()
+        .into_iter()
+        .map(|(name, _, value)| (name, value))
+        .collect()
 }
 
 /// Renders the stats as a JSON object body (`{"checks_performed":0,..}`).
@@ -208,16 +170,10 @@ pub fn stats_json(stats: &EngineStats) -> String {
 }
 
 /// Renders the stats as Prometheus text lines, one `hb_engine_<field>`
-/// series per field. `cache_entries` and `check_log_len` are
-/// point-in-time gauges; everything else accumulates monotonically
-/// between `reset_stats` calls.
+/// series per field, typed as the stats declaration says.
 pub fn stats_prometheus(stats: &EngineStats) -> String {
     let mut out = String::new();
-    for (name, value) in stat_fields(stats) {
-        let kind = match name {
-            "cache_entries" | "check_log_len" => "gauge",
-            _ => "counter",
-        };
+    for (name, kind, value) in stats.fields() {
         out.push_str(&format!("# TYPE hb_engine_{name} {kind}\n"));
         out.push_str(&format!("hb_engine_{name} {value}\n"));
     }

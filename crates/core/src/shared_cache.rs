@@ -33,7 +33,7 @@ use hb_rdl::{MethodKey, RdlEvent, RdlEventSink};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 
 #[derive(Default)]
 struct Shard {
@@ -76,7 +76,9 @@ pub struct SharedCache {
     misses: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
-    hooks: RwLock<Vec<Arc<dyn CacheEventHook>>>,
+    /// Held weakly: a hook lives exactly as long as its owner (a fleet
+    /// session) keeps it, and dead entries are pruned on the next read.
+    hooks: RwLock<Vec<Weak<dyn CacheEventHook>>>,
 }
 
 impl Default for SharedCache {
@@ -105,20 +107,31 @@ impl SharedCache {
         }
     }
 
-    /// Registers a mutation observer (see [`CacheEventHook`]). Hooks are
-    /// append-only for the tier's lifetime; each fleet-attached tenant
-    /// registers its own tracker.
-    pub fn add_event_hook(&self, hook: Arc<dyn CacheEventHook>) {
+    /// Registers a mutation observer (see [`CacheEventHook`]). The tier
+    /// holds it weakly: once its owner drops the last `Arc` (a tenant's
+    /// fleet session ends, or its attach fails), it is never called
+    /// again and its slot is pruned.
+    pub fn add_event_hook(&self, hook: Weak<dyn CacheEventHook>) {
         self.hooks
             .write()
             .unwrap_or_else(|e| e.into_inner())
             .push(hook);
     }
 
-    /// Snapshot of the registered hooks (cloned out so no hook runs under
-    /// the registry lock).
+    /// The live hooks (upgraded out so no hook runs under the registry
+    /// lock). Dead ones are pruned on the way.
     fn hooks(&self) -> Vec<Arc<dyn CacheEventHook>> {
-        self.hooks.read().unwrap_or_else(|e| e.into_inner()).clone()
+        let hooks = self.hooks.read().unwrap_or_else(|e| e.into_inner());
+        let live: Vec<Arc<dyn CacheEventHook>> = hooks.iter().filter_map(Weak::upgrade).collect();
+        let dead = live.len() < hooks.len();
+        drop(hooks);
+        if dead {
+            self.hooks
+                .write()
+                .unwrap_or_else(|e| e.into_inner())
+                .retain(|h| h.strong_count() > 0);
+        }
+        live
     }
 
     /// Shard by method key only, so an entry family and its eviction path
@@ -521,6 +534,36 @@ mod tests {
         assert_eq!(c.edge_count(), 1);
         assert_eq!(c.evict_method(&key), 1);
         assert_eq!(c.edge_count(), 0, "self edge pruned like any other");
+    }
+
+    /// Counts the inserts it sees.
+    #[derive(Default)]
+    struct CountingHook(AtomicU64);
+
+    impl CacheEventHook for CountingHook {
+        fn on_insert(&self, _key: &MethodKey) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn dropped_hook_is_never_called_again_and_gets_pruned() {
+        let c = SharedCache::new();
+        let kept = Arc::new(CountingHook::default());
+        let dropped = Arc::new(CountingHook::default());
+        c.add_event_hook(Arc::downgrade(&kept) as _);
+        c.add_event_hook(Arc::downgrade(&dropped) as _);
+        c.insert(k("Talk", "title"), der(1, 1, 1, vec![]));
+        let weak = Arc::downgrade(&dropped);
+        drop(dropped);
+        assert!(weak.upgrade().is_none(), "the tier keeps no hook alive");
+        c.insert(k("Talk", "slug"), der(2, 1, 1, vec![]));
+        assert_eq!(
+            kept.0.load(Ordering::Relaxed),
+            2,
+            "live hooks see every insert"
+        );
+        assert_eq!(c.hooks.read().unwrap().len(), 1, "the dead slot was pruned");
     }
 
     #[test]

@@ -28,122 +28,191 @@ pub struct CheckLogItem {
     pub key: MethodKey,
     /// Pass, or blame with its diagnostic code.
     pub outcome: CheckVerdict,
-    /// Wall-clock nanoseconds the check took (lowering + `check_sig`,
-    /// or the failed portion thereof).
-    pub duration_ns: u64,
 }
 
-/// Aggregate engine counters.
-#[derive(Debug, Clone, Default)]
-pub struct EngineStats {
+/// A statistic's exported value: numbers as they are, collections by
+/// their size.
+trait StatValue {
+    fn stat_value(&self) -> u64;
+}
+
+impl StatValue for u64 {
+    fn stat_value(&self) -> u64 {
+        *self
+    }
+}
+
+impl StatValue for usize {
+    fn stat_value(&self) -> u64 {
+        *self as u64
+    }
+}
+
+impl<T> StatValue for BTreeSet<T> {
+    fn stat_value(&self) -> u64 {
+        self.len() as u64
+    }
+}
+
+impl<T> StatValue for VecDeque<T> {
+    fn stat_value(&self) -> u64 {
+        self.len() as u64
+    }
+}
+
+/// The exported series name of a field: its own name unless renamed.
+macro_rules! series_name {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $series:literal) => {
+        $series
+    };
+}
+
+/// Declares [`EngineStats`] once. Each line gives a field's docs, its
+/// Prometheus type (`counter`: never decreases, so readers take deltas
+/// between snapshots; `gauge`: a point-in-time reading), its name and
+/// type, and optionally the series it exports as. The macro emits the
+/// struct and [`EngineStats::fields`], the list every export reads, so
+/// the two cannot drift apart.
+macro_rules! engine_stats {
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident $field:ident: $ty:ty $(=> $series:literal)?,
+    )*) => {
+        /// Aggregate engine counters. Counters only grow over an engine's
+        /// lifetime; a reader that wants the work of one stretch takes the
+        /// difference of two snapshots.
+        #[derive(Debug, Clone, Default)]
+        pub struct EngineStats {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl EngineStats {
+            /// Every field as `(series, Prometheus type, value)`, in
+            /// declaration order: the one list the JSON and Prometheus
+            /// exports and `docs/METRICS.md` follow. Set-valued fields
+            /// export their sizes.
+            pub fn fields(&self) -> Vec<(&'static str, &'static str, u64)> {
+                vec![$((
+                    series_name!($field $($series)?),
+                    stringify!($kind),
+                    StatValue::stat_value(&self.$field),
+                ),)*]
+            }
+        }
+    };
+}
+
+engine_stats! {
     /// Static checks that ran to a successful derivation (misses in both
     /// cache tiers). Blamed runs are counted separately in
     /// `checks_failed`, keeping first-call accounting (`shared_hits +
     /// checks_performed`) and per-derivation cost (`check_ns /
     /// checks_performed`) stable even when failures recur.
-    pub checks_performed: u64,
+    counter checks_performed: u64,
     /// Static checks that ended in blame (the failures are also in
     /// `check_log` with their codes — a blamed first call is no longer
     /// invisible). Failures are never cached, so a repeatedly-called
     /// blamed method increments this on every call.
-    pub checks_failed: u64,
+    counter checks_failed: u64,
     /// Blames swallowed by [`hb_rdl::CheckPolicy::Shadow`]: the check (or
     /// dynamic argument check) failed, the diagnostic was recorded, and
     /// the call proceeded anyway. A canary deploy watches this counter.
-    pub shadowed_blames: u64,
+    counter shadowed_blames: u64,
     /// Calls answered from the per-engine derivation cache (hot tier).
-    pub cache_hits: u64,
+    counter cache_hits: u64,
     /// First calls answered by adopting another tenant's derivation from
     /// the process-wide shared tier (no check run).
-    pub shared_hits: u64,
+    counter shared_hits: u64,
     /// Nanoseconds spent on *successful* derivations (lowering +
     /// `check_sig`) — the numerator matching `checks_performed`.
-    pub check_ns: u64,
+    counter check_ns: u64,
     /// Nanoseconds spent on check runs that ended in blame — the
-    /// numerator matching `checks_failed` (per-entry durations are in
-    /// `check_log`).
-    pub failed_check_ns: u64,
+    /// numerator matching `checks_failed`.
+    counter failed_check_ns: u64,
     /// Nanoseconds spent adopting shared derivations (lookup + structural
     /// validation) instead of deriving.
-    pub shared_adopt_ns: u64,
+    counter shared_adopt_ns: u64,
     /// Calls that went through the engine hook.
-    pub intercepted_calls: u64,
+    counter intercepted_calls: u64,
     /// Check tasks this engine enqueued onto the concurrent scheduler
     /// (deferred JIT admissions and parallel `check_all` fan-out).
-    pub sched_tasks_enqueued: u64,
+    counter sched_tasks_enqueued: u64,
     /// Scheduled tasks whose completions this engine harvested (pass,
     /// blame or contained panic).
-    pub sched_tasks_completed: u64,
+    counter sched_tasks_completed: u64,
     /// Harvested completions discarded because their capture-time
     /// fingerprints no longer matched the engine's state at publication
     /// (entry id, signature version, or epoch/witness validation) — the
     /// stale results that are *never* adopted.
-    pub sched_tasks_stale: u64,
+    counter sched_tasks_stale: u64,
     /// Cold calls admitted immediately under
     /// [`hb_rdl::CheckPolicy::Deferred`]: the static check was enqueued
     /// and the call proceeded under full dynamic checks.
-    pub deferred_admissions: u64,
+    counter deferred_admissions: u64,
     /// Deferred admissions *shed* to a synchronous Enforce check because
     /// the in-flight queue hit its high-water cap
     /// (`HummingbirdBuilder::deferred_queue_cap`): under overload the
     /// engine stops deferring and pays the check inline rather than
     /// growing the queue without bound.
-    pub deferred_shed: u64,
+    counter deferred_shed: u64,
     /// Full snapshot fetches from the fleet daemon (boot-time warm fetch
     /// plus any delta fetch the daemon widened to a full one).
-    pub fleet_fetches: u64,
+    counter fleet_fetches: u64,
     /// Delta fetches from the fleet daemon (entries past this tenant's
     /// watermark only).
-    pub fleet_deltas: u64,
+    counter fleet_deltas: u64,
     /// Locally derived entries published back to the fleet daemon.
-    pub fleet_publishes: u64,
+    counter fleet_publishes: u64,
     /// Eviction notices sent to the fleet daemon (families this tenant's
     /// type-table mutations retired).
-    pub fleet_evictions: u64,
+    counter fleet_evictions: u64,
     /// Dynamic argument checks executed.
-    pub dyn_arg_checks: u64,
+    counter dyn_arg_checks: u64,
     /// Cache invalidations of the method itself.
-    pub invalidations: u64,
+    counter invalidations: u64,
     /// Cache invalidations of dependents (Definition 1(2)).
-    pub dependent_invalidations: u64,
+    counter dependent_invalidations: u64,
     /// Method bodies compiled to register bytecode (bytecode tier only;
     /// bodies outside the compilable subset tree-walk and never count).
-    pub bytecode_compiled: u64,
+    counter bytecode_compiled: u64,
     /// Fast-entry patch events: a cached derivation admitted a
     /// `(receiver class, method entry)` pair onto its checked fast
     /// prologue (hook probe and dynamic argument checks compiled out).
-    pub fast_entries_patched: u64,
+    counter fast_entries_patched: u64,
     /// Deoptimizations: fast entries patched back to the guarded
     /// prologue because their derivation was invalidated (reload,
     /// annotation change, enforcement change, cache flush).
-    pub deopts: u64,
+    counter deopts: u64,
     /// Candidate signatures the whole-program inference pass verified
     /// through the real checker (`Hummingbird::infer`): every candidate
     /// that survived the hypothesis-world fixpoint, whether or not its
     /// registration was new.
-    pub inferred_verified: u64,
+    counter inferred_verified: u64,
     /// Verified candidates actually registered as
     /// [`hb_rdl::AnnotationSource::Inferred`] annotations (a re-run that
     /// re-derives an identical signature verifies but does not re-adopt,
     /// so adoption stays idempotent and the epoch stream quiet).
-    pub inferred_adopted: u64,
+    counter inferred_adopted: u64,
     /// Candidate signatures the checker refuted (each becomes an HB2001
     /// suggestion instead of an annotation).
-    pub inferred_rejected: u64,
+    counter inferred_rejected: u64,
     /// Distinct `rdl_cast` sites seen by the checker (Table 1 "Casts").
-    pub cast_sites: BTreeSet<(u32, u32, u32)>,
+    counter cast_sites: BTreeSet<(u32, u32, u32)>,
     /// Distinct methods statically checked.
-    pub checked_methods: BTreeSet<String>,
+    counter checked_methods: BTreeSet<String>,
     /// Annotate→check alternation groups (Table 1 "Phs").
-    pub phases: u64,
+    counter phases: u64,
     /// Live cache entries at snapshot time.
-    pub cache_entries: usize,
+    gauge cache_entries: usize,
     /// Log of checks performed (drained by the update experiment).
     /// Bounded: passes are naturally capped by the cache (one per
     /// method), but failures are never cached and recur on every call to
     /// a buggy endpoint, so the engine retains only the most recent
     /// [`DEFAULT_CHECK_LOG_CAP`] entries between drains (oldest first).
-    pub check_log: VecDeque<CheckLogItem>,
+    gauge check_log: VecDeque<CheckLogItem> => "check_log_len",
 }
 
 /// Default retention bound for [`EngineStats::check_log`] between

@@ -82,6 +82,21 @@ fn assert_reconciles(hb: &Hummingbird, dispatched: u64, first_calls: u64, label:
         first_calls,
         "{label}: first calls are checks or adoptions: {s:?}"
     );
+    // The duration histogram and the flat stats see the same checks.
+    let h = hb
+        .engine
+        .obs()
+        .expect("observability is on")
+        .check_duration
+        .summary();
+    assert_eq!(
+        (h.count, h.sum),
+        (
+            s.checks_performed + s.checks_failed,
+            s.check_ns + s.failed_check_ns
+        ),
+        "{label}: the check-duration histogram counts and times every check: {s:?}"
+    );
 }
 
 /// One policy × tier configuration: two tenants over one shared tier,
@@ -238,7 +253,6 @@ fn metrics_exports_round_trip() {
     for needle in [
         "# TYPE hb_check_duration_ns histogram",
         "hb_check_duration_ns_count 1",
-        "hb_checks_observed_total 1",
         "hb_engine_checks_performed 1",
         "hb_engine_cache_hits 1",
     ] {
@@ -247,6 +261,22 @@ fn metrics_exports_round_trip() {
             "prometheus must carry {needle}: {prom}"
         );
     }
+
+    let series = |name: &str| -> u64 {
+        prom.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("prometheus must carry {name}: {prom}"))
+    };
+    assert_eq!(
+        series("hb_check_duration_ns_count"),
+        series("hb_engine_checks_performed") + series("hb_engine_checks_failed"),
+        "the histogram counts every check once"
+    );
+    assert_eq!(
+        series("hb_check_duration_ns_sum"),
+        series("hb_engine_check_ns") + series("hb_engine_failed_check_ns"),
+        "the histogram sums the stats' check time"
+    );
 
     let trace = hb.trace_json();
     hummingbird::validate_json(&trace).expect("trace JSON is valid");

@@ -52,15 +52,6 @@ impl Table1Row {
             f64::NAN
         }
     }
-
-    /// No$/Orig overhead ratio.
-    pub fn nocache_ratio(&self) -> f64 {
-        if self.orig_ms > 0.0 {
-            self.nocache_ms / self.orig_ms
-        } else {
-            f64::NAN
-        }
-    }
 }
 
 /// Computes the annotation-count columns from a system that has run the

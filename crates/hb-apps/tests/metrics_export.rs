@@ -43,7 +43,6 @@ fn six_apps_export_parseable_metrics_and_traces() {
         let text = hb.metrics_prometheus();
         let prom = parse_prometheus(&text);
         for series in [
-            "hb_checks_observed_total",
             "hb_check_duration_ns_count",
             "hb_first_request_ns_count",
             "hb_engine_checks_performed",
@@ -53,6 +52,22 @@ fn six_apps_export_parseable_metrics_and_traces() {
                 .unwrap_or_else(|| panic!("{name}: missing series {series}"));
             assert!(*v > 0.0, "{name}: series {series} must be non-zero");
         }
+        // The histogram and the flat stats count and time the same checks.
+        let value = |s: &str| {
+            prom.get(s)
+                .copied()
+                .unwrap_or_else(|| panic!("{name}: missing series {s}"))
+        };
+        assert_eq!(
+            value("hb_check_duration_ns_count"),
+            value("hb_engine_checks_performed") + value("hb_engine_checks_failed"),
+            "{name}: every check is in the duration histogram once"
+        );
+        assert_eq!(
+            value("hb_check_duration_ns_sum"),
+            value("hb_engine_check_ns") + value("hb_engine_failed_check_ns"),
+            "{name}: the histogram sums the stats' check time"
+        );
 
         let trace = hb.trace_json();
         validate_json(&trace).unwrap_or_else(|e| panic!("{name}: bad trace JSON: {e}"));

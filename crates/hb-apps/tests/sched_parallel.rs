@@ -204,18 +204,20 @@ fn talks_storm(policy: CheckPolicy) -> Storm {
             .observability(ObsLevel::Metrics)
             .worker_threads(4),
     );
-    // Checks run while booting are not part of the storm.
+    // Checks run while booting are not part of the storm: counters only
+    // grow, so the storm is the difference of two snapshots.
     hb.sched_quiesce();
     hb.engine.clear_cache();
-    hb.engine.reset_stats();
+    let before = hb.stats();
+    let diagnostics_before = hb.diagnostics().len();
     run_workload(&spec, &mut hb, 1);
     hb.sched_quiesce();
     let s = hb.stats();
     let obs = hb.engine.obs().expect("observability is on");
     Storm {
-        checks_landed: s.checks_performed,
-        deferred_admissions: s.deferred_admissions,
-        diagnostics: hb.diagnostics().len(),
+        checks_landed: s.checks_performed - before.checks_performed,
+        deferred_admissions: s.deferred_admissions - before.deferred_admissions,
+        diagnostics: hb.diagnostics().len() - diagnostics_before,
         check_durations: obs.check_duration.summary().count,
         queue_waits: obs.sched_queue.summary().count,
     }

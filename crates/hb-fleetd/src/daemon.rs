@@ -28,7 +28,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -119,12 +118,8 @@ pub struct FleetDaemon {
     cache: Arc<SharedCache>,
     state: Mutex<DaemonState>,
     config: DaemonConfig,
-    fetches: AtomicU64,
-    deltas: AtomicU64,
-    publishes: AtomicU64,
-    evictions: AtomicU64,
-    compactions: AtomicU64,
-    writebacks: AtomicU64,
+    /// Every counter the daemon keeps; `entries` and `seq` are read from
+    /// the tier and the state when rendered.
     registry: Arc<Registry>,
     /// Requests handled, across opcodes (including ones that errored).
     pub requests_total: Arc<Counter>,
@@ -134,6 +129,12 @@ pub struct FleetDaemon {
     pub request_ns: Arc<Histogram>,
     connections_total: Arc<Counter>,
     connections_closed_total: Arc<Counter>,
+    fetches: Arc<Counter>,
+    deltas: Arc<Counter>,
+    publishes: Arc<Counter>,
+    evictions: Arc<Counter>,
+    compactions: Arc<Counter>,
+    writebacks: Arc<Counter>,
     connections: Mutex<Connections>,
     /// Signalled when shutdown is requested ([`FleetServer::join`]
     /// waits on it).
@@ -181,12 +182,6 @@ impl FleetDaemon {
             cache,
             state: Mutex::new(state),
             config,
-            fetches: AtomicU64::new(0),
-            deltas: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            writebacks: AtomicU64::new(0),
             requests_total: registry.counter(
                 "hb_fleetd_requests_total",
                 "HBFLEET1 requests handled, across all opcodes",
@@ -203,6 +198,12 @@ impl FleetDaemon {
                 "hb_fleetd_connections_closed_total",
                 "client connections closed",
             ),
+            fetches: registry.counter("hb_fleetd_fetches", "full fetches served"),
+            deltas: registry.counter("hb_fleetd_deltas", "delta fetches served"),
+            publishes: registry.counter("hb_fleetd_publishes", "new entries accepted"),
+            evictions: registry.counter("hb_fleetd_evictions", "families evicted by notices"),
+            compactions: registry.counter("hb_fleetd_compactions", "families compacted"),
+            writebacks: registry.counter("hb_fleetd_writebacks", "snapshot writebacks"),
             registry,
             connections: Mutex::new(Connections::default()),
             shutdown_signal: Condvar::new(),
@@ -298,19 +299,20 @@ impl FleetDaemon {
         DaemonStats {
             entries: self.cache.len() as u64,
             seq: st.seq,
-            fetches: self.fetches.load(Ordering::Relaxed),
-            deltas: self.deltas.load(Ordering::Relaxed),
-            publishes: self.publishes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            writebacks: self.writebacks.load(Ordering::Relaxed),
+            fetches: self.fetches.get(),
+            deltas: self.deltas.get(),
+            publishes: self.publishes.get(),
+            evictions: self.evictions.get(),
+            compactions: self.compactions.get(),
+            writebacks: self.writebacks.get(),
         }
     }
 
     /// The daemon-side metrics as Prometheus text (the `STATS_V2`
-    /// opcode): the request counters/histogram from the registry plus
-    /// one `hb_fleetd_<field>` series per [`DaemonStats`] field, which
-    /// `FleetClient::daemon_stats` parses back out.
+    /// opcode): every registry series, then the `entries` and `seq`
+    /// readings. Together they carry one `hb_fleetd_<field>` series per
+    /// [`DaemonStats`] field, which `FleetClient::daemon_stats` parses
+    /// back out.
     pub fn metrics_prometheus(&self) -> String {
         let mut out = self.registry.render_prometheus();
         out.push_str(&self.stats().to_prometheus());
@@ -326,7 +328,7 @@ impl FleetDaemon {
         let snapshot = self.cache.snapshot().to_bytes();
         let (seq, epochs) = (st.seq, st.world);
         drop(st);
-        self.fetches.fetch_add(1, Ordering::Relaxed);
+        self.fetches.inc();
         SnapshotResp {
             delta: false,
             seq,
@@ -375,7 +377,7 @@ impl FleetDaemon {
             .cache
             .snapshot_filtered(|k| keys.contains(k))
             .to_bytes();
-        self.deltas.fetch_add(1, Ordering::Relaxed);
+        self.deltas.inc();
         SnapshotResp {
             delta: true,
             seq: resp_seq,
@@ -431,8 +433,7 @@ impl FleetDaemon {
         }
         st.push_history();
         drop(st);
-        self.publishes
-            .fetch_add(fresh.len() as u64, Ordering::Relaxed);
+        self.publishes.add(fresh.len() as u64);
         Ok(fresh.len() as u64)
     }
 
@@ -467,8 +468,7 @@ impl FleetDaemon {
         }
         st.push_history();
         drop(st);
-        self.evictions
-            .fetch_add(dropped.len() as u64, Ordering::Relaxed);
+        self.evictions.add(dropped.len() as u64);
         dropped.len() as u64
     }
 
@@ -513,8 +513,7 @@ impl FleetDaemon {
             }
         }
         if families_dropped > 0 {
-            self.compactions
-                .fetch_add(families_dropped as u64, Ordering::Relaxed);
+            self.compactions.add(families_dropped as u64);
         }
         families_dropped
     }
@@ -541,7 +540,7 @@ impl FleetDaemon {
             st.tombstones.pop_front();
         }
         drop(st);
-        self.writebacks.fetch_add(1, Ordering::Relaxed);
+        self.writebacks.inc();
         Ok(true)
     }
 

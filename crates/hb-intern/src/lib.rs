@@ -207,11 +207,6 @@ impl Sym {
     }
 }
 
-/// Number of distinct symbols interned so far (diagnostics).
-pub fn interned_count() -> usize {
-    global().len.load(Ordering::Acquire)
-}
-
 /// Identifies a method: class name, instance/class level, method name.
 /// Interned and `Copy` — the engine's cache key, the type table's index,
 /// and the identity that structured diagnostics blame. Lives in the

@@ -143,11 +143,6 @@ impl Interp {
         Rc::make_mut(&mut self.hooks).push(hook);
     }
 
-    /// Removes all hooks (used by the "Orig" benchmark mode).
-    pub fn clear_hooks(&mut self) {
-        Rc::make_mut(&mut self.hooks).clear();
-    }
-
     /// Stores a typed extension (e.g. the RDL state) retrievable by any
     /// builtin.
     pub fn set_extension<T: 'static>(&mut self, ext: Rc<T>) {
@@ -1214,34 +1209,6 @@ impl Interp {
                 )))
             }
         }
-    }
-
-    /// Invokes a resolved method entry, running hooks first.
-    #[allow(clippy::too_many_arguments)]
-    pub fn invoke_entry(
-        &mut self,
-        recv: Value,
-        recv_class: ClassId,
-        class_level: bool,
-        owner: ClassId,
-        entry: MethodEntry,
-        name: &str,
-        args: Vec<Value>,
-        block: Option<Value>,
-        span: Span,
-    ) -> Result<Value, Flow> {
-        self.invoke_entry_inner(
-            recv,
-            recv_class,
-            class_level,
-            owner,
-            entry,
-            name,
-            None,
-            args,
-            block,
-            span,
-        )
     }
 
     #[allow(clippy::too_many_arguments)]

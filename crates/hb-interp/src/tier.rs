@@ -215,14 +215,6 @@ impl ExecTierState {
     pub fn fast_hits(&self) -> u64 {
         self.fast_hits.get()
     }
-
-    /// Resets counters (not the patch table — patched entries stay live).
-    pub fn reset_counters(&self) {
-        self.bytecode_compiled.set(0);
-        self.fast_entries_patched.set(0);
-        self.deopts.set(0);
-        self.fast_hits.set(0);
-    }
 }
 
 impl Default for ExecTierState {

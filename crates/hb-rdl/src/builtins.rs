@@ -343,7 +343,6 @@ fn rdl_cast_builtin(
     };
     let ty = hb_types::parse_type(&type_str)
         .map_err(|e| err(ErrorKind::ArgumentError, format!("rdl_cast: {e}")))?;
-    state.inner.borrow_mut().casts_run += 1;
     if !value_conforms(interp, &recv, &ty) {
         // The cast itself is the blame target: the program asserted a type
         // the value does not have (paper §4 "Type Casts").

@@ -313,10 +313,6 @@ pub struct RdlInner {
     /// per-variable witnesses, so the shared tier's witness-replay path
     /// requires this fingerprint to match exactly.
     var_fp: u64,
-    /// Count of dynamic contract checks executed (arguments + casts).
-    pub dyn_checks_run: u64,
-    /// Count of casts executed at run time.
-    pub casts_run: u64,
     /// Every blame diagnostic produced, in emission order, capped at
     /// `diagnostics_cap` (oldest dropped first). One shared store for all
     /// layers — the engine's check/dynamic-argument blames and this
@@ -343,10 +339,10 @@ pub struct RdlInner {
 /// A copy of an [`RdlState`]'s type table, taken by
 /// [`RdlState::capture_table`] and planted in a fresh state by
 /// [`RdlState::seed_table`]: the entries, the variable types, the `used`
-/// set, the version counter, both rolling fingerprints and the dynamic
-/// check and cast counters. Entries stay behind their `Rc`s, so a capture
-/// and every state seeded from it share them until one is changed;
-/// [`RdlState::add_type_at`] copies an entry before changing it.
+/// set, the version counter and both rolling fingerprints. Entries stay
+/// behind their `Rc`s, so a capture and every state seeded from it share
+/// them until one is changed; [`RdlState::add_type_at`] copies an entry
+/// before changing it.
 pub struct TableCapture {
     table: hb_intern::FastMap<MethodKey, Rc<TableEntry>>,
     ivar_types: HashMap<(String, String), (Type, Span)>,
@@ -356,8 +352,6 @@ pub struct TableCapture {
     version_counter: u64,
     table_fp: u64,
     var_fp: u64,
-    dyn_checks_run: u64,
-    casts_run: u64,
 }
 
 /// Shared, internally mutable RDL state. Stored as an interpreter extension
@@ -635,11 +629,6 @@ impl RdlState {
         None
     }
 
-    /// Registers a class-variable type (no declaration site).
-    pub fn set_cvar_type(&self, class: &str, cvar: &str, ty: Type) {
-        self.set_cvar_type_at(class, cvar, ty, Span::dummy());
-    }
-
     /// Registers a class-variable type with its declaration site.
     pub fn set_cvar_type_at(&self, class: &str, cvar: &str, ty: Type, span: Span) {
         let mut inner = self.inner.borrow_mut();
@@ -881,11 +870,6 @@ impl RdlState {
         self.inner.borrow().shadowed_blames
     }
 
-    /// Zeroes the shadowed-blame counter (statistics reset).
-    pub fn reset_shadowed_blames(&self) {
-        self.inner.borrow_mut().shadowed_blames = 0;
-    }
-
     /// Resolves the effective policy for a dispatch: method override
     /// (receiver key, then annotation key), class override (receiver
     /// class, then annotation class), then the global policy.
@@ -911,11 +895,6 @@ impl RdlState {
     /// The retained blame diagnostics, oldest first.
     pub fn diagnostics(&self) -> Vec<TypeDiagnostic> {
         self.inner.borrow().diagnostics.iter().cloned().collect()
-    }
-
-    /// Clears the retained diagnostics.
-    pub fn clear_diagnostics(&self) {
-        self.inner.borrow_mut().diagnostics.clear();
     }
 
     /// Drains pending type-table events.
@@ -962,8 +941,6 @@ impl RdlState {
             version_counter: inner.version_counter,
             table_fp: inner.table_fp,
             var_fp: inner.var_fp,
-            dyn_checks_run: inner.dyn_checks_run,
-            casts_run: inner.casts_run,
         }
     }
 
@@ -989,8 +966,6 @@ impl RdlState {
         inner.version_counter = capture.version_counter;
         inner.table_fp = capture.table_fp;
         inner.var_fp = capture.var_fp;
-        inner.dyn_checks_run = capture.dyn_checks_run;
-        inner.casts_run = capture.casts_run;
     }
 
     /// Snapshot statistics for the evaluation tables.
@@ -1014,8 +989,6 @@ impl RdlState {
             }
         }
         s.used_total = inner.used.len();
-        s.dyn_checks_run = inner.dyn_checks_run;
-        s.casts_run = inner.casts_run;
         s
     }
 
@@ -1054,8 +1027,6 @@ pub struct RdlStats {
     /// Entries registered by the checker-verified inference pass.
     pub inferred_annotations: usize,
     pub used_total: usize,
-    pub dyn_checks_run: u64,
-    pub casts_run: u64,
 }
 
 #[cfg(test)]

@@ -50,8 +50,6 @@ struct PoolShared {
     paused: AtomicBool,
     /// Round-robin submission cursor.
     next: AtomicUsize,
-    /// Tasks executed over the pool's lifetime (including panicked ones).
-    executed: AtomicU64,
     /// Tasks whose execution panicked (and was contained).
     panicked: AtomicU64,
     /// Test instrumentation: keys whose tasks deliberately panic on the
@@ -105,7 +103,6 @@ impl PoolShared {
         if result.is_err() {
             self.panicked.fetch_add(1, Ordering::Relaxed);
         }
-        self.executed.fetch_add(1, Ordering::Relaxed);
     }
 
     fn execute_check(&self, task: CheckTask) {
@@ -137,7 +134,6 @@ impl PoolShared {
                 TaskVerdict::Panicked(panic_message(payload))
             }
         };
-        self.executed.fetch_add(1, Ordering::Relaxed);
         let duration_ns = t0.elapsed().as_nanos() as u64;
         let completions = task.completions.clone();
         completions.complete(task.into_completion(verdict, duration_ns, queue_ns));
@@ -187,7 +183,6 @@ impl Scheduler {
             shutdown: AtomicBool::new(false),
             paused: AtomicBool::new(false),
             next: AtomicUsize::new(0),
-            executed: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
             panic_keys: Mutex::new(HashSet::new()),
         });
@@ -269,11 +264,6 @@ impl Scheduler {
         self.shared.paused.store(false, Ordering::Release);
         let _gate = self.shared.gate.lock().unwrap_or_else(|e| e.into_inner());
         self.shared.wake.notify_all();
-    }
-
-    /// Tasks executed so far (including contained panics).
-    pub fn tasks_executed(&self) -> u64 {
-        self.shared.executed.load(Ordering::Relaxed)
     }
 
     /// Tasks whose execution panicked and was contained.

@@ -350,11 +350,6 @@ impl MethodSig {
             self.arms.push(mt);
         }
     }
-
-    /// True if any arm declares a block parameter.
-    pub fn takes_block(&self) -> bool {
-        self.arms.iter().any(|a| a.block.is_some())
-    }
 }
 
 impl fmt::Display for MethodSig {
