@@ -48,8 +48,7 @@ impl Engine {
         trigger: Option<Span>,
         mut policy: CheckPolicy,
     ) -> Result<bool, HbError> {
-        let caching = self.config.borrow().caching;
-        if caching
+        if self.caching
             && self
                 .state
                 .borrow()
@@ -71,7 +70,7 @@ impl Engine {
         // lowers, let alone checks.
         let captured = captured_env(interp, &info.entry);
         let body_fp = body_fingerprint(interp, &info.entry, captured.as_ref());
-        let shared = self.shared.borrow().clone().filter(|_| caching);
+        let shared = self.shared.borrow().clone().filter(|_| self.caching);
         if let (Some(shared), Some(fp)) = (shared, body_fp) {
             if let Some(d) = shared.lookup(cache_key, info.entry.id, table_entry.version, fp) {
                 let mut st = self.state.borrow_mut();

@@ -115,9 +115,6 @@ impl CallHook for Engine {
         _recv: &Value,
         args: &[Value],
     ) -> Result<HookOutcome, HbError> {
-        if !self.config.borrow().enabled {
-            return Ok(HookOutcome::default());
-        }
         self.process_events(interp);
         // Scheduler completions land here, on the interpreter thread —
         // the default (scheduler-less) configuration pays one `Cell`
@@ -167,10 +164,7 @@ impl CallHook for Engine {
 
         // Dynamic argument checks: only from unchecked callers, unless the
         // method is flagged always-check (the Rails params exception).
-        let cfg = self.config.borrow();
-        let need_dyn = cfg.dyn_arg_checks
-            && (!interp.current_caller_checked() || table_entry.always_dyn_check);
-        drop(cfg);
+        let need_dyn = !interp.current_caller_checked() || table_entry.always_dyn_check;
         let mut dyn_shadowed = false;
         if need_dyn {
             let dyn_result = self.dynamic_arg_check(
@@ -228,7 +222,7 @@ impl CallHook for Engine {
                     // the table.
                     if mark_checked
                         && interp.tier.bytecode_enabled()
-                        && self.config.borrow().caching
+                        && self.caching
                         && self.rdl.policies_trivial()
                         && self.rdl.no_pre_named(info.name, info.class_level)
                         && !table_entry.always_dyn_check

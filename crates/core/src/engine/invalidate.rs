@@ -182,7 +182,7 @@ impl Engine {
     /// Definition 1. Counts only actual removals: invalidating a key that
     /// was never cached (or already invalidated) is a no-op, not a
     /// statistic.
-    pub(super) fn invalidate(st: &mut EngineState, key: &MethodKey) {
+    fn invalidate(st: &mut EngineState, key: &MethodKey) {
         if st.retire(key) {
             st.stats.invalidations += 1;
             Self::note_invalidated(st, key);

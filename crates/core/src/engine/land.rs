@@ -224,7 +224,7 @@ impl Engine {
         } else {
             self.record_check(st, key, CheckVerdict::Pass, ns, how);
         }
-        if !self.config.borrow().caching {
+        if !self.caching {
             return;
         }
         // A stale entry (old entry id / sig version) may still be present:

@@ -45,29 +45,6 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Engine configuration — the evaluation's three modes are built from
-/// these switches.
-#[derive(Debug, Clone, Copy)]
-pub struct Config {
-    /// Master switch: when false the hook does nothing (used with cleared
-    /// hooks for the "Orig" column).
-    pub enabled: bool,
-    /// Memoise static checks (off for the "No$" column).
-    pub caching: bool,
-    /// Dynamically check arguments from unchecked callers.
-    pub dyn_arg_checks: bool,
-}
-
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            enabled: true,
-            caching: true,
-            dyn_arg_checks: true,
-        }
-    }
-}
-
 /// One cached derivation as reported by [`Engine::cache_dump`]: the cache
 /// key plus everything its validity depends on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,7 +187,8 @@ impl EngineState {
 /// host application through `Rc`.
 pub struct Engine {
     pub rdl: Rc<RdlState>,
-    config: RefCell<Config>,
+    /// Memoise derivations (off only for the "No$" column of Table 1).
+    caching: bool,
     state: RefCell<EngineState>,
     check_opts: CheckOptions,
     /// Retention bound for the check log between drains (see
@@ -242,11 +220,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine over the given RDL state.
-    pub fn new(rdl: Rc<RdlState>) -> Engine {
+    /// Creates an engine over the given RDL state; `caching` false is the
+    /// "No$" mode, which re-checks on every call.
+    pub fn new(rdl: Rc<RdlState>, caching: bool) -> Engine {
         Engine {
             rdl,
-            config: RefCell::new(Config::default()),
+            caching,
             state: RefCell::new(EngineState::default()),
             check_opts: CheckOptions::default(),
             check_log_cap: Cell::new(crate::stats::DEFAULT_CHECK_LOG_CAP),
@@ -294,18 +273,6 @@ impl Engine {
         self.deferred_cap.set(cap);
     }
 
-    /// Retires local derivations for the given methods: each key's cached
-    /// entry is invalidated along with its dependents, and any patched
-    /// fast entry is deoptimized back to the guarded prologue. The fleet
-    /// client calls this after applying a daemon delta (covered or
-    /// tombstoned families must be re-validated, not trusted).
-    pub fn retire_methods(&self, keys: &[MethodKey]) {
-        let mut st = self.state.borrow_mut();
-        for key in keys {
-            Self::invalidate(&mut st, key);
-        }
-    }
-
     /// Counts work done outside the engine's own paths: fleet sessions
     /// and inference run beside the engine, but what they did is an
     /// engine-level fact, so it lands in the same statistics.
@@ -339,53 +306,6 @@ impl Engine {
     /// The attached shared tier, if any.
     pub fn shared_cache(&self) -> Option<Arc<SharedCache>> {
         self.shared.borrow().clone()
-    }
-
-    /// Loads a snapshot into the attached shared tier of a *live* system —
-    /// the rolling-deploy artifact push, as opposed to the fresh-process
-    /// warm boot ([`SharedCache::load_snapshot`]). The entries land in the
-    /// shared tier through the normal load path; in addition, every local
-    /// cached derivation for a method the snapshot covers is retired —
-    /// with its dependents, and with its patched fast entry deoptimized
-    /// back to the guarded prologue — so the tenant's next dispatch
-    /// re-validates against the fresh artifact (adopting it when the
-    /// worlds agree, re-checking when they don't) instead of trusting a
-    /// derivation the artifact may supersede. Re-validation re-patches:
-    /// steady state returns one guarded call later.
-    ///
-    /// Eviction before re-validation is the conservative direction, so
-    /// this is sound for any snapshot the shared tier would accept; a
-    /// malformed snapshot returns `Err` with nothing applied.
-    pub fn load_snapshot(
-        &self,
-        snap: &crate::snapshot::CacheSnapshot,
-    ) -> Result<usize, crate::snapshot::SnapshotError> {
-        let shared = self
-            .shared
-            .borrow()
-            .clone()
-            .ok_or(crate::snapshot::SnapshotError::NoSharedTier)?;
-        // Translate (and thereby validate) the coverage set before
-        // touching either tier, mirroring the shared loader's two-phase
-        // contract: Err means nothing happened.
-        let keys = snap.method_keys()?;
-        let loaded = shared.load_snapshot(snap)?;
-        self.retire_methods(&keys);
-        Ok(loaded)
-    }
-
-    /// Current configuration.
-    pub fn config(&self) -> Config {
-        *self.config.borrow()
-    }
-
-    /// Replaces the configuration.
-    pub fn set_config(&self, c: Config) {
-        *self.config.borrow_mut() = c;
-        // A mode change (caching off, checks off, dynamic checks off)
-        // alters what the guarded prologue would do — fast entries were
-        // admitted under the old configuration, so drop them all.
-        self.state.borrow().flush_fast_entries();
     }
 
     /// Snapshot of the statistics.

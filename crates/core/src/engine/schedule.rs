@@ -420,11 +420,10 @@ impl Engine {
         let sched = self
             .scheduler()
             .unwrap_or_else(|| Arc::new(Scheduler::new(jobs)));
-        let caching = self.config.borrow().caching;
         for m in self.eligible_methods(interp) {
             // Already valid in the hot tier: the sweep will hit it; no
             // task needed.
-            if caching
+            if self.caching
                 && self
                     .state
                     .borrow()

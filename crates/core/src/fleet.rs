@@ -22,6 +22,16 @@
 //! degrade the same way: the session detaches and the tenant falls back
 //! to purely local checking.
 //!
+//! Nothing that arrives from the daemon retires a local derivation. Under
+//! paper Definition 1 a cached derivation stays valid until the tenant's
+//! own world changes, and neither a fetched entry nor another tenant's
+//! tombstone changes it. A sync ([`crate::Hummingbird::fleet_sync`])
+//! therefore only adds candidates to the shared tier and evicts
+//! tombstoned families from it; the engine's Definition 1 invalidation,
+//! driven by the tenant's own interpreter and type-table events, is the
+//! one place a local derivation is retired. A writer's own publications
+//! coming back in its next delta cost nothing.
+//!
 //! # Watermarks and deltas
 //!
 //! Fetch responses carry an opaque watermark — the daemon's publication
@@ -673,7 +683,9 @@ pub struct FleetSyncReport {
     /// Entries in the fetched snapshot (zero when the fleet is quiet —
     /// the steady-state delta).
     pub fetched_entries: usize,
-    /// Tombstoned families applied from the fetch.
+    /// Tombstoned families the fetch evicted from the shared tier.
+    /// Local derivations of those methods stay cached until this
+    /// tenant's own events retire them.
     pub tombstones: usize,
     /// True when the fetch was served as a delta (false: full snapshot,
     /// including the watermark-invalid fallback).
@@ -737,10 +749,13 @@ impl FleetSession {
 
     /// One synchronization round: drain pending eviction notices and
     /// publications to the daemon, then fetch the delta past the
-    /// current watermark and apply it (tombstones evicted, entries
-    /// loaded as candidates, covered local derivations retired so the
-    /// next dispatch re-validates). Failed sends restore their pending
-    /// state, so a transient error loses nothing.
+    /// current watermark and apply it to the shared tier: tombstoned
+    /// families are evicted, which keeps the tier bounded, and fetched
+    /// entries load as candidates for the next local miss. The engine's
+    /// own derivations are left alone; a fetched entry or another
+    /// tenant's tombstone changes nothing in this tenant's world, so
+    /// only its own events retire them (Definition 1). Failed sends
+    /// restore their pending state, so a transient error loses nothing.
     pub(crate) fn sync(
         &mut self,
         engine: &Engine,
@@ -816,15 +831,10 @@ impl FleetSession {
             for key in &resp.tombstones {
                 self.shared.evict_method(key);
             }
-            if report.fetched_entries > 0 {
-                // Loads into the shared tier and retires covered local
-                // derivations (fast entries deoptimized) so the next
-                // dispatch re-validates against the fresh entries.
-                engine.load_snapshot(&snap).map_err(FleetError::Snapshot)?;
-            }
+            self.shared
+                .load_snapshot(&snap)
+                .map_err(FleetError::Snapshot)?;
         }
-        // Tombstoned families must re-validate locally too.
-        engine.retire_methods(&resp.tombstones);
         self.watermark = Some(FleetWatermark {
             seq: resp.seq,
             epochs: resp.epochs,

@@ -80,7 +80,7 @@ pub mod stats;
 pub use analyze::AnalysisReport;
 pub use corelib::{corelib_stats, CorelibStats};
 pub use derivation::{Derivation, Epochs};
-pub use engine::{CacheDumpEntry, Config, Engine};
+pub use engine::{CacheDumpEntry, Engine};
 pub use fleet::{FleetClient, FleetError, FleetSyncReport, FleetWatermark};
 pub use hb_analyze::ResidueSummary;
 pub use infer::InferReport;
@@ -353,7 +353,7 @@ impl HummingbirdBuilder {
     pub fn build(self) -> Hummingbird {
         let mut interp = Interp::new();
         let rdl = install_rdl(&mut interp);
-        let engine = Rc::new(Engine::new(rdl.clone()));
+        let engine = Rc::new(Engine::new(rdl.clone(), self.mode != Mode::NoCache));
         engine.set_observability(self.observability);
         let mut shared = self.shared;
         if self.fleet_socket.is_some() && shared.is_none() {
@@ -385,11 +385,6 @@ impl HummingbirdBuilder {
         // Attach regardless of tier so invalidation always depatches: a
         // patch table must never outlive the derivation it mirrors.
         engine.attach_exec_tier(interp.tier.clone());
-        engine.set_config(Config {
-            enabled: self.mode != Mode::Original,
-            caching: self.mode != Mode::NoCache,
-            dyn_arg_checks: self.mode != Mode::Original,
-        });
         if self.policy != CheckPolicy::Enforce {
             rdl.set_global_policy(self.policy);
         }
@@ -600,24 +595,13 @@ impl Hummingbird {
     // ----- snapshots ---------------------------------------------------------
 
     /// Serializes the attached shared derivation tier into a portable
-    /// [`CacheSnapshot`] — the artifact a freshly booted process loads
-    /// ([`SharedCache::load_snapshot`]) to warm-start from disk. `None`
-    /// when the system has no shared tier (build with
+    /// [`CacheSnapshot`] — the artifact another tier loads with
+    /// [`SharedCache::load_snapshot`], whether a freshly booted process
+    /// warm-starting from disk or a live one taking a rolling-deploy
+    /// push. `None` when the system has no shared tier (build with
     /// [`HummingbirdBuilder::shared_cache`]).
     pub fn snapshot(&self) -> Option<CacheSnapshot> {
         self.engine.shared_cache().map(|s| s.snapshot())
-    }
-
-    /// Loads a [`CacheSnapshot`] into this *live* system — the
-    /// rolling-deploy artifact push. The entries land in the attached
-    /// shared tier, and every local derivation for a method the snapshot
-    /// covers is retired (its bytecode-tier fast entry deoptimized back
-    /// to the guarded prologue) so the next dispatch re-validates against
-    /// the fresh artifact and re-patches. Returns the number of shared
-    /// entries loaded; [`SnapshotError::NoSharedTier`] when the system was
-    /// built without [`HummingbirdBuilder::shared_cache`].
-    pub fn load_snapshot(&mut self, snap: &CacheSnapshot) -> Result<usize, SnapshotError> {
-        self.engine.load_snapshot(snap)
     }
 
     // ----- fleet serving ------------------------------------------------------
@@ -640,9 +624,12 @@ impl Hummingbird {
 
     /// One fleet synchronization round: sends this tenant's pending
     /// eviction notices and locally derived publications to the daemon,
-    /// then fetches and applies the delta past the current watermark
-    /// (tombstoned families evicted and retired, fetched entries loaded
-    /// as *candidates* that the normal adoption funnel validates).
+    /// then fetches and applies the delta past the current watermark to
+    /// the shared tier: tombstoned families are evicted and fetched
+    /// entries load as *candidates* that the normal adoption funnel
+    /// validates on the next miss. Local derivations are left alone;
+    /// only this system's own interpreter and type-table events retire
+    /// them.
     ///
     /// # Errors
     ///

@@ -404,6 +404,12 @@ impl SharedCache {
     /// or divergent snapshot degrades to re-checking, never to unsound
     /// adoption.
     ///
+    /// This is the one way derivations from elsewhere enter a process: a
+    /// snapshot file at boot, a rolling-deploy push into a live tier, and
+    /// every fleet fetch. It retires no tenant's cached derivations; those
+    /// stay valid until the tenant's own world changes, and a loaded entry
+    /// is considered at the tenant's next local cache miss.
+    ///
     /// # Errors
     ///
     /// [`crate::snapshot::SnapshotError::BadSymbol`] when an entry

@@ -12,6 +12,13 @@
 //! process, which then resolves its first calls by adoption straight from
 //! disk.
 //!
+//! The same call is the rolling-deploy artifact push into a *live*
+//! process: it adds entries to that process's shared tier and retires
+//! nothing. A tenant's cached derivations stay valid until its own world
+//! changes (paper Definition 1), which a foreign artifact cannot do. A
+//! pushed entry is considered at the tenant's next local cache miss,
+//! through the adoption gate below.
+//!
 //! # Symbol portability
 //!
 //! [`hb_intern::Sym`] indices are assigned in process-local interning
@@ -122,9 +129,6 @@ pub enum SnapshotError {
     BadUtf8,
     /// A symbol reference pointed outside the dictionary.
     BadSymbol(u32),
-    /// [`crate::Hummingbird::load_snapshot`] was called on a system with
-    /// no attached shared tier — there is nowhere for the entries to go.
-    NoSharedTier,
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -138,9 +142,6 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadUtf8 => write!(f, "snapshot symbol dictionary is not UTF-8"),
             SnapshotError::BadSymbol(id) => {
                 write!(f, "snapshot references unknown symbol id {id}")
-            }
-            SnapshotError::NoSharedTier => {
-                write!(f, "no shared cache attached to load the snapshot into")
             }
         }
     }
@@ -214,25 +215,6 @@ impl CacheSnapshot {
     /// Number of dictionary symbols.
     pub fn symbol_count(&self) -> usize {
         self.symbols.len()
-    }
-
-    /// The method keys this snapshot carries derivations for, interned
-    /// into the live process. This is the coverage set a live-system load
-    /// ([`crate::Hummingbird::load_snapshot`]) retires locally: every
-    /// listed method re-validates against the fresh artifact on its next
-    /// call instead of trusting a derivation the artifact may supersede.
-    pub fn method_keys(&self) -> Result<Vec<MethodKey>, SnapshotError> {
-        let dict = SymDictReader::new(self.symbols.iter().map(String::as_str));
-        let sym = |id: u32| dict.sym(id).ok_or(SnapshotError::BadSymbol(id));
-        let mut keys = Vec::with_capacity(self.entries.len());
-        for e in &self.entries {
-            keys.push(MethodKey {
-                class: sym(e.key.class)?,
-                class_level: e.key.class_level,
-                method: sym(e.key.method)?,
-            });
-        }
-        Ok(keys)
     }
 
     /// Every entry's `(method key, entry id, sig version, body

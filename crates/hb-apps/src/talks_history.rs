@@ -2,8 +2,8 @@
 //! Talks") and the seven-version live-update sequence (Table 2).
 
 use crate::apps::talks;
-use crate::build_app;
-use hummingbird::{ErrorKind, Hummingbird, Mode, ReloadReport, TypeDiagnostic};
+use crate::{build_app, build_app_with};
+use hummingbird::{ErrorKind, Hummingbird, HummingbirdBuilder, Mode, ReloadReport, TypeDiagnostic};
 
 /// One historical error version: the buggy code (re-opening a class), the
 /// request that triggers the check, the expected blame fragment, and the
@@ -256,8 +256,18 @@ talks_requests
 /// Runs the full update experiment: boot v0, replay requests, then apply
 /// v1..v6 as live reloads, replaying the same requests after each.
 pub fn run_update_experiment() -> Vec<UpdateRow> {
+    run_update_experiment_with(Hummingbird::builder(), |_, _| {})
+}
+
+/// [`run_update_experiment`] on a Talks system assembled from `builder`
+/// (a fleet-attached writer, say). `after` runs with each version's row
+/// once it is recorded, so its own work never counts toward the row.
+pub fn run_update_experiment_with(
+    builder: HummingbirdBuilder,
+    mut after: impl FnMut(&mut Hummingbird, &UpdateRow),
+) -> Vec<UpdateRow> {
     let spec = talks();
-    let mut hb = build_app(&spec, Mode::Full);
+    let mut hb = build_app_with(&spec, builder);
     let versions = update_versions();
     let mut rows = Vec::new();
     let mut first = true;
@@ -281,21 +291,28 @@ pub fn run_update_experiment() -> Vec<UpdateRow> {
                 .expect("reload applies")
         };
         hb.engine.take_check_log();
-        run_requests(&mut hb);
+        run_update_requests(&mut hb);
         let checked = hb.engine.take_check_log().len();
-        rows.push(UpdateRow {
+        let row = UpdateRow {
             version: label.to_string(),
             changed: report.changed.len(),
             added: report.added.len(),
             removed: report.removed.len(),
             deps: report.dependents_invalidated,
             checked,
-        });
+        };
+        after(&mut hb, &row);
+        rows.push(row);
     }
     rows
 }
 
-fn run_requests(hb: &mut Hummingbird) {
+/// Replays the update experiment's request script once.
+///
+/// # Panics
+///
+/// Panics if a request fails (the script is expected to pass).
+pub fn run_update_requests(hb: &mut Hummingbird) {
     hb.eval(UPDATE_REQUESTS)
         .unwrap_or_else(|e| panic!("update requests failed: {e}"));
 }

@@ -440,7 +440,7 @@ impl FleetDaemon {
     /// Applies eviction notices: each named family is dropped together
     /// with the families of its dependents (their derivations consulted
     /// the evicted signature), and every family actually removed is
-    /// tombstoned so delta clients retire it too. Returns the number of
+    /// tombstoned so delta clients evict it too. Returns the number of
     /// families dropped.
     pub fn evict(&self, keys: &[MethodKey]) -> u64 {
         let mut dropped: Vec<MethodKey> = Vec::new();

@@ -319,6 +319,47 @@ fn fleet_attached_tenant_publishes_and_a_fresh_tenant_boots_warm() {
 }
 
 #[test]
+fn a_writer_adopts_another_tenants_derivation_of_its_own_redefinition() {
+    let (_daemon, _server, path) = start_daemon("no-sharing-lost", DaemonConfig::default());
+    // Two tenants, each with its own shared tier, boot the same world.
+    let boot = || {
+        let mut hb = Hummingbird::builder().fleet_socket(&path).build();
+        assert!(hb.fleet_attached(), "{:?}", hb.fleet_error());
+        hb.load_file("farm.rb", FARM_RB).unwrap();
+        hb.eval("Farm.new.a").unwrap();
+        hb.fleet_sync().expect("boot sync");
+        hb
+    };
+    let mut writer = boot();
+    let mut other = boot();
+    const REDEFINED_A: &str = "class Farm\n  def a\n    10\n  end\nend\n";
+
+    // The writer redefines `Farm#a` and syncs without calling it: its
+    // eviction notice tombstones the family, and it holds no derivation
+    // of the new body.
+    writer.load_file("farm_a.rb", REDEFINED_A).unwrap();
+    writer.fleet_sync().expect("writer sync");
+
+    // The other tenant loads the same redefinition, derives it and
+    // publishes.
+    other.load_file("farm_a.rb", REDEFINED_A).unwrap();
+    other.eval("Farm.new.a").unwrap();
+    assert!(
+        other.fleet_sync().expect("other sync").published >= 1,
+        "the new derivation is published"
+    );
+
+    // The writer's next sync fetches it, and the writer's first call of
+    // the new body adopts it instead of checking.
+    writer.fleet_sync().expect("writer fetch");
+    let before = writer.stats();
+    writer.eval("Farm.new.a").unwrap();
+    let after = writer.stats();
+    assert_eq!(after.shared_hits, before.shared_hits + 1, "{after:?}");
+    assert_eq!(after.checks_performed, before.checks_performed, "{after:?}");
+}
+
+#[test]
 fn sync_failure_detaches_the_session_and_tenant_degrades_to_local() {
     let (_daemon, server, path) = start_daemon("detach", DaemonConfig::default());
     let mut tenant = Hummingbird::builder().fleet_socket(&path).build();
