@@ -48,12 +48,10 @@ impl Engine {
                 continue;
             }
             arity_ok = true;
-            let all = args.iter().enumerate().all(|(i, a)| match arm.param_at(i) {
-                // Var-free params (the common case) are checked in place;
-                // only polymorphic annotations pay the erase-and-rebuild.
-                Some(pt) if pt.has_vars() => value_conforms(interp, a, &pt.erase_vars()),
-                Some(pt) => value_conforms(interp, a, pt),
-                None => false,
+            // `value_conforms` accepts type variables as `%any`.
+            let all = args.iter().enumerate().all(|(i, a)| {
+                arm.param_at(i)
+                    .is_some_and(|pt| value_conforms(interp, a, pt))
             });
             if all {
                 return Ok(());

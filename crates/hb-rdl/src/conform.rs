@@ -46,21 +46,16 @@ pub fn value_conforms(interp: &Interp, v: &Value, ty: &Type) -> bool {
                 .is_descendant_name(interp.registry.name(have), n)
         }
         Type::Generic(n, args) => {
+            let arg = |i: usize| args.get(i).unwrap_or(&Type::Any);
             match (n.as_str(), v) {
-                ("Array", Value::Array(a)) => {
-                    let elem = args.first().cloned().unwrap_or(Type::Any);
-                    a.borrow().iter().all(|e| value_conforms(interp, e, &elem))
-                }
+                ("Array", Value::Array(a)) => all_conform(interp, a.borrow().iter(), arg(0)),
                 ("Hash", Value::Hash(h)) => {
-                    let kt = args.first().cloned().unwrap_or(Type::Any);
-                    let vt = args.get(1).cloned().unwrap_or(Type::Any);
-                    h.borrow().iter().all(|(k, val)| {
-                        value_conforms(interp, k, &kt) && value_conforms(interp, val, &vt)
-                    })
+                    let h = h.borrow();
+                    all_conform(interp, h.iter().map(|(k, _)| k), arg(0))
+                        && all_conform(interp, h.iter().map(|(_, val)| val), arg(1))
                 }
                 ("Range", Value::Range(r)) => {
-                    let elem = args.first().cloned().unwrap_or(Type::Any);
-                    value_conforms(interp, &r.0, &elem) && value_conforms(interp, &r.1, &elem)
+                    value_conforms(interp, &r.0, arg(0)) && value_conforms(interp, &r.1, arg(0))
                 }
                 _ => {
                     // Other generics conform by base class.
@@ -78,6 +73,12 @@ pub fn value_conforms(interp: &Interp, v: &Value, ty: &Type) -> bool {
             _ => false,
         },
     }
+}
+
+/// Does every element conform to `ty`? At once for `%any` and type
+/// variables, which every value conforms to.
+fn all_conform<'a>(interp: &Interp, mut elems: impl Iterator<Item = &'a Value>, ty: &Type) -> bool {
+    matches!(ty, Type::Any | Type::Var(_)) || elems.all(|e| value_conforms(interp, e, ty))
 }
 
 #[cfg(test)]
@@ -129,6 +130,16 @@ mod tests {
         let h = Value::hash_from(vec![(Value::str("k"), Value::Int(1))]);
         assert!(value_conforms(&i, &h, &t("Hash<String, Fixnum>")));
         assert!(!value_conforms(&i, &h, &t("Hash<Symbol, Fixnum>")));
+        // Mixed arrays and hashes: every element is checked.
+        let tail = Value::array(vec![Value::Int(1), Value::Int(2), Value::str("x")]);
+        assert!(!value_conforms(&i, &tail, &t("Array<Fixnum>")));
+        let row = Value::hash_from(vec![
+            (Value::str("a"), Value::Int(1)),
+            (Value::str("b"), Value::str("x")),
+            (Value::sym("c"), Value::Nil),
+        ]);
+        assert!(value_conforms(&i, &row, &t("Hash<String or Symbol, %any>")));
+        assert!(!value_conforms(&i, &row, &t("Hash<String, %any>")));
     }
 
     #[test]

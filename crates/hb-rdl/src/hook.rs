@@ -20,33 +20,21 @@ impl CallHook for RdlHook {
         recv: &Value,
         args: &[Value],
     ) -> Result<HookOutcome, HbError> {
-        // Fast path: nothing registered anywhere — stay off the chain walk.
-        if self.state.no_pres() {
+        // Fast path: no pre under this method name — one map probe.
+        if self.state.no_pre_named(info.name, info.class_level) {
             return Ok(HookOutcome::default());
         }
         // Pre contracts may be registered against the defining module or any
         // class in the receiver's ancestry (Fig. 1 registers on the
         // framework module; Fig. 2 style registers on the mixing class), so
         // gather along the whole chain — by interned symbol, no strings.
-        let mut pres = Vec::new();
-        let mut saw_owner = false;
-        for (cid, class) in interp.registry.ancestor_syms(info.recv_class) {
-            saw_owner |= cid == info.owner;
-            let key = MethodKey {
-                class,
-                class_level: info.class_level,
-                method: info.name,
-            };
-            self.state.pres_into(&key, &mut pres);
-        }
-        if !saw_owner {
-            let key = MethodKey {
-                class: interp.registry.name_sym(info.owner),
-                class_level: info.class_level,
-                method: info.name,
-            };
-            self.state.pres_into(&key, &mut pres);
-        }
+        let reg = &interp.registry;
+        let owner_outside = !reg.ancestor_chain(info.recv_class).contains(&info.owner);
+        let classes = reg
+            .ancestor_syms(info.recv_class)
+            .map(|(_, class)| class)
+            .chain(owner_outside.then(|| reg.name_sym(info.owner)));
+        let pres = self.state.pres_along(classes, info.class_level, info.name);
         if pres.is_empty() {
             return Ok(HookOutcome::default());
         }

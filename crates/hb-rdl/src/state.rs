@@ -295,7 +295,12 @@ pub struct RdlInner {
     cvar_types: HashMap<(String, String), (Type, Span)>,
     /// Global-variable types.
     gvar_types: HashMap<String, (Type, Span)>,
-    pres: HashMap<MethodKey, Vec<PreHook>>,
+    /// `pre` contracts by `(method, class_level)`, each with the class it
+    /// was registered on, in registration order. Keyed by name because a
+    /// contract applies along the receiver's whole ancestor chain, and
+    /// with [`hb_intern::FastMap`] because `RdlHook` probes it on every
+    /// intercepted call.
+    pres: hb_intern::FastMap<(Sym, bool), Vec<(Sym, PreHook)>>,
     events: Vec<RdlEvent>,
     /// Keys consulted by the static checker (Table 1 "Used" needs the
     /// dynamic subset).
@@ -730,38 +735,48 @@ impl RdlState {
         self.inner
             .borrow_mut()
             .pres
-            .entry(key)
+            .entry((key.method, key.class_level))
             .or_default()
-            .push(hook);
+            .push((key.class, hook));
         self.notify_enforcement_changed();
     }
 
-    /// True when no `pre` contracts exist at all — lets the dispatch hook
-    /// skip the ancestor walk entirely in the common case.
-    pub fn no_pres(&self) -> bool {
-        self.inner.borrow().pres.is_empty()
-    }
-
     /// True when no `pre` contract anywhere is registered under this
-    /// method name — the per-method gate the fast-prologue patcher uses.
-    /// Pres match along the receiver's whole ancestor chain, so the gate
-    /// is name-wide rather than key-exact; a pre on an unrelated method
-    /// must not forbid eliding this one's probe. Pres added later are
-    /// covered by the enforcement-change flush.
+    /// method name: one map probe. The dispatch hook returns at once when
+    /// it holds, and the fast-prologue patcher requires it. Pres match
+    /// along the receiver's whole ancestor chain, so the gate is name-wide
+    /// rather than key-exact; a pre on an unrelated method must not forbid
+    /// eliding this one's probe. Pres added later are covered by the
+    /// enforcement-change flush.
     pub fn no_pre_named(&self, method: Sym, class_level: bool) -> bool {
         !self
             .inner
             .borrow()
             .pres
-            .keys()
-            .any(|k| k.method == method && k.class_level == class_level)
+            .contains_key(&(method, class_level))
     }
 
-    /// Appends the `pre` contracts registered for `key` into `out`.
-    pub fn pres_into(&self, key: &MethodKey, out: &mut Vec<PreHook>) {
-        if let Some(ps) = self.inner.borrow().pres.get(key) {
-            out.extend(ps.iter().cloned());
-        }
+    /// The `pre` contracts registered under `method` on any of `classes`:
+    /// in the order of `classes`, then in registration order.
+    pub fn pres_along(
+        &self,
+        classes: impl IntoIterator<Item = Sym>,
+        class_level: bool,
+        method: Sym,
+    ) -> Vec<PreHook> {
+        let inner = self.inner.borrow();
+        let Some(named) = inner.pres.get(&(method, class_level)) else {
+            return Vec::new();
+        };
+        classes
+            .into_iter()
+            .flat_map(|class| {
+                named
+                    .iter()
+                    .filter(move |(c, _)| *c == class)
+                    .map(|(_, p)| p.clone())
+            })
+            .collect()
     }
 
     /// Registers a streaming diagnostic sink; every subsequently recorded

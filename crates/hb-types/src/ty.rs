@@ -128,18 +128,6 @@ impl Type {
         }
     }
 
-    /// True if any type variable occurs anywhere in this type. Callers
-    /// that would `erase_vars` can skip the rebuild (and its clone) when
-    /// this is false — the common case for concrete annotations.
-    pub fn has_vars(&self) -> bool {
-        match self {
-            Type::Var(_) => true,
-            Type::Generic(_, args) => args.iter().any(Type::has_vars),
-            Type::Union(arms) => arms.iter().any(Type::has_vars),
-            _ => false,
-        }
-    }
-
     /// The underlying class name for method lookup, if any.
     pub fn base_name(&self) -> Option<&str> {
         match self {
