@@ -15,23 +15,21 @@
 //! checks against.
 //!
 //! With `jobs > 1` the per-unit passes fan across the scheduler's
-//! workers (each unit is a pure function of the shared view). Results
-//! are keyed by submission index and re-assembled in order before the
-//! final [`sort_diagnostics`] pass, so parallel output is byte-identical
-//! to serial output.
+//! workers (each unit is a pure function of the shared view). The
+//! ordered map returns results in input order before the final
+//! [`sort_diagnostics`] pass, so parallel output is byte-identical to
+//! serial output.
 
-use crate::sched::sort_diagnostics;
+use crate::engine::lower_entry;
+use crate::sched::{map_in_order, pool_for, sort_diagnostics};
 use crate::Hummingbird;
 use hb_analyze::callgraph::analyze_call_graph;
 use hb_analyze::ResidueSummary;
 use hb_analyze::{analyze_unit, collect_roots, AnnotationUnit, MethodUnit, ProgramView};
-use hb_il::{lower_block_body, lower_method, MethodCfg};
-use hb_intern::MethodKey;
+use hb_intern::{MethodKey, Sym};
 use hb_interp::{ClassId, MethodBody, MethodEntry};
 use hb_rdl::AnnotationSource;
-use hb_sched::Scheduler;
 use hb_syntax::{parse_file, TypeDiagnostic};
-use std::sync::mpsc;
 use std::sync::Arc;
 
 /// The result of one whole-program analysis run.
@@ -41,14 +39,6 @@ pub struct AnalysisReport {
     pub diagnostics: Vec<TypeDiagnostic>,
     /// The residue auditor's aggregate numbers.
     pub summary: ResidueSummary,
-}
-
-fn lower_entry(entry: &MethodEntry) -> Option<MethodCfg> {
-    match &entry.body {
-        MethodBody::Ast(def) => Some(lower_method(def)),
-        MethodBody::FromProc(p) => Some(lower_block_body(&p.params, &p.body, p.span)),
-        MethodBody::Builtin(_) => None,
-    }
 }
 
 /// Distills the live system into the immutable view the analyses run on.
@@ -68,26 +58,19 @@ pub fn build_view(hb: &Hummingbird) -> ProgramView {
                 .map(|(_, s)| s.as_str().to_string())
                 .collect(),
         );
-        // FastMap iteration order is arbitrary: sort for determinism.
-        let mut pairs: Vec<(&String, &MethodEntry)> = class.methods.iter().collect();
-        pairs.sort_by_key(|(n, _)| *n);
-        for (name, entry) in pairs {
-            if let Some(cfg) = lower_entry(entry) {
-                let key = MethodKey::instance(&class.name, name);
-                if matches!(entry.body, MethodBody::FromProc(_)) {
-                    view.dynamic_defs.insert(key);
-                }
-                view.methods.push(MethodUnit {
-                    key,
-                    cfg: Arc::new(cfg),
-                });
-            }
-        }
-        let mut pairs: Vec<(&String, &MethodEntry)> = class.smethods.iter().collect();
-        pairs.sort_by_key(|(n, _)| *n);
-        for (name, entry) in pairs {
-            if let Some(cfg) = lower_entry(entry) {
-                let key = MethodKey::class_level(&class.name, name);
+        for (class_level, table) in [(false, &class.methods), (true, &class.smethods)] {
+            // FastMap iteration order is arbitrary: sort for determinism.
+            let mut pairs: Vec<(&String, &MethodEntry)> = table.iter().collect();
+            pairs.sort_by_key(|(n, _)| *n);
+            for (name, entry) in pairs {
+                let Some(cfg) = lower_entry(entry) else {
+                    continue;
+                };
+                let key = MethodKey {
+                    class: class.name_sym,
+                    class_level,
+                    method: Sym::intern(name),
+                };
                 if matches!(entry.body, MethodBody::FromProc(_)) {
                     view.dynamic_defs.insert(key);
                 }
@@ -148,43 +131,6 @@ fn units(view: &ProgramView) -> Vec<(String, Option<MethodKey>, Arc<hb_il::Metho
     out
 }
 
-/// Runs the whole suite serially.
-fn run_serial(view: &ProgramView) -> Vec<TypeDiagnostic> {
-    units(view)
-        .into_iter()
-        .flat_map(|(label, key, cfg)| analyze_unit(view, label, key, &cfg))
-        .collect()
-}
-
-/// Fans per-unit analysis across the scheduler's workers. Each job is a
-/// pure function of the shared view; results come back over a channel
-/// keyed by submission index, so assembly order is deterministic.
-fn run_parallel(view: &Arc<ProgramView>, sched: &Scheduler) -> Vec<TypeDiagnostic> {
-    let us = units(view);
-    let n = us.len();
-    let (tx, rx) = mpsc::channel::<(usize, Vec<TypeDiagnostic>)>();
-    for (i, (label, key, cfg)) in us.into_iter().enumerate() {
-        let v = view.clone();
-        let tx_job = tx.clone();
-        let job_label = label.clone();
-        let job_cfg = cfg.clone();
-        let accepted = sched.submit_job(move || {
-            let _ = tx_job.send((i, analyze_unit(&v, job_label, key, &job_cfg)));
-        });
-        if !accepted {
-            // Shut-down pool (cannot happen while we hold the Arc, but
-            // fail safe): analyze inline.
-            let _ = tx.send((i, analyze_unit(view, label, key, &cfg)));
-        }
-    }
-    drop(tx);
-    let mut slots: Vec<Vec<TypeDiagnostic>> = vec![Vec::new(); n];
-    for (i, diags) in rx {
-        slots[i] = diags;
-    }
-    slots.into_iter().flatten().collect()
-}
-
 impl Hummingbird {
     /// Runs the whole-program lint suite (`HB1001`–`HB1006`) over the
     /// currently loaded program and returns the warnings in canonical
@@ -192,7 +138,8 @@ impl Hummingbird {
     ///
     /// `jobs > 1` fans the per-method passes across that many scheduler
     /// workers (reusing the attached scheduler when it is at least that
-    /// wide); output is byte-identical to the serial path.
+    /// wide); output is byte-identical to the serial path, and a panic in
+    /// a pass is raised here exactly as the serial path raises it.
     pub fn analyze(&mut self, jobs: usize) -> AnalysisReport {
         self.analyze_with_entries(jobs, &[])
     }
@@ -215,14 +162,15 @@ impl Hummingbird {
             self.interp.source_map.add_file(name, src);
         }
         let view = Arc::new(build_view(self));
-        let mut diagnostics = if jobs > 1 {
-            match self.scheduler() {
-                Some(s) if s.worker_count() >= jobs => run_parallel(&view, &s),
-                _ => run_parallel(&view, &Scheduler::new(jobs)),
-            }
-        } else {
-            run_serial(&view)
-        };
+        let pool = pool_for(self.scheduler(), jobs);
+        let shared = view.clone();
+        let mut diagnostics: Vec<TypeDiagnostic> =
+            map_in_order(pool.as_deref(), units(&view), move |(label, key, cfg)| {
+                analyze_unit(&shared, label, key, &cfg)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
         let (mut cg_diags, summary) = analyze_call_graph(&view);
         diagnostics.append(&mut cg_diags);
         sort_diagnostics(&mut diagnostics);

@@ -149,10 +149,10 @@ impl Engine {
         })
     }
 
-    /// The derivation a passing local `check_sig` proved: the outcome's
-    /// witnesses stamped with each target's current version and content
-    /// fingerprint, and the live world's epochs — exactly what a foreign
-    /// tenant needs to adopt it.
+    /// The derivation a passing local `check_sig` proved: the outcome
+    /// stamped against the live table, with each witness target's current
+    /// version and memoised content fingerprint, and the live world's
+    /// epochs — exactly what a foreign tenant needs to adopt it.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn derivation_of(
         &self,
@@ -164,30 +164,19 @@ impl Engine {
         body_fp: Option<u64>,
         outcome: &CheckOutcome,
     ) -> Derivation {
-        let witnesses: Vec<Witness> = outcome
-            .resolutions
-            .iter()
-            .map(|res| {
-                let (sig_version, sig_fingerprint) = res
-                    .target
-                    .and_then(|t| self.rdl.entry(&t).map(|e| (t, e)))
-                    .map_or((0, 0), |(t, e)| (e.version, st.sig_fp(t, &e)));
-                Witness {
-                    resolution: *res,
-                    sig_version,
-                    sig_fingerprint,
-                }
-            })
-            .collect();
-        Derivation {
+        let own_sig_fp = st.sig_fp(*ann_key, entry);
+        Derivation::stamp(
+            outcome,
             entry_id,
-            sig_version: entry.version,
+            entry.version,
             body_fp,
-            own_sig_fp: st.sig_fp(*ann_key, entry),
-            epochs: epochs_of(interp, &self.rdl),
-            witnesses: witnesses.into(),
-            cast_sites: outcome.cast_sites.iter().copied().collect(),
-        }
+            own_sig_fp,
+            epochs_of(interp, &self.rdl),
+            |target| {
+                let e = self.rdl.entry(&target)?;
+                Some((e.version, st.sig_fp(target, &e)))
+            },
+        )
     }
 
     /// Stores a valid derivation for `key` — the one landing path for

@@ -19,8 +19,8 @@
 //!   a check is accounted. The soundness argument lives there;
 //! * `invalidate` — Definition 1 invalidation from interpreter and type
 //!   table events;
-//! * `schedule` — task extraction, deferred admission and harvest for the
-//!   concurrent scheduler.
+//! * `schedule` — task extraction, deferred admission, harvest and the
+//!   parallel `check_all` on the concurrent scheduler.
 
 mod check;
 mod hook;
@@ -147,8 +147,9 @@ impl EngineState {
     /// Replays a (TApp) resolution witness against the *current* table and
     /// class hierarchy, memoised per generation pair: what does looking
     /// `res.method` up along `res.start`'s chain resolve to right now?
-    /// Uses the same chain the checker uses ([`crate::RegistryInfo::ancestors`]),
-    /// so replay answers exactly match a hypothetical re-check.
+    /// Walks the chain the checker walks
+    /// ([`hb_interp::ClassRegistry::resolution_chain`]), so replay answers
+    /// exactly match a hypothetical re-check.
     fn replay(
         &mut self,
         interp: &Interp,
@@ -159,21 +160,10 @@ impl EngineState {
         if let Some(c) = self.dep_memo.get(&memo_key) {
             return *c;
         }
-        // Same chain the checker walks (`RegistryInfo::ancestors`), built
-        // from interned syms with no string allocation: registry chain if
-        // the class exists (plus trailing Object for module chains),
-        // `[start, Object]` otherwise.
-        let object = Sym::intern("Object");
-        let mut chain: Vec<Sym> = match interp.registry.lookup(res.start.as_str()) {
-            Some(cid) => interp.registry.ancestor_syms(cid).map(|(_, s)| s).collect(),
-            None => vec![res.start],
-        };
-        if chain.last() != Some(&object) {
-            chain.push(object);
-        }
+        let chain = interp.registry.resolution_chain(res.start.as_str());
         let skip = usize::from(res.skip_receiver);
         let cur = rdl
-            .lookup_along(chain.into_iter().skip(skip), res.class_level, res.method)
+            .lookup_along(chain.skip(skip), res.class_level, res.method)
             .map(|(k, e)| {
                 let fp = self.sig_fp(k, &e);
                 (k, e.version, fp)
@@ -440,8 +430,9 @@ fn body_fingerprint(
     )))
 }
 
-/// Lowers a checkable method entry to a CFG.
-fn lower_entry(entry: &MethodEntry) -> Option<MethodCfg> {
+/// Lowers a method entry with a body to a CFG (`None` for builtins): the
+/// one lowering the checker and the whole-program analyses share.
+pub(crate) fn lower_entry(entry: &MethodEntry) -> Option<MethodCfg> {
     match &entry.body {
         MethodBody::Ast(def) => Some(lower_method(def)),
         MethodBody::FromProc(p) => Some(lower_block_body(&p.params, &p.body, p.span)),

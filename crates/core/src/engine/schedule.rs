@@ -1,11 +1,12 @@
 //! The engine side of the concurrent check scheduler: task extraction,
-//! deferred admission, and harvest. Harvested derivations land through
-//! the same funnel as local checks (see `land`).
+//! deferred admission, harvest and the parallel `check_all`. Every worker
+//! completion, deferred or parallel, lands through `land_completion` and
+//! from there through the same funnel as local checks (see `land`).
 
 use super::land::anchor_blame;
 use super::{body_fingerprint, captured_env, Engine, EngineState};
-use crate::derivation::{epochs_of, Derivation, Provenance};
-use crate::sched::capture_world;
+use crate::derivation::{epochs_of, Provenance};
+use crate::sched::{capture_world, pool_for};
 use crate::stats::CheckVerdict;
 use hb_check::CheckPolicy;
 use hb_interp::{Interp, MethodEntry};
@@ -102,7 +103,6 @@ impl Engine {
             policy,
             trigger,
             opts: self.check_opts,
-            completions: self.completions.clone(),
             submitted_at,
         })
     }
@@ -174,7 +174,10 @@ impl Engine {
             return;
         };
         self.state.borrow_mut().in_flight.insert(*key);
-        if !self.ensure_scheduler().submit(task) {
+        if !self
+            .ensure_scheduler()
+            .submit(task, self.completions.clone())
+        {
             // The pool is shutting down: the task will never run, so the
             // key must not stay latched in flight (the next call
             // re-attempts the admission).
@@ -247,99 +250,98 @@ impl Engine {
     ///   blame — is re-established rather than silently lost; a result
     ///   whose method was redefined outright is dropped (the next call
     ///   re-defers naturally);
-    /// * a valid pass lands exactly like a synchronous derivation;
+    /// * a valid pass lands the worker's derivation exactly like a
+    ///   synchronous one;
     /// * a valid blame records its diagnostic (deferred admissions only —
     ///   parallel linting leaves reporting to the deterministic serial
     ///   sweep);
     /// * a contained worker panic records an `HB0011` diagnostic.
     fn land_completion(&self, interp: &Interp, c: TaskCompletion) {
+        let TaskCompletion {
+            task,
+            verdict,
+            duration_ns,
+            queue_ns,
+        } = c;
+        let key = task.cache_key;
         {
             let mut st = self.state.borrow_mut();
-            st.in_flight.remove(&c.cache_key);
+            st.in_flight.remove(&key);
             st.stats.sched_tasks_completed += 1;
             if let Some(obs) = &st.obs {
-                if c.queue_ns > 0 {
-                    obs.sched_queue.record(c.queue_ns);
+                if queue_ns > 0 {
+                    obs.sched_queue.record(queue_ns);
                 }
             }
         }
         // Identity validation, common to every verdict: the body and the
         // signature the worker checked must still be the current ones.
         let current = (|| {
-            let cid = interp.registry.lookup(c.cache_key.class.as_str())?;
-            let (_, mentry) = interp.registry.find_method_at(
-                cid,
-                c.cache_key.method.as_str(),
-                c.cache_key.class_level,
-            )?;
-            if mentry.id != c.entry_id {
+            let cid = interp.registry.lookup(key.class.as_str())?;
+            let (_, mentry) =
+                interp
+                    .registry
+                    .find_method_at(cid, key.method.as_str(), key.class_level)?;
+            if mentry.id != task.entry_id {
                 return None;
             }
             let (ann_key, entry) = self.rdl.lookup_along(
                 interp.registry.ancestor_syms(cid).map(|(_, sym)| sym),
-                c.cache_key.class_level,
-                c.cache_key.method,
+                key.class_level,
+                key.method,
             )?;
-            if ann_key != c.ann_key || entry.version != c.sig_version {
+            if ann_key != task.ann_key || entry.version != task.sig_version {
                 return None;
             }
             Some((mentry, entry))
         })();
         let Some((mentry, entry)) = current else {
             let mut st = self.state.borrow_mut();
-            Self::note_stale(&mut st, c.cache_key);
+            Self::note_stale(&mut st, key);
             if let Some(obs) = &st.obs {
                 // The method was redefined outright; the admission is
                 // over (the next call re-defers naturally).
-                obs.drop_admitted(c.cache_key);
+                obs.drop_admitted(key);
             }
             return;
         };
-        let deferred = c.trigger.is_some();
+        let deferred = task.trigger.is_some();
         let how = Provenance::Harvested { deferred };
         let requeue = || {
             self.enqueue_deferred(
                 interp,
-                &c.cache_key,
-                &c.ann_key,
+                &key,
+                &task.ann_key,
                 &entry,
                 &mentry,
-                c.policy,
-                c.trigger,
+                task.policy,
+                task.trigger,
             )
         };
-        match &c.verdict {
-            TaskVerdict::Pass { deps, cast_sites } => {
-                let d = Derivation {
-                    entry_id: c.entry_id,
-                    sig_version: c.sig_version,
-                    body_fp: c.body_fp,
-                    own_sig_fp: c.own_sig_fp,
-                    epochs: c.epochs,
-                    witnesses: deps.as_slice().into(),
-                    cast_sites: cast_sites.as_slice().into(),
-                };
+        let diag = match verdict {
+            TaskVerdict::Pass(d) => {
                 let mut st = self.state.borrow_mut();
-                if self.adoptable(&mut st, interp, &d, &c.ann_key, &entry) {
-                    self.land(&mut st, c.cache_key, &c.ann_key, d, how, c.duration_ns);
+                if self.adoptable(&mut st, interp, &d, &task.ann_key, &entry) {
+                    self.land(&mut st, key, &task.ann_key, d, how, duration_ns);
                     return;
                 }
                 // The admission stays stamped: a requeue is the same
                 // caller still waiting.
-                Self::note_stale(&mut st, c.cache_key);
+                Self::note_stale(&mut st, key);
                 drop(st);
                 if deferred {
                     requeue();
                 }
+                return;
             }
-            TaskVerdict::Blame(diag) => {
+            TaskVerdict::Blame(mut diag) => {
                 if !deferred {
                     // Parallel linting: the deterministic serial sweep
                     // re-derives and reports this failure (failures are
                     // never cached, so nothing is lost).
                     return;
                 }
-                if c.epochs != epochs_of(interp, &self.rdl) {
+                if task.world.epochs != epochs_of(interp, &self.rdl) {
                     // The world moved while the blame was in flight: the
                     // judgement may no longer hold (e.g. the blamed callee
                     // annotation was fixed meanwhile). A failed check
@@ -348,103 +350,82 @@ impl Engine {
                     // the *current* world — a still-real error re-lands at
                     // the next harvest instead of an obsolete one landing
                     // now.
-                    Self::note_stale(&mut self.state.borrow_mut(), c.cache_key);
+                    Self::note_stale(&mut self.state.borrow_mut(), key);
                     requeue();
                     return;
                 }
-                let mut diag = diag.clone();
-                anchor_blame(&mut diag, c.trigger, entry.span);
+                anchor_blame(&mut diag, task.trigger, entry.span);
                 diag.labels.push(CheckPolicy::deferred_note());
-                let verdict = CheckVerdict::Blame(diag.code);
-                self.record_check(
-                    &mut self.state.borrow_mut(),
-                    c.cache_key,
-                    verdict,
-                    c.duration_ns,
-                    how,
-                );
-                self.rdl.record_diagnostic(diag);
+                diag
             }
             TaskVerdict::Panicked(msg) => {
                 let message = format!(
                     "check task for {} panicked on a scheduler worker: {}",
-                    c.cache_key.display(),
+                    key.display(),
                     msg
                 );
                 let mut diag = TypeDiagnostic::error(
                     DiagCode::CheckerPanic,
                     message,
-                    c.trigger.unwrap_or(entry.span),
-                    BlameTarget::Annotation(c.ann_key),
+                    task.trigger.unwrap_or(entry.span),
+                    BlameTarget::Annotation(task.ann_key),
                 )
-                .with_method(c.cache_key)
+                .with_method(key)
                 .with_label(DiagLabel::new(
                     LabelRole::Note,
                     "the panic was contained to this task; the worker pool and every other queued check survived",
                     Span::dummy(),
                 ));
-                anchor_blame(&mut diag, c.trigger, entry.span);
-                let verdict = CheckVerdict::Blame(DiagCode::CheckerPanic);
-                self.record_check(
-                    &mut self.state.borrow_mut(),
-                    c.cache_key,
-                    verdict,
-                    c.duration_ns,
-                    how,
-                );
-                self.rdl.record_diagnostic(diag);
+                anchor_blame(&mut diag, task.trigger, entry.span);
+                diag
             }
-        }
+        };
+        let verdict = CheckVerdict::Blame(diag.code);
+        self.record_check(&mut self.state.borrow_mut(), key, verdict, duration_ns, how);
+        self.rdl.record_diagnostic(diag);
     }
 
     /// [`Engine::check_all`] fanned across the concurrent scheduler:
     /// every annotated, checkable method is captured as a [`CheckTask`]
     /// against one shared world snapshot and checked on `jobs` workers;
-    /// passing derivations are validated and adopted at harvest (caching
-    /// and publishing exactly as synchronous checks do); then a serial
-    /// sweep — now running against warm caches — re-derives only the
-    /// failures, guaranteeing diagnostics byte-identical to the serial
+    /// the completions land in submission order through the same path as
+    /// deferred ones, so passing derivations are validated and adopted
+    /// (caching and publishing exactly as synchronous checks do). Then a
+    /// serial sweep — now running against warm caches — re-derives only
+    /// the failures, guaranteeing diagnostics byte-identical to the serial
     /// path in the same sorted order.
     ///
-    /// Uses the attached scheduler if any; otherwise an ephemeral
-    /// `jobs`-worker pool that is torn down before returning. `jobs <= 1`
-    /// is exactly [`Engine::check_all`].
+    /// Runs on the attached scheduler when it has at least `jobs` workers,
+    /// otherwise on a temporary `jobs`-worker pool that is torn down
+    /// before the sweep. `jobs <= 1` is exactly [`Engine::check_all`].
     pub fn check_all_parallel(&self, interp: &mut Interp, jobs: usize) -> Vec<TypeDiagnostic> {
         self.process_events(interp);
         // Land anything already in flight so deferred-admission results
         // do not interleave with the lint fan-out below.
         self.sched_harvest(interp);
-        if jobs <= 1 {
+        let Some(pool) = pool_for(self.scheduler(), jobs) else {
             return self.check_all(interp);
+        };
+        // A method already valid in the hot tier needs no task (the sweep
+        // hits it), and an unlowerable body is left to the sweep.
+        let tasks = self
+            .eligible_methods(interp)
+            .into_iter()
+            .filter(|m| {
+                let st = self.state.borrow();
+                !(self.caching && st.holds(&m.key, m.info.entry.id, m.entry.version))
+            })
+            .filter_map(|m| {
+                let (key, entry, body) = (&m.key, &m.entry, &m.info.entry);
+                self.task_for(interp, key, key, entry, body, m.policy, None)
+            })
+            .collect();
+        let completions = pool.run_checks(tasks);
+        drop(pool);
+        for c in completions {
+            self.land_completion(interp, c);
         }
-        let sched = self
-            .scheduler()
-            .unwrap_or_else(|| Arc::new(Scheduler::new(jobs)));
-        for m in self.eligible_methods(interp) {
-            // Already valid in the hot tier: the sweep will hit it; no
-            // task needed.
-            if self.caching
-                && self
-                    .state
-                    .borrow()
-                    .holds(&m.key, m.info.entry.id, m.entry.version)
-            {
-                continue;
-            }
-            // An unlowerable body or a rejected submission (shut-down
-            // pool) simply leaves the method for the serial sweep below.
-            if let Some(task) = self.task_for(
-                interp,
-                &m.key,
-                &m.key,
-                &m.entry,
-                &m.info.entry,
-                m.policy,
-                None,
-            ) {
-                let _ = sched.submit(task);
-            }
-        }
+        // Deferred admissions still in flight land before the sweep too.
         self.completions.wait_idle();
         self.sched_harvest(interp);
         // The deterministic sweep: adopted derivations are hot-tier hits;

@@ -43,6 +43,7 @@
 //! client treats both shapes identically, so a restarted or compacted
 //! daemon is indistinguishable from a slow one.
 
+use crate::derivation::epochs_of;
 use crate::engine::Engine;
 use crate::shared_cache::{CacheEventHook, SharedCache};
 use crate::snapshot::{CacheSnapshot, SnapshotError};
@@ -786,11 +787,7 @@ impl FleetSession {
             // Keys whose families were since evicted serialize nothing;
             // only a non-empty snapshot is worth a frame.
             if snap.entry_count() > 0 {
-                let epochs = (
-                    engine.rdl.table_fingerprint(),
-                    interp.registry.shape_fingerprint(),
-                    engine.rdl.var_fingerprint(),
-                );
+                let epochs = epochs_of(interp, &engine.rdl);
                 let t_pub = std::time::Instant::now();
                 if let Err(e) = self.client.publish(epochs, &snap.to_bytes()) {
                     self.tracker.restore_pubs(pubs);

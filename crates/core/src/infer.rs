@@ -42,11 +42,11 @@
 //! canonical `(file, span, code)` order.
 //!
 //! With `jobs > 1` verification rounds fan across the scheduler's
-//! workers; results are keyed by submission index, so parallel output is
-//! byte-identical to serial output.
+//! workers; the ordered map returns results in input order, so parallel
+//! output is byte-identical to serial output.
 
 use crate::analyze::build_view;
-use crate::sched::{capture_world, sort_diagnostics};
+use crate::sched::{capture_world, map_in_order, pool_for, sort_diagnostics};
 use crate::Hummingbird;
 use hb_analyze::callgraph::Caller;
 use hb_analyze::{build_call_graph, infer_candidates, SigCandidate};
@@ -56,11 +56,11 @@ use hb_check::{
 use hb_il::MethodCfg;
 use hb_interp::Interp;
 use hb_rdl::{AnnotationSource, MethodKey, TableEntry};
-use hb_sched::{Scheduler, WorldSnapshot};
+use hb_sched::WorldSnapshot;
 use hb_syntax::{BlameTarget, DiagCode, Span, TypeDiagnostic};
 use hb_types::{MethodSig, Type, TypeEnv};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// The result of one inference run.
 #[derive(Clone)]
@@ -82,7 +82,6 @@ pub struct InferReport {
 /// hypothesis world. `key` is the method (and the `self` class); for a
 /// caller-compatibility check `ann_key` may name the ancestor the
 /// annotation actually lives on.
-#[derive(Clone)]
 struct VerifyItem {
     key: MethodKey,
     ann_key: MethodKey,
@@ -92,11 +91,8 @@ struct VerifyItem {
     captured: Option<TypeEnv>,
 }
 
-fn run_verify(
-    world: &WorldSnapshot,
-    it: &VerifyItem,
-    opts: &CheckOptions,
-) -> Result<CheckOutcome, CheckError> {
+/// Verifies one item against a hypothesis world.
+fn run_verify(world: &WorldSnapshot, it: &VerifyItem) -> Result<CheckOutcome, CheckError> {
     verify_candidate(&CheckRequest {
         cfg: &it.cfg,
         self_class: it.key.class.as_str(),
@@ -107,50 +103,9 @@ fn run_verify(
         info: world,
         rdl: world,
         captured: it.captured.as_ref(),
-        opts,
+        opts: &CheckOptions::default(),
         policy: CheckPolicy::Enforce,
     })
-}
-
-/// Verifies one batch of items against one hypothesis world. With a pool,
-/// jobs fan out and results re-assemble by submission index, so the
-/// returned order (and therefore everything downstream) is independent of
-/// worker interleaving.
-fn verify_round(
-    pool: Option<&Arc<Scheduler>>,
-    world: &Arc<WorldSnapshot>,
-    items: &[VerifyItem],
-    opts: CheckOptions,
-) -> Vec<Result<CheckOutcome, CheckError>> {
-    let Some(sched) = pool else {
-        return items
-            .iter()
-            .map(|it| run_verify(world, it, &opts))
-            .collect();
-    };
-    let n = items.len();
-    let (tx, rx) = mpsc::channel::<(usize, Result<CheckOutcome, CheckError>)>();
-    for (i, it) in items.iter().enumerate() {
-        let w = world.clone();
-        let tx_job = tx.clone();
-        let job_it = it.clone();
-        let accepted = sched.submit_job(move || {
-            let _ = tx_job.send((i, run_verify(&w, &job_it, &opts)));
-        });
-        if !accepted {
-            // Shut-down pool: verify inline, same slot.
-            let _ = tx.send((i, run_verify(world, it, &opts)));
-        }
-    }
-    drop(tx);
-    let mut slots: Vec<Option<Result<CheckOutcome, CheckError>>> = (0..n).map(|_| None).collect();
-    for (i, r) in rx {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every verification job reports exactly once"))
-        .collect()
 }
 
 /// The hypothesis-world table entry for a candidate: exactly what
@@ -199,7 +154,8 @@ impl Hummingbird {
     ///
     /// `jobs > 1` fans verification across that many scheduler workers
     /// (reusing the attached scheduler when it is at least that wide);
-    /// output is byte-identical to the serial path.
+    /// output is byte-identical to the serial path, and a panic in a
+    /// verification is raised here exactly as the serial path raises it.
     pub fn infer(&mut self, jobs: usize) -> InferReport {
         self.infer_with_entries(jobs, &[])
     }
@@ -242,16 +198,31 @@ impl Hummingbird {
             .map(|c| (c.key, captured_env(&self.interp, &c.key)))
             .collect();
 
-        let pool: Option<Arc<Scheduler>> = if jobs > 1 {
-            Some(match self.scheduler() {
-                Some(s) if s.worker_count() >= jobs => s,
-                _ => Arc::new(Scheduler::new(jobs)),
-            })
-        } else {
-            None
-        };
-        let opts = CheckOptions::default();
+        let pool = pool_for(self.scheduler(), jobs);
         let base = capture_world(&self.interp, &self.rdl);
+        // The hypothesis world: the live system with every live candidate
+        // overlaid as an inferred annotation.
+        let hypothesis = |live: &BTreeMap<MethodKey, SigCandidate>| {
+            Arc::new(base.overlay(live.values().map(|c| (c.key, overlay_entry(c)))))
+        };
+        // Verifies every live candidate against the hypothesis world
+        // holding all of them, in key order.
+        let verify_live = |live: &BTreeMap<MethodKey, SigCandidate>| {
+            let world = hypothesis(live);
+            let items: Vec<VerifyItem> = live
+                .values()
+                .map(|c| VerifyItem {
+                    key: c.key,
+                    ann_key: c.key,
+                    span: c.span,
+                    sig: MethodSig::single(c.mt.clone()),
+                    cfg: cfg_of[&c.key].clone(),
+                    captured: captured_of.get(&c.key).cloned().flatten(),
+                })
+                .collect();
+            let results = map_in_order(pool.as_deref(), items, move |it| run_verify(&world, &it));
+            live.keys().copied().zip(results).collect::<Vec<_>>()
+        };
 
         // Checked-caller index for phase C: caller → callees among the
         // candidates.
@@ -285,24 +256,9 @@ impl Hummingbird {
                 if live.is_empty() {
                     break 'outer;
                 }
-                let world =
-                    Arc::new(base.overlay(live.values().map(|c| (c.key, overlay_entry(c)))));
-                let items: Vec<VerifyItem> = live
-                    .values()
-                    .map(|c| VerifyItem {
-                        key: c.key,
-                        ann_key: c.key,
-                        span: c.span,
-                        sig: MethodSig::single(c.mt.clone()),
-                        cfg: cfg_of[&c.key].clone(),
-                        captured: captured_of.get(&c.key).cloned().flatten(),
-                    })
-                    .collect();
-                let keys: Vec<MethodKey> = items.iter().map(|it| it.key).collect();
-                let results = verify_round(pool.as_ref(), &world, &items, opts);
                 let mut any_refuted = false;
                 outcomes.clear();
-                for (k, r) in keys.into_iter().zip(results) {
+                for (k, r) in verify_live(&live) {
                     match r {
                         Ok(o) => {
                             outcomes.insert(k, o);
@@ -344,22 +300,8 @@ impl Hummingbird {
                 if round.is_empty() {
                     break;
                 }
-                let world =
-                    Arc::new(base.overlay(live.values().map(|c| (c.key, overlay_entry(c)))));
-                let items: Vec<VerifyItem> = live
-                    .values()
-                    .map(|c| VerifyItem {
-                        key: c.key,
-                        ann_key: c.key,
-                        span: c.span,
-                        sig: MethodSig::single(c.mt.clone()),
-                        cfg: cfg_of[&c.key].clone(),
-                        captured: captured_of.get(&c.key).cloned().flatten(),
-                    })
-                    .collect();
-                let keys: Vec<MethodKey> = items.iter().map(|it| it.key).collect();
-                let results = verify_round(pool.as_ref(), &world, &items, opts);
-                if results.iter().any(|r| r.is_err()) {
+                let results = verify_live(&live);
+                if results.iter().any(|(_, r)| r.is_err()) {
                     // Refinement regressed something: revert the round
                     // (restoring the exact signatures that verified clean)
                     // and stop refining.
@@ -370,7 +312,7 @@ impl Hummingbird {
                     break;
                 }
                 refined_any = true;
-                for (k, r) in keys.into_iter().zip(results) {
+                for (k, r) in results {
                     outcomes.insert(k, r.expect("round had no failures"));
                 }
             }
@@ -395,7 +337,7 @@ impl Hummingbird {
             // previously-inferred signature). Adoption must not regress
             // it: re-verify such callers against the hypothesis world and
             // withdraw any candidate that breaks one.
-            let world = Arc::new(base.overlay(live.values().map(|c| (c.key, overlay_entry(c)))));
+            let world = hypothesis(&live);
             let mut caller_items: Vec<VerifyItem> = Vec::new();
             for (ck, callees) in &callees_of {
                 if live.contains_key(ck) || !graph.reachable.contains(ck) {
@@ -427,12 +369,15 @@ impl Hummingbird {
             if caller_items.is_empty() {
                 break;
             }
-            let results = verify_round(pool.as_ref(), &world, &caller_items, opts);
+            let caller_keys: Vec<MethodKey> = caller_items.iter().map(|it| it.key).collect();
+            let results = map_in_order(pool.as_deref(), caller_items, move |it| {
+                run_verify(&world, &it)
+            });
             let mut withdrew = false;
-            for (it, r) in caller_items.iter().zip(results) {
+            for (caller, r) in caller_keys.into_iter().zip(results) {
                 let Err(e) = r else { continue };
                 let msg = e.into_diagnostic().message;
-                let called: Vec<MethodKey> = callees_of[&it.key]
+                let called: Vec<MethodKey> = callees_of[&caller]
                     .iter()
                     .filter(|k| live.contains_key(k))
                     .copied()
@@ -445,7 +390,7 @@ impl Hummingbird {
                             c,
                             format!(
                                 "adopting it would break checked caller {}: {}",
-                                it.key.display(),
+                                caller.display(),
                                 msg
                             ),
                         ),

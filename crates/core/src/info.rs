@@ -8,21 +8,10 @@ pub struct RegistryInfo<'a>(pub &'a ClassRegistry);
 
 impl ClassInfo for RegistryInfo<'_> {
     fn ancestors(&self, class: &str) -> Vec<String> {
-        match self.0.lookup(class) {
-            Some(id) => {
-                let mut names: Vec<String> = self
-                    .0
-                    .ancestors(id)
-                    .into_iter()
-                    .map(|c| self.0.name(c).to_string())
-                    .collect();
-                if names.last().map(String::as_str) != Some("Object") {
-                    names.push("Object".to_string());
-                }
-                names
-            }
-            None => vec![class.to_string(), "Object".to_string()],
-        }
+        self.0
+            .resolution_chain(class)
+            .map(|s| s.as_str().to_string())
+            .collect()
     }
 
     fn is_descendant(&self, sub: &str, sup: &str) -> bool {

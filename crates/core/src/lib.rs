@@ -153,7 +153,6 @@ pub struct HummingbirdBuilder {
     check_log_cap: Option<usize>,
     diagnostic_sinks: Vec<Rc<dyn DiagnosticSink>>,
     scheduler: Option<Arc<Scheduler>>,
-    worker_threads: Option<usize>,
     corelib: bool,
     exec_tier: ExecTier,
     deferred_cap: Option<usize>,
@@ -181,7 +180,6 @@ impl Default for HummingbirdBuilder {
             check_log_cap: None,
             diagnostic_sinks: Vec::new(),
             scheduler: None,
-            worker_threads: None,
             corelib: true,
             exec_tier: default_exec_tier(),
             deferred_cap: None,
@@ -252,23 +250,14 @@ impl HummingbirdBuilder {
     }
 
     /// Attaches a concurrent check [`Scheduler`] — the worker pool that
-    /// executes type checks off the interpreter thread (parallel
-    /// `check_all`, [`CheckPolicy::Deferred`] admissions). Pools are
-    /// process-wide resources: pass the same `Arc` to every tenant of a
-    /// fleet and their checks share the workers while results route back
-    /// per engine.
+    /// executes type checks off the interpreter thread
+    /// ([`CheckPolicy::Deferred`] admissions, and every `jobs`-wide
+    /// fan-out the pool is wide enough for). A dedicated pool is
+    /// `.scheduler(Arc::new(Scheduler::new(n)))`. Pools are process-wide
+    /// resources: pass the same `Arc` to every tenant of a fleet and their
+    /// checks share the workers while results route back per engine.
     pub fn scheduler(mut self, sched: Arc<Scheduler>) -> Self {
         self.scheduler = Some(sched);
-        self
-    }
-
-    /// Spawns a dedicated `n`-worker [`Scheduler`] for this system at
-    /// build time (convenience over [`scheduler`]; the pool is torn down
-    /// when the engine drops its last reference).
-    ///
-    /// [`scheduler`]: HummingbirdBuilder::scheduler
-    pub fn worker_threads(mut self, n: usize) -> Self {
-        self.worker_threads = Some(n);
         self
     }
 
@@ -402,8 +391,6 @@ impl HummingbirdBuilder {
         }
         if let Some(sched) = self.scheduler {
             engine.set_scheduler(sched);
-        } else if let Some(n) = self.worker_threads {
-            engine.set_scheduler(Arc::new(Scheduler::new(n)));
         }
         let mut hb = Hummingbird {
             interp,

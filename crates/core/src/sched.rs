@@ -2,19 +2,21 @@
 //!
 //! The scheduler's [`WorldSnapshot`] is an owned, `Send` capture of the
 //! checker-visible world; this module is where that capture is taken —
-//! on the interpreter thread, against the live registry and `RdlState` —
-//! and where the diagnostic ordering shared by the serial and parallel
-//! `check_all` paths lives.
+//! on the interpreter thread, against the live registry and `RdlState`.
+//! It also holds what every `--jobs` fan-out shares: the pool choice,
+//! the ordered map with its serial fallback, and the diagnostic ordering
+//! shared by the serial and parallel paths.
 
 use hb_rdl::RdlState;
-use hb_sched::WorldSnapshot;
+use hb_sched::{Scheduler, WorldSnapshot};
 use hb_syntax::TypeDiagnostic;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Captures the checker-visible world: every registered class's ancestor
-/// chain (exactly the chains [`crate::RegistryInfo`] serves), the full
-/// annotation table, ivar/cvar/gvar declarations, and the capture-time
-/// epoch fingerprints `(table_fp, hierarchy_fp, var_fp)`.
+/// Captures the checker-visible world: every registered class's
+/// resolution chain (exactly the chains [`crate::RegistryInfo`] serves),
+/// the full annotation table, ivar/cvar/gvar declarations, and the
+/// capture-time epoch fingerprints `(table_fp, hierarchy_fp, var_fp)`.
 ///
 /// The capture is O(classes + annotations); the engine memoises the
 /// resulting `Arc` per epoch triple, so a burst of task extractions at a
@@ -23,16 +25,12 @@ pub fn capture_world(interp: &hb_interp::Interp, rdl: &RdlState) -> WorldSnapsho
     let registry = &interp.registry;
     let mut chains: HashMap<String, Vec<String>> = HashMap::new();
     for i in 0..registry.class_count() as u32 {
-        let cid = hb_interp::ClassId(i);
-        let mut names: Vec<String> = registry
-            .ancestors(cid)
-            .into_iter()
-            .map(|c| registry.name(c).to_string())
+        let name = registry.name(hb_interp::ClassId(i));
+        let chain = registry
+            .resolution_chain(name)
+            .map(|s| s.as_str().to_string())
             .collect();
-        if names.last().map(String::as_str) != Some("Object") {
-            names.push("Object".to_string());
-        }
-        chains.insert(registry.name(cid).to_string(), names);
+        chains.insert(name.to_string(), chain);
     }
     let table = rdl
         .entries()
@@ -44,6 +42,43 @@ pub fn capture_world(interp: &hb_interp::Interp, rdl: &RdlState) -> WorldSnapsho
     let gvars = rdl.gvar_decls().into_iter().collect();
     let epochs = crate::derivation::epochs_of(interp, rdl);
     WorldSnapshot::new(chains, table, ivars, cvars, gvars, epochs)
+}
+
+/// The pool a `jobs`-wide fan-out runs on — the one pool choice of the
+/// parallel `check_all`, analysis and inference: `None` for `jobs <= 1`
+/// (the caller's serial path), the attached scheduler when it has at
+/// least `jobs` workers, and otherwise a temporary `jobs`-worker pool,
+/// torn down when the caller drops it.
+pub(crate) fn pool_for(attached: Option<Arc<Scheduler>>, jobs: usize) -> Option<Arc<Scheduler>> {
+    if jobs <= 1 {
+        return None;
+    }
+    Some(match attached {
+        Some(s) if s.worker_count() >= jobs => s,
+        _ => Arc::new(Scheduler::new(jobs)),
+    })
+}
+
+/// Applies `f` to every item and returns the results in input order:
+/// serially without a pool, through [`Scheduler::map`] on one. A worker
+/// panic is re-raised here, on the caller, as the serial path would raise
+/// it.
+pub(crate) fn map_in_order<T, R>(
+    pool: Option<&Scheduler>,
+    items: Vec<T>,
+    f: impl Fn(T) -> R + Send + Sync + 'static,
+) -> Vec<R>
+where
+    T: Send + 'static,
+    R: Send + 'static,
+{
+    let Some(pool) = pool else {
+        return items.into_iter().map(f).collect();
+    };
+    pool.map(items, f)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|msg| std::panic::resume_unwind(Box::new(msg))))
+        .collect()
 }
 
 /// Sorts diagnostics into the stable reporting order shared by serial and

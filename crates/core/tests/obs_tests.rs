@@ -11,7 +11,7 @@
 //! first calls. Deferred admissions settle at `sched_quiesce`; after
 //! the barrier the same identity holds.
 
-use hummingbird::{CheckPolicy, ExecTier, Hummingbird, ObsLevel, SharedCache};
+use hummingbird::{CheckPolicy, ExecTier, Hummingbird, ObsLevel, Scheduler, SharedCache};
 use std::sync::Arc;
 
 /// Three cleanly checkable methods.
@@ -119,7 +119,7 @@ fn run_matrix_point(
             .shared_cache(shared.clone())
             .observability(ObsLevel::Metrics);
         if policy == CheckPolicy::Deferred {
-            b = b.worker_threads(2);
+            b = b.scheduler(Arc::new(Scheduler::new(2)));
         }
         b.build()
     };
@@ -203,7 +203,7 @@ fn deferred_admissions_settle_into_the_identity() {
     // resolutions cover every dispatch exactly once.
     let mut hb = Hummingbird::builder()
         .check_policy(CheckPolicy::Deferred)
-        .worker_threads(2)
+        .scheduler(Arc::new(Scheduler::new(2)))
         .observability(ObsLevel::Metrics)
         .build();
     hb.eval(CLEAN).unwrap();

@@ -27,7 +27,7 @@ end
 fn deferred_admission_checks_in_background_and_lands_at_quiesce() {
     let mut hb = Hummingbird::builder()
         .check_policy(CheckPolicy::Deferred)
-        .worker_threads(2)
+        .scheduler(Arc::new(Scheduler::new(2)))
         .build();
     hb.eval(CLEAN_APP).unwrap();
     hb.eval("Talk.new.title_line(\"PLDI\")").unwrap();
@@ -57,7 +57,7 @@ fn deferred_admission_checks_in_background_and_lands_at_quiesce() {
 fn deferred_blame_arrives_asynchronously_with_its_code() {
     let mut hb = Hummingbird::builder()
         .check_policy(CheckPolicy::Deferred)
-        .worker_threads(2)
+        .scheduler(Arc::new(Scheduler::new(2)))
         .build();
     hb.eval(BUGGY_APP).unwrap();
     // The ill-typed method is admitted and runs to completion — Shadow
@@ -360,7 +360,9 @@ fn deferred_policy_parses_and_reports() {
     assert_eq!(CheckPolicy::parse("deferred"), Some(CheckPolicy::Deferred));
     assert_eq!(CheckPolicy::Deferred.as_str(), "deferred");
     // The RubyLite builtin accepts it too.
-    let mut hb = Hummingbird::builder().worker_threads(1).build();
+    let mut hb = Hummingbird::builder()
+        .scheduler(Arc::new(Scheduler::new(1)))
+        .build();
     hb.eval("check_policy \"deferred\"").unwrap();
     hb.eval(CLEAN_APP).unwrap();
     hb.eval("Talk.new.title_line(\"x\")").unwrap();

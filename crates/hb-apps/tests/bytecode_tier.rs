@@ -5,7 +5,8 @@
 
 use hb_apps::talks_history::error_versions;
 use hb_apps::{all_apps, build_app_with, run_workload, talks};
-use hummingbird::{CheckPolicy, ErrorKind, ExecTier, Hummingbird};
+use hummingbird::{CheckPolicy, ErrorKind, ExecTier, Hummingbird, Scheduler};
+use std::sync::Arc;
 
 fn bytecode_builder() -> hummingbird::HummingbirdBuilder {
     Hummingbird::builder().exec_tier(ExecTier::Bytecode)
@@ -69,7 +70,7 @@ fn six_historical_errors_keep_codes_under_bytecode_deferred() {
             &spec,
             bytecode_builder()
                 .check_policy(CheckPolicy::Deferred)
-                .worker_threads(2),
+                .scheduler(Arc::new(Scheduler::new(2))),
         );
         hb.load_file("talks/buggy.rb", v.buggy_source).unwrap();
         // Admitted without waiting for the static check; the deferred

@@ -1,12 +1,14 @@
 //! Scheduler tests on the real subject apps: Deferred soundness over the
 //! six Talks historical errors (blame arrives asynchronously but is never
 //! lost, on both the JIT and parallel-lint paths), parallel/serial
-//! `check_all` determinism, and deferred admission against enforce on the
-//! Talks first-request storm.
+//! `check_all` determinism and derivation parity, and deferred admission
+//! against enforce on the Talks first-request storm.
 
 use hb_apps::talks_history::error_versions;
-use hb_apps::{all_apps, build_app, build_app_with, run_workload, talks};
-use hummingbird::{CheckPolicy, Hummingbird, Mode, ObsLevel, Scheduler};
+use hb_apps::{all_apps, build_app, build_app_with, run_workload, talks, AppSpec};
+use hummingbird::{
+    CacheDumpEntry, CheckPolicy, Hummingbird, Mode, ObsLevel, Scheduler, SharedCache,
+};
 use std::sync::Arc;
 
 #[test]
@@ -17,7 +19,7 @@ fn all_six_historical_errors_keep_their_codes_under_deferred_jit() {
             &spec,
             Hummingbird::builder()
                 .check_policy(CheckPolicy::Deferred)
-                .worker_threads(2),
+                .scheduler(Arc::new(Scheduler::new(2))),
         );
         hb.load_file("talks/buggy.rb", v.buggy_source).unwrap();
         // The request is admitted without waiting for the static check —
@@ -186,6 +188,59 @@ fn check_all_is_identical_at_every_worker_count() {
     }
 }
 
+/// Boots `spec` on a fresh shared tier, loads `extra` files, runs `check`
+/// and returns what the engine cached and the tier's serialized snapshot.
+fn derive_on_fresh_tier(
+    spec: &AppSpec,
+    extra: &[(String, &str)],
+    check: impl FnOnce(&mut Hummingbird),
+) -> (Vec<CacheDumpEntry>, Vec<u8>) {
+    let shared = Arc::new(SharedCache::new());
+    let mut hb = build_app_with(spec, Hummingbird::builder().shared_cache(shared.clone()));
+    for (name, src) in extra {
+        hb.load_file(name, src).unwrap();
+    }
+    check(&mut hb);
+    (hb.engine.cache_dump(), shared.snapshot().to_bytes())
+}
+
+#[test]
+fn parallel_check_all_derives_and_publishes_exactly_what_serial_does() {
+    let history: Vec<(String, &str)> = error_versions()
+        .iter()
+        .enumerate()
+        .map(|(i, v)| (format!("talks/buggy{i}.rb"), v.buggy_source))
+        .collect();
+    let mut systems: Vec<(AppSpec, &[(String, &str)])> =
+        all_apps().into_iter().map(|spec| (spec, &[][..])).collect();
+    systems.push((talks(), &history));
+    for (spec, extra) in systems {
+        let (serial_cache, serial_snap) = derive_on_fresh_tier(&spec, extra, |hb| {
+            hb.check_all();
+        });
+        let (parallel_cache, parallel_snap) = derive_on_fresh_tier(&spec, extra, |hb| {
+            hb.check_all_parallel(4);
+        });
+        assert!(
+            !serial_cache.is_empty(),
+            "{}: something was derived",
+            spec.name
+        );
+        assert_eq!(
+            serial_cache, parallel_cache,
+            "{}: the same derivations with the same dependencies",
+            spec.name
+        );
+        assert!(
+            serial_snap == parallel_snap,
+            "{}: the published snapshots differ ({} vs {} bytes)",
+            spec.name,
+            serial_snap.len(),
+            parallel_snap.len()
+        );
+    }
+}
+
 /// What serving the Talks first-request storm cold under one policy did.
 struct Storm {
     checks_landed: u64,
@@ -202,7 +257,7 @@ fn talks_storm(policy: CheckPolicy) -> Storm {
         Hummingbird::builder()
             .check_policy(policy)
             .observability(ObsLevel::Metrics)
-            .worker_threads(4),
+            .scheduler(Arc::new(Scheduler::new(4))),
     );
     // Checks run while booting are not part of the storm: counters only
     // grow, so the storm is the difference of two snapshots.

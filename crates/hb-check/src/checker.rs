@@ -72,13 +72,11 @@ impl std::error::Error for CheckError {}
 pub struct CheckOutcome {
     /// The body's computed return type (the last arm's, when intersected).
     pub ret: Type,
-    /// Methods whose types this check consulted via (TApp): the cache
-    /// dependency set of Definition 1(2).
-    pub deps: BTreeSet<MethodKey>,
-    /// The (TApp) resolution witnesses behind `deps`, including negative
-    /// facts (lookups that found nothing and fell back). A foreign
-    /// consumer replays these to decide whether the derivation is valid
-    /// against *its* table and hierarchy.
+    /// The (TApp) resolutions this check consulted, including negative
+    /// facts (lookups that found nothing and fell back). Their targets are
+    /// Definition 1(2)'s dependency set; a foreign consumer replays them to
+    /// decide whether the derivation is valid against *its* table and
+    /// hierarchy.
     pub resolutions: BTreeSet<Resolution>,
     /// Distinct `rdl_cast` sites encountered (file, lo, hi).
     pub cast_sites: BTreeSet<(u32, u32, u32)>,
@@ -88,7 +86,6 @@ impl Default for CheckOutcome {
     fn default() -> CheckOutcome {
         CheckOutcome {
             ret: Type::Nil,
-            deps: BTreeSet::new(),
             resolutions: BTreeSet::new(),
             cast_sites: BTreeSet::new(),
         }
@@ -224,7 +221,6 @@ fn check_sig_arms(req: &CheckRequest) -> Result<CheckOutcome, CheckError> {
             yield_block_type: arm.block.as_deref().cloned(),
             ann_key: req.ann_key,
             ann_span: req.ann_span,
-            deps: BTreeSet::new(),
             resolutions: BTreeSet::new(),
             casts: BTreeSet::new(),
         };
@@ -243,7 +239,6 @@ fn check_sig_arms(req: &CheckRequest) -> Result<CheckOutcome, CheckError> {
             ));
         }
         out.ret = ret;
-        out.deps.append(&mut ck.deps);
         out.resolutions.append(&mut ck.resolutions);
         out.cast_sites.append(&mut ck.casts);
     }
@@ -278,7 +273,6 @@ struct Checker<'a> {
     /// every other failure.
     ann_key: MethodKey,
     ann_span: Span,
-    deps: BTreeSet<MethodKey>,
     resolutions: BTreeSet<Resolution>,
     casts: BTreeSet<(u32, u32, u32)>,
 }
@@ -783,7 +777,6 @@ impl<'a> Checker<'a> {
                 match found {
                     Some((key, entry)) => {
                         self.rdl.mark_used(&key);
-                        self.deps.insert(key);
                         self.resolutions.insert(Resolution {
                             start: hb_intern::Sym::intern(&self.self_class),
                             skip_receiver: true,
@@ -991,7 +984,6 @@ impl<'a> Checker<'a> {
             }
         };
         self.rdl.mark_used(&key);
-        self.deps.insert(key);
         let sig = self.instantiate(&entry, c, targs);
         self.apply_sig(
             cfg,
@@ -1054,7 +1046,6 @@ impl<'a> Checker<'a> {
         match found_init {
             Some((key, entry)) => {
                 self.rdl.mark_used(&key);
-                self.deps.insert(key);
                 let sig = MethodSig {
                     arms: entry
                         .sig

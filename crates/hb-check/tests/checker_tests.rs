@@ -467,7 +467,12 @@ fn deps_record_consulted_methods() {
             "(User) -> Fixnum",
         )
         .unwrap();
-    let deps: Vec<String> = out.deps.iter().map(|k| k.display()).collect();
+    let deps: Vec<String> = out
+        .resolutions
+        .iter()
+        .filter_map(|r| r.target)
+        .map(|k| k.display())
+        .collect();
     assert!(deps.contains(&"User#name".to_string()), "{deps:?}");
     assert!(deps.contains(&"String#length".to_string()), "{deps:?}");
 }

@@ -359,6 +359,26 @@ impl ClassRegistry {
         })
     }
 
+    /// The chain a method lookup from the class named `class` walks — the
+    /// one resolution rule shared by the checker's view of this registry,
+    /// the world snapshots scheduler workers check against, and witness
+    /// replay: the class's ancestors, then `Object` unless the chain
+    /// already ends there (a module's does not), or `[class, Object]` for
+    /// a name the registry does not know. Allocates nothing for a known
+    /// class once its ancestor chain is memoised.
+    pub fn resolution_chain<'a>(&'a self, class: &str) -> impl Iterator<Item = Sym> + 'a {
+        let object = Sym::intern("Object");
+        let (unknown, chain): (Option<Sym>, Rc<[ClassId]>) = match self.lookup(class) {
+            Some(id) => (None, self.ancestor_chain(id)),
+            None => (Some(Sym::intern(class)), Rc::new([])),
+        };
+        let ends_in_object = chain.last().is_some_and(|&id| self.name_sym(id) == object);
+        unknown
+            .into_iter()
+            .chain((0..chain.len()).map(move |i| self.name_sym(chain[i])))
+            .chain((!ends_in_object).then_some(object))
+    }
+
     /// Finds an instance method along the ancestor chain; returns the owner
     /// class id and the entry.
     pub fn find_method(&self, class: ClassId, name: &str) -> Option<(ClassId, MethodEntry)> {

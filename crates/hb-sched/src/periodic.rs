@@ -15,6 +15,7 @@
 //! fires after `drop` returns (a tick already *on* the pool may still be
 //! executing; quiesce the pool if that matters).
 
+use crate::lock;
 use crate::pool::Scheduler;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -46,8 +47,8 @@ impl PeriodicTask {
                 .name("hb-periodic".into())
                 .spawn(move || loop {
                     {
-                        let (lock, cv) = &*stop;
-                        let mut stopped = lock.lock().unwrap_or_else(|e| e.into_inner());
+                        let (flag, cv) = &*stop;
+                        let mut stopped = lock(flag);
                         while !*stopped {
                             let (guard, timeout) = cv
                                 .wait_timeout(stopped, interval)
@@ -90,8 +91,8 @@ impl PeriodicTask {
 impl Drop for PeriodicTask {
     fn drop(&mut self) {
         {
-            let (lock, cv) = &*self.stop;
-            *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
+            let (flag, cv) = &*self.stop;
+            *lock(flag) = true;
             cv.notify_all();
         }
         if let Some(handle) = self.handle.take() {

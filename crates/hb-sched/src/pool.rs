@@ -9,40 +9,41 @@
 //! keeps all cores busy until the last task, which is exactly the
 //! `check_all_parallel` wall-clock bound.
 //!
-//! Panic containment: every task executes under `catch_unwind`. A
-//! panicking check poisons only its own task — the worker thread, the
-//! deques and every other queued task survive — and the panic surfaces as
-//! a [`TaskVerdict::Panicked`] completion for the engine to report as a
-//! structured `HB0011` diagnostic (the scheduler-side analogue of the
-//! shared tier's poisoned-shard recovery).
+//! One kind of work runs on the pool: a job, which runs once on a worker.
+//! A deferred check ([`Scheduler::submit`]), each item of an ordered
+//! fan-out ([`Scheduler::map`], [`Scheduler::run_checks`]) and an opaque
+//! maintenance closure ([`Scheduler::submit_job`]) are all jobs.
+//!
+//! Panic containment: every job body runs under the pool's one
+//! containment, `catch_unwind`. A panicking job poisons only itself — the
+//! worker thread, the deques and every other queued job survive — and is
+//! counted once in [`Scheduler::tasks_panicked`]. A check's panic
+//! surfaces as a [`TaskVerdict::Panicked`] completion for the engine to
+//! report as a structured `HB0011` diagnostic (the scheduler-side
+//! analogue of the shared tier's poisoned-shard recovery); a mapped
+//! item's as an `Err` in its own result slot.
 
-use crate::task::{CheckTask, TaskVerdict};
+use crate::lock;
+use crate::task::{CheckTask, CompletionQueue, TaskCompletion, TaskVerdict};
 use hb_rdl::MethodKey;
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// A generic unit of pool work: an engine check task or an opaque job
-/// closure (the analysis fan-out path). Jobs reuse the same deques,
-/// stealing and panic containment as checks.
-enum PoolTask {
-    Check(CheckTask),
-    Job(Job),
-}
-
-/// An opaque job: runs once on a worker. Result delivery is the
-/// closure's business (send over a channel, fill an `Arc<Mutex<..>>`);
-/// a job dropped unrun (pool shutdown) must fail safe — channel senders
-/// do, since dropping them closes the channel.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A unit of pool work: runs once on a worker, which lends it the pool's
+/// containment and test instrumentation. A job dropped unrun (the pool
+/// shut down with it still queued) fails safe through what it owns: a
+/// check's `PendingEntry` abandons itself, a fan-out's result sender
+/// closes.
+type Job = Box<dyn FnOnce(&PoolShared) + Send>;
 
 struct PoolShared {
     /// Per-worker deques: owner pops the back, thieves steal the front.
-    queues: Vec<Mutex<VecDeque<PoolTask>>>,
+    queues: Vec<Mutex<VecDeque<Job>>>,
     /// Overflow queue for submissions that found their deque contended.
-    injector: Mutex<VecDeque<PoolTask>>,
+    injector: Mutex<VecDeque<Job>>,
     /// Parking gate for idle workers.
     gate: Mutex<()>,
     wake: Condvar,
@@ -50,7 +51,7 @@ struct PoolShared {
     paused: AtomicBool,
     /// Round-robin submission cursor.
     next: AtomicUsize,
-    /// Tasks whose execution panicked (and was contained).
+    /// Job bodies that panicked (and were contained).
     panicked: AtomicU64,
     /// Test instrumentation: keys whose tasks deliberately panic on the
     /// worker (exercises the containment path end to end).
@@ -60,83 +61,51 @@ struct PoolShared {
 impl PoolShared {
     /// Pops work for worker `me`: own back, injector front, then steal
     /// other fronts.
-    fn grab(&self, me: usize) -> Option<PoolTask> {
-        if let Some(t) = self.queues[me]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_back()
-        {
-            return Some(t);
-        }
-        if let Some(t) = self
-            .injector
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_front()
-        {
-            return Some(t);
-        }
-        for i in 1..self.queues.len() {
-            let victim = (me + i) % self.queues.len();
-            if let Some(t) = self.queues[victim]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front()
-            {
-                return Some(t);
-            }
-        }
-        None
+    fn grab(&self, me: usize) -> Option<Job> {
+        let n = self.queues.len();
+        // One lock at a time: each guard drops before the next lock.
+        let own = lock(&self.queues[me]).pop_back();
+        own.or_else(|| lock(&self.injector).pop_front())
+            .or_else(|| (1..n).find_map(|i| lock(&self.queues[(me + i) % n]).pop_front()))
     }
 
-    fn execute(&self, task: PoolTask) {
-        match task {
-            PoolTask::Check(t) => self.execute_check(t),
-            PoolTask::Job(j) => self.execute_job(j),
-        }
-    }
-
-    /// Runs one opaque job under the same containment as a check: a
-    /// panicking job is caught and counted, the worker survives.
-    fn execute_job(&self, job: Job) {
-        let result = catch_unwind(AssertUnwindSafe(job));
-        if result.is_err() {
+    /// The pool's one panic containment: runs `f`, turning a panic into
+    /// `Err` with the payload message, counted once in `tasks_panicked`.
+    fn contain<R>(&self, f: impl FnOnce() -> R) -> Result<R, String> {
+        catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
             self.panicked.fetch_add(1, Ordering::Relaxed);
-        }
+            panic_message(payload)
+        })
     }
 
-    fn execute_check(&self, task: CheckTask) {
+    /// Runs one check task on this worker, timed, with the `panic_on`
+    /// instrumentation honoured and a panic contained to a
+    /// [`TaskVerdict::Panicked`] verdict.
+    fn run_check(&self, task: CheckTask) -> TaskCompletion {
         let t0 = Instant::now();
         let queue_ns = task
             .submitted_at
-            .map(|s| t0.saturating_duration_since(s).as_nanos() as u64)
-            .unwrap_or(0);
-        let deliberate = self
-            .panic_keys
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(&task.cache_key);
+            .map_or(0, |s| t0.saturating_duration_since(s).as_nanos() as u64);
+        let deliberate = lock(&self.panic_keys).contains(&task.cache_key);
         // The task's data is fully owned, so observing it after a caught
-        // unwind is safe; the catch is the containment boundary.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if deliberate {
-                panic!(
-                    "deliberate test panic while checking {}",
-                    task.cache_key.display()
-                );
-            }
-            task.run()
-        }));
-        let verdict = match result {
-            Ok(v) => v,
-            Err(payload) => {
-                self.panicked.fetch_add(1, Ordering::Relaxed);
-                TaskVerdict::Panicked(panic_message(payload))
-            }
-        };
-        let duration_ns = t0.elapsed().as_nanos() as u64;
-        let completions = task.completions.clone();
-        completions.complete(task.into_completion(verdict, duration_ns, queue_ns));
+        // unwind is safe; the containment is the boundary.
+        let verdict = self
+            .contain(|| {
+                if deliberate {
+                    panic!(
+                        "deliberate test panic while checking {}",
+                        task.cache_key.display()
+                    );
+                }
+                task.run()
+            })
+            .unwrap_or_else(TaskVerdict::Panicked);
+        TaskCompletion {
+            task,
+            verdict,
+            duration_ns: t0.elapsed().as_nanos() as u64,
+            queue_ns,
+        }
     }
 
     fn worker_loop(&self, me: usize) {
@@ -145,15 +114,15 @@ impl PoolShared {
                 return;
             }
             if !self.paused.load(Ordering::Acquire) {
-                if let Some(task) = self.grab(me) {
-                    self.execute(task);
+                if let Some(job) = self.grab(me) {
+                    job(self);
                     continue;
                 }
             }
             // Park. The timeout is a belt-and-braces fallback against a
             // lost wakeup race; submissions notify under the gate, so the
             // common-case latency is the notify itself.
-            let guard = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+            let guard = lock(&self.gate);
             match self.wake.wait_timeout(guard, Duration::from_millis(20)) {
                 Ok((g, _)) => drop(g),
                 Err(poisoned) => drop(poisoned.into_inner()),
@@ -163,8 +132,8 @@ impl PoolShared {
 }
 
 /// The concurrent check scheduler: a fixed pool of worker threads
-/// executing [`CheckTask`]s off the interpreter thread. Share one pool
-/// across tenants (it is `Send + Sync` behind `Arc`); each task carries
+/// executing jobs off the interpreter thread. Share one pool across
+/// tenants (it is `Send + Sync` behind `Arc`); each deferred check carries
 /// its submitting engine's completion queue, so results route themselves.
 pub struct Scheduler {
     shared: Arc<PoolShared>,
@@ -206,55 +175,106 @@ impl Scheduler {
         self.shared.queues.len()
     }
 
-    /// Submits a task, returning whether the pool accepted it. The task's
-    /// completion queue is registered before the task becomes visible to
-    /// workers, so a quiesce that races the submission still waits for
-    /// it. A shut-down pool rejects the task (returns `false`) after
-    /// un-registering it — the submitter must not leave per-key in-flight
-    /// state latched on a task that will never run.
-    pub fn submit(&self, task: CheckTask) -> bool {
-        task.completions.register();
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            // Shut-down pool: the task will never run.
-            task.completions.abandon();
-            return false;
-        }
-        let n = self.shared.queues.len();
-        let slot = self.shared.next.fetch_add(1, Ordering::Relaxed) % n;
-        self.enqueue(slot, PoolTask::Check(task));
-        true
+    /// Submits a deferred check, returning whether the pool accepted it.
+    /// The job runs the task and completes its entry in `completions`,
+    /// registered before the job becomes visible to workers, so a quiesce
+    /// that races the submission still waits for it. A shut-down pool
+    /// drops the job, which abandons the entry; the submitter must not
+    /// leave per-key in-flight state latched on a task that will never
+    /// run.
+    pub fn submit(&self, task: CheckTask, completions: Arc<CompletionQueue>) -> bool {
+        let entry = completions.register();
+        self.push(Box::new(move |pool| entry.complete(pool.run_check(task))))
     }
 
-    /// Submits an opaque job closure (the analysis fan-out path). Returns
-    /// `false` — dropping the closure unrun — if the pool is shut down;
-    /// callers must make dropped jobs fail safe (channel senders do).
+    /// Submits an opaque job closure (the fleet daemon's periodic
+    /// maintenance). Returns `false` — dropping the closure unrun — if the
+    /// pool is shut down; callers must make dropped jobs fail safe
+    /// (channel senders do).
     pub fn submit_job(&self, job: impl FnOnce() + Send + 'static) -> bool {
+        self.push(Box::new(move |pool| {
+            let _ = pool.contain(job);
+        }))
+    }
+
+    /// Runs `f` over `items` on the pool and returns the results in input
+    /// order, whichever worker ran each item and whenever it finished. A
+    /// panic stays confined to its own item: that slot holds `Err` with
+    /// the payload message, counted once in
+    /// [`tasks_panicked`](Scheduler::tasks_panicked), and every other item
+    /// returns normally. Blocks until every item has run (a paused pool
+    /// holds it until [`resume`](Scheduler::resume)).
+    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<Result<R, String>>
+    where
+        T: Send + 'static,
+        R: Send + 'static,
+        F: Fn(T) -> R + Send + Sync + 'static,
+    {
+        self.ordered(items, move |pool, item| pool.contain(|| f(item)))
+    }
+
+    /// Runs check tasks on the pool (the parallel `check_all` fan-out) and
+    /// returns their completions in input order. Each task runs exactly as
+    /// a [`submit`](Scheduler::submit)ted one does: timed, with
+    /// [`panic_on`](Scheduler::panic_on) honoured and a panic returned as a
+    /// [`TaskVerdict::Panicked`] completion.
+    pub fn run_checks(&self, tasks: Vec<CheckTask>) -> Vec<TaskCompletion> {
+        self.ordered(tasks, PoolShared::run_check)
+    }
+
+    /// The ordered fan-out behind [`map`](Scheduler::map) and
+    /// [`run_checks`](Scheduler::run_checks): one job per item, each
+    /// result returned to the slot of its input index.
+    fn ordered<T, R>(
+        &self,
+        items: Vec<T>,
+        f: impl Fn(&PoolShared, T) -> R + Send + Sync + 'static,
+    ) -> Vec<R>
+    where
+        T: Send + 'static,
+        R: Send + 'static,
+    {
+        let f = Arc::new(f);
+        let (tx, rx) = mpsc::channel();
+        let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
+        for (i, item) in items.into_iter().enumerate() {
+            slots.push(None);
+            let (f, tx) = (f.clone(), tx.clone());
+            self.push(Box::new(move |pool| {
+                let _ = tx.send((i, f(pool, item)));
+            }));
+        }
+        drop(tx);
+        for (i, r) in rx {
+            slots[i] = Some(r);
+        }
+        slots
+            .into_iter()
+            .map(|r| r.expect("a pool in use runs every queued job"))
+            .collect()
+    }
+
+    /// Queues one job on the next deque round-robin (the injector when
+    /// that deque is contended) and wakes the workers. A shut-down pool
+    /// drops the job unrun and returns `false`.
+    fn push(&self, job: Job) -> bool {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return false;
         }
         let n = self.shared.queues.len();
         let slot = self.shared.next.fetch_add(1, Ordering::Relaxed) % n;
-        self.enqueue(slot, PoolTask::Job(Box::new(job)));
+        match self.shared.queues[slot].try_lock() {
+            Ok(mut q) => q.push_back(job),
+            Err(_) => lock(&self.shared.injector).push_back(job),
+        }
+        let _gate = lock(&self.shared.gate);
+        self.shared.wake.notify_all();
         true
     }
 
-    fn enqueue(&self, slot: usize, task: PoolTask) {
-        match self.shared.queues[slot].try_lock() {
-            Ok(mut q) => q.push_back(task),
-            Err(_) => self
-                .shared
-                .injector
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(task),
-        }
-        let _gate = self.shared.gate.lock().unwrap_or_else(|e| e.into_inner());
-        self.shared.wake.notify_all();
-    }
-
-    /// Pauses execution: queued tasks stay queued until
+    /// Pauses execution: queued jobs stay queued until
     /// [`resume`](Scheduler::resume). Test hook for reload-during-inflight
-    /// scenarios; tasks already running finish normally.
+    /// scenarios; jobs already running finish normally.
     pub fn pause(&self) {
         self.shared.paused.store(true, Ordering::Release);
     }
@@ -262,11 +282,12 @@ impl Scheduler {
     /// Resumes a paused pool.
     pub fn resume(&self) {
         self.shared.paused.store(false, Ordering::Release);
-        let _gate = self.shared.gate.lock().unwrap_or_else(|e| e.into_inner());
+        let _gate = lock(&self.shared.gate);
         self.shared.wake.notify_all();
     }
 
-    /// Tasks whose execution panicked and was contained.
+    /// Job bodies whose panic was contained: checks, mapped items and
+    /// opaque jobs alike, each counted once.
     pub fn tasks_panicked(&self) -> u64 {
         self.shared.panicked.load(Ordering::Relaxed)
     }
@@ -274,59 +295,27 @@ impl Scheduler {
     /// Test instrumentation: make every task for `key` panic on the
     /// worker, exercising the containment path.
     pub fn panic_on(&self, key: MethodKey) {
-        self.shared
-            .panic_keys
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key);
+        lock(&self.shared.panic_keys).insert(key);
     }
 
     /// Clears [`panic_on`](Scheduler::panic_on) instrumentation.
     pub fn clear_panic_keys(&self) {
-        self.shared
-            .panic_keys
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        lock(&self.shared.panic_keys).clear();
     }
 }
 
 impl Drop for Scheduler {
+    /// Stops and joins the workers. Jobs still queued are dropped unrun
+    /// with the pool's shared state, each failing safe through what it
+    /// owns.
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         {
-            let _gate = self.shared.gate.lock().unwrap_or_else(|e| e.into_inner());
+            let _gate = lock(&self.shared.gate);
             self.shared.wake.notify_all();
         }
-        for h in self
-            .workers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-        {
+        for h in lock(&self.workers).drain(..) {
             let _ = h.join();
-        }
-        // Abandon anything still queued so quiescing engines do not hang
-        // on tasks that will never run. (Leftover jobs are dropped unrun,
-        // which closes their result channels.)
-        let leftovers: Vec<PoolTask> = {
-            let mut all = Vec::new();
-            for q in self.shared.queues.iter() {
-                all.extend(q.lock().unwrap_or_else(|e| e.into_inner()).drain(..));
-            }
-            all.extend(
-                self.shared
-                    .injector
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .drain(..),
-            );
-            all
-        };
-        for t in leftovers {
-            if let PoolTask::Check(t) = t {
-                t.completions.abandon();
-            }
         }
     }
 }
@@ -344,6 +333,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::tests::empty_task;
 
     #[test]
     fn scheduler_is_send_and_sync() {
@@ -404,5 +394,76 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(s.tasks_panicked(), 1);
+    }
+
+    #[test]
+    fn map_keeps_input_order_under_stealing_and_confines_a_panic() {
+        let s = Scheduler::new(3);
+        // Uneven lengths: early items run longest, so workers finish out
+        // of order and steal each other's queued items.
+        let out = s.map((0..24u64).collect(), |i| {
+            std::thread::sleep(Duration::from_millis((24 - i) % 7));
+            if i == 9 {
+                panic!("item {i} failed");
+            }
+            (i * 10, std::thread::current().name().map(str::to_string))
+        });
+        assert_eq!(out.len(), 24);
+        let mut workers = HashSet::new();
+        for (i, r) in out.into_iter().enumerate() {
+            match r {
+                Err(msg) => {
+                    assert_eq!(i, 9);
+                    assert_eq!(msg, "item 9 failed");
+                }
+                Ok((v, worker)) => {
+                    assert_eq!(v, i as u64 * 10, "slot {i} holds its own result");
+                    workers.insert(worker);
+                }
+            }
+        }
+        assert!(workers.len() > 1, "the items ran on several workers");
+        assert_eq!(s.tasks_panicked(), 1);
+    }
+
+    #[test]
+    fn run_checks_honours_panic_on_and_counts_the_panic_once() {
+        let s = Scheduler::new(2);
+        let bad = MethodKey::instance("A", "bad");
+        s.panic_on(bad);
+        let out = s.run_checks(vec![
+            empty_task(MethodKey::instance("A", "ok")),
+            empty_task(bad),
+        ]);
+        assert!(matches!(out[0].verdict, TaskVerdict::Pass(_)));
+        assert_eq!(out[1].task.cache_key, bad);
+        assert!(
+            matches!(&out[1].verdict, TaskVerdict::Panicked(m) if m.contains("A#bad")),
+            "the payload message reaches the completion"
+        );
+        assert_eq!(s.tasks_panicked(), 1);
+    }
+
+    #[test]
+    fn a_check_job_completes_its_entry_and_one_dropped_unrun_abandons_it() {
+        let q = Arc::new(CompletionQueue::new());
+        let s = Scheduler::new(1);
+        assert!(s.submit(empty_task(MethodKey::instance("A", "m")), q.clone()));
+        q.wait_idle();
+        let done = q.drain();
+        assert_eq!(done.len(), 1);
+        let TaskVerdict::Pass(d) = &done[0].verdict else {
+            panic!("an empty body checks against () -> nil");
+        };
+        assert_eq!((d.entry_id, d.sig_version), (1, 1));
+        assert_eq!(d.epochs, done[0].task.world.epochs);
+        // A pool dropped with the job still queued abandons its entry, so
+        // a quiescing engine does not wait for it.
+        s.pause();
+        assert!(s.submit(empty_task(MethodKey::instance("A", "m")), q.clone()));
+        assert_eq!(q.pending(), 1);
+        drop(s);
+        assert_eq!(q.pending(), 0);
+        assert!(q.drain().is_empty());
     }
 }

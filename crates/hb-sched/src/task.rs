@@ -6,15 +6,19 @@
 //! type environment, and an `Arc`'d [`WorldSnapshot`] of the table and
 //! hierarchy with its epoch fingerprints. Extraction happens at the
 //! engine layer on the interpreter thread; execution happens on any
-//! worker; the result travels back through the submitting engine's
-//! [`CompletionQueue`] and is validated against the engine's *current*
-//! state before anything lands (stale results are discarded, never
-//! adopted).
+//! worker, where a passing check is stamped into a [`Derivation`]. The
+//! task comes back with its verdict as a [`TaskCompletion`] — through the
+//! submitting engine's [`CompletionQueue`] for a deferred admission, in
+//! input order from [`Scheduler::run_checks`](crate::Scheduler::run_checks)
+//! for a parallel `check_all` — and is validated against the engine's
+//! *current* state before anything lands (stale results are discarded,
+//! never adopted).
 
+use crate::lock;
 use crate::world::WorldSnapshot;
-use hb_check::{check_sig, CheckOptions, CheckRequest};
+use hb_check::{check_sig, CheckOptions, CheckRequest, Derivation};
 use hb_il::MethodCfg;
-use hb_rdl::{CheckPolicy, MethodKey, Witness};
+use hb_rdl::{CheckPolicy, MethodKey};
 use hb_syntax::{Span, TypeDiagnostic};
 use hb_types::{MethodSig, TypeEnv};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,16 +28,12 @@ use std::time::Instant;
 /// How a scheduled check ended on the worker.
 #[derive(Debug, Clone)]
 pub enum TaskVerdict {
-    /// The derivation succeeded against the task's world snapshot.
-    Pass {
-        /// Dependency witnesses, with the versions and fingerprints their
-        /// targets had *in the task's world snapshot*. The engine replays
-        /// them against its current table at harvest, exactly as it does
-        /// for a derivation adopted from the shared tier.
-        deps: Vec<Witness>,
-        /// Distinct `rdl_cast` sites the derivation encountered.
-        cast_sites: Vec<(u32, u32, u32)>,
-    },
+    /// The check passed against the task's world snapshot. The
+    /// derivation's witnesses carry the versions and fingerprints their
+    /// targets had *in that snapshot*; the engine validates it against its
+    /// current table at harvest, exactly as it does a derivation adopted
+    /// from the shared tier.
+    Pass(Derivation),
     /// The check blamed; the structured diagnostic is exactly what a
     /// synchronous check would have produced.
     Blame(TypeDiagnostic),
@@ -43,31 +43,11 @@ pub enum TaskVerdict {
     Panicked(String),
 }
 
-/// A completed task travelling back to the submitting engine: the task's
-/// identity and capture-time fingerprints (what staleness is judged
-/// against) plus the verdict.
-#[derive(Debug, Clone)]
+/// A finished task travelling back to the submitting engine: the task
+/// itself (its identity and capture-time world are what staleness is
+/// judged against) and how it ended.
 pub struct TaskCompletion {
-    pub cache_key: MethodKey,
-    pub ann_key: MethodKey,
-    /// Method-table entry id the checked CFG was lowered from.
-    pub entry_id: u64,
-    /// Annotation version the body was checked against.
-    pub sig_version: u64,
-    /// Cross-process body fingerprint (`None` for bodies without a stable
-    /// source identity — those check fine but are not published to the
-    /// shared tier).
-    pub body_fp: Option<u64>,
-    /// Content fingerprint of the checked method's own signature.
-    pub own_sig_fp: u64,
-    /// The world snapshot's `(table_fp, hier_fp, var_fp)` at capture.
-    pub epochs: (u64, u64, u64),
-    /// The triggering call site for deferred JIT admissions, whose blame
-    /// the engine records. `None` for eager parallel linting, which leaves
-    /// blame reporting to the deterministic serial sweep.
-    pub trigger: Option<Span>,
-    /// The policy the task ran under.
-    pub policy: CheckPolicy,
+    pub task: CheckTask,
     pub verdict: TaskVerdict,
     /// Wall-clock nanoseconds the worker spent on the check.
     pub duration_ns: u64,
@@ -103,12 +83,12 @@ pub struct CheckTask {
     pub world: Arc<WorldSnapshot>,
     /// The enforcement policy the check runs under.
     pub policy: CheckPolicy,
-    /// See [`TaskCompletion::trigger`].
+    /// The triggering call site for deferred JIT admissions, whose blame
+    /// the engine records. `None` for eager parallel linting, which leaves
+    /// blame reporting to the deterministic serial sweep.
     pub trigger: Option<Span>,
     /// Checker tunables.
     pub opts: CheckOptions,
-    /// The submitting engine's completion channel.
-    pub completions: Arc<CompletionQueue>,
     /// When the submitter enqueued the task. Stamped only when the
     /// submitting engine collects observability metrics; the worker
     /// turns it into [`TaskCompletion::queue_ns`].
@@ -134,54 +114,43 @@ impl CheckTask {
             policy: self.policy,
         };
         match check_sig(&req) {
-            Ok(outcome) => {
-                // Attach each dependency's at-capture version/fingerprint,
-                // exactly as a tenant publishing to the shared tier does.
-                let deps = outcome
-                    .resolutions
-                    .iter()
-                    .map(|res| {
-                        let (v, fp) = res
-                            .target
-                            .and_then(|t| self.world.table_entry(&t))
-                            .map_or((0, 0), |e| (e.version, e.sig_fingerprint()));
-                        Witness {
-                            resolution: *res,
-                            sig_version: v,
-                            sig_fingerprint: fp,
-                        }
-                    })
-                    .collect();
-                TaskVerdict::Pass {
-                    deps,
-                    cast_sites: outcome.cast_sites.iter().copied().collect(),
-                }
-            }
+            Ok(outcome) => TaskVerdict::Pass(Derivation::stamp(
+                &outcome,
+                self.entry_id,
+                self.sig_version,
+                self.body_fp,
+                self.own_sig_fp,
+                self.world.epochs,
+                |target| {
+                    self.world
+                        .table_entry(&target)
+                        .map(|e| (e.version, e.sig_fingerprint()))
+                },
+            )),
             Err(e) => TaskVerdict::Blame(e.into_diagnostic()),
         }
     }
+}
 
-    /// Folds this task and a verdict into the completion record sent back
-    /// to the submitting engine.
-    pub fn into_completion(
-        self,
-        verdict: TaskVerdict,
-        duration_ns: u64,
-        queue_ns: u64,
-    ) -> TaskCompletion {
-        TaskCompletion {
-            cache_key: self.cache_key,
-            ann_key: self.ann_key,
-            entry_id: self.entry_id,
-            sig_version: self.sig_version,
-            body_fp: self.body_fp,
-            own_sig_fp: self.own_sig_fp,
-            epochs: self.world.epochs,
-            trigger: self.trigger,
-            policy: self.policy,
-            verdict,
-            duration_ns,
-            queue_ns,
+/// One registered task of a [`CompletionQueue`], owned by the job that
+/// runs the task: the job completes it, and a job dropped unrun (a pool
+/// shutting down with the task still queued) abandons it on drop, so
+/// quiescing callers never wait for a task that will not run.
+pub(crate) struct PendingEntry(Option<Arc<CompletionQueue>>);
+
+impl PendingEntry {
+    /// Delivers the task's completion.
+    pub(crate) fn complete(mut self, c: TaskCompletion) {
+        if let Some(queue) = self.0.take() {
+            queue.finish(Some(c));
+        }
+    }
+}
+
+impl Drop for PendingEntry {
+    fn drop(&mut self) {
+        if let Some(queue) = self.0.take() {
+            queue.finish(None);
         }
     }
 }
@@ -212,29 +181,21 @@ impl CompletionQueue {
         CompletionQueue::default()
     }
 
-    /// Registers one submitted task (balanced by [`complete`] or
-    /// [`abandon`]).
-    ///
-    /// [`complete`]: CompletionQueue::complete
-    /// [`abandon`]: CompletionQueue::abandon
-    pub fn register(&self) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).pending += 1;
+    /// Registers one submitted task, settled when its [`PendingEntry`]
+    /// completes or drops.
+    pub(crate) fn register(self: &Arc<Self>) -> PendingEntry {
+        lock(&self.state).pending += 1;
+        PendingEntry(Some(self.clone()))
     }
 
-    /// Delivers a completed task and wakes quiescing waiters.
-    pub fn complete(&self, c: TaskCompletion) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.done.push(c);
-        st.pending = st.pending.saturating_sub(1);
-        self.ready.fetch_add(1, Ordering::Release);
-        drop(st);
-        self.idle.notify_all();
-    }
-
-    /// Un-registers a task that will never run (scheduler shut down with
-    /// the task still queued) so quiescing callers do not hang.
-    pub fn abandon(&self) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+    /// Settles one registered task — delivering its completion if it ran —
+    /// and wakes quiescing waiters.
+    fn finish(&self, c: Option<TaskCompletion>) {
+        let mut st = lock(&self.state);
+        if let Some(c) = c {
+            st.done.push(c);
+            self.ready.fetch_add(1, Ordering::Release);
+        }
         st.pending = st.pending.saturating_sub(1);
         drop(st);
         self.idle.notify_all();
@@ -247,7 +208,7 @@ impl CompletionQueue {
 
     /// Takes every delivered completion, in delivery order.
     pub fn drain(&self) -> Vec<TaskCompletion> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = lock(&self.state);
         self.ready.store(0, Ordering::Release);
         std::mem::take(&mut st.done)
     }
@@ -256,7 +217,7 @@ impl CompletionQueue {
     /// abandoned). Completions delivered meanwhile stay queued for the
     /// caller's next [`drain`](CompletionQueue::drain).
     pub fn wait_idle(&self) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = lock(&self.state);
         while st.pending > 0 {
             st = self.idle.wait(st).unwrap_or_else(|e| e.into_inner());
         }
@@ -264,13 +225,45 @@ impl CompletionQueue {
 
     /// Tasks submitted but not yet completed.
     pub fn pending(&self) -> usize {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).pending
+        lock(&self.state).pending
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use hb_types::parse_method_type;
+    use std::collections::HashMap;
+
+    /// A task checking an empty `() -> nil` body for `key` in an empty
+    /// world.
+    pub(crate) fn empty_task(key: MethodKey) -> CheckTask {
+        let world = WorldSnapshot::new(
+            HashMap::new(),
+            HashMap::new(),
+            HashMap::new(),
+            HashMap::new(),
+            HashMap::new(),
+            (0, 0, 0),
+        );
+        CheckTask {
+            cache_key: key,
+            ann_key: key,
+            ann_span: Span::dummy(),
+            sig: MethodSig::single(parse_method_type("() -> nil").unwrap()),
+            entry_id: 1,
+            sig_version: 1,
+            body_fp: None,
+            own_sig_fp: 0,
+            cfg: Arc::new(hb_il::lower_block_body(&[], &[], Span::dummy())),
+            captured: None,
+            world: Arc::new(world),
+            policy: CheckPolicy::Deferred,
+            trigger: None,
+            opts: CheckOptions::default(),
+            submitted_at: None,
+        }
+    }
 
     #[test]
     fn task_and_completion_are_send() {
@@ -282,28 +275,20 @@ mod tests {
 
     #[test]
     fn queue_tracks_pending_and_ready() {
-        let q = CompletionQueue::new();
-        q.register();
-        q.register();
+        let q = Arc::new(CompletionQueue::new());
+        let abandoned = q.register();
+        let completed = q.register();
         assert_eq!(q.pending(), 2);
         assert!(!q.has_ready());
-        q.abandon();
+        drop(abandoned);
         assert_eq!(q.pending(), 1);
         let c = TaskCompletion {
-            cache_key: MethodKey::instance("A", "m"),
-            ann_key: MethodKey::instance("A", "m"),
-            entry_id: 1,
-            sig_version: 1,
-            body_fp: None,
-            own_sig_fp: 0,
-            epochs: (0, 0, 0),
-            trigger: None,
-            policy: CheckPolicy::Deferred,
+            task: empty_task(MethodKey::instance("A", "m")),
             verdict: TaskVerdict::Panicked("x".into()),
             duration_ns: 1,
             queue_ns: 0,
         };
-        q.complete(c);
+        completed.complete(c);
         assert!(q.has_ready());
         q.wait_idle(); // returns immediately: nothing pending
         assert_eq!(q.drain().len(), 1);
