@@ -81,8 +81,10 @@ impl Engine {
                         }
                     }
                     // The retired entry id can never be dispatched again;
-                    // dropping its CFG keeps long reload sessions bounded.
+                    // dropping its CFG and its dispatch records keeps long
+                    // reload sessions bounded.
                     st.cfgs.remove(&old_id);
+                    st.records.retain(|&(_, id), _| id != old_id);
                 }
                 InterpEvent::MethodRemoved {
                     class,
@@ -95,6 +97,8 @@ impl Engine {
                         method: Sym::intern(&name),
                     };
                     self.retire_method(&mut st, &key);
+                    // The event does not name the retired entry id.
+                    st.records.clear();
                 }
                 InterpEvent::ModuleIncluded { class, module } => {
                     // A post-first-call include changes annotation

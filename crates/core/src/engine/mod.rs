@@ -2,16 +2,18 @@
 //! entry, with a memoised derivation cache (paper §3's 𝒳) and Definition-1
 //! invalidation.
 //!
-//! The engine is a dispatch hook ([`hb_interp::CallHook`]): when an
-//! annotated method is called it (a) runs any needed dynamic argument
-//! checks (rules (EApp*), minimised per §4 "Eliminating Dynamic Checks"),
-//! and (b) if the method is marked for checking, statically checks its
-//! body against the *current* type table — once, caching the outcome keyed
-//! by the receiver's class.
+//! The engine is the interpreter's dispatch hook ([`hb_interp::CallHook`]):
+//! when a method is called it runs any `pre` contracts registered for it,
+//! and when the method is annotated it (a) runs any needed dynamic
+//! argument checks (rules (EApp*), minimised per §4 "Eliminating Dynamic
+//! Checks"), and (b) if the method is marked for checking, statically
+//! checks its body against the *current* type table — once, caching the
+//! outcome keyed by the receiver's class.
 //!
 //! The engine is split by concern:
 //!
-//! * `hook` — the dispatch hook and dynamic argument checks;
+//! * `hook` — the dispatch hook, its per-(receiver class, method entry)
+//!   dispatch records, `pre` contracts and dynamic argument checks;
 //! * `check` — obtaining a derivation: cache probe, shared-tier adoption,
 //!   deferral, or a synchronous `check_sig`; and whole-program `check_all`;
 //! * `land` — the derivation funnel: the one adoption test for foreign
@@ -35,11 +37,12 @@ use crate::stats::{CheckLogItem, EngineStats, PhaseTracker};
 use hb_check::CheckOptions;
 use hb_il::{lower_block_body, lower_method, MethodCfg};
 use hb_intern::Sym;
-use hb_interp::{ExecTierState, Interp, MethodBody, MethodEntry};
+use hb_interp::{ClassId, ExecTierState, Interp, MethodBody, MethodEntry};
 use hb_rdl::{type_of, MethodKey, RdlEvent, RdlEventSink, RdlState, Resolution, TableEntry};
 use hb_sched::{CompletionQueue, Scheduler, WorldSnapshot};
 use hb_syntax::TypeDiagnostic;
 use hb_types::TypeEnv;
+use hook::DispatchRecord;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
@@ -85,6 +88,15 @@ struct EngineState {
     cfgs: HashMap<u64, Arc<MethodCfg>>,
     /// Memoised signature-content fingerprints by (key, version).
     sig_fps: HashMap<(MethodKey, u64), u64>,
+    /// The hook's dispatch records by `(receiver class, method entry id)`,
+    /// the fast-entry table's key. All of them were resolved at the
+    /// (type-table, class-hierarchy, enforcement) generations in
+    /// `records_gen`; the hook drops them all when one moves, and
+    /// `process_events` drops them whenever an interpreter event retires
+    /// entry ids, so long reload sessions stay bounded.
+    records: hb_intern::FastMap<(ClassId, u64), DispatchRecord>,
+    /// The generations `records` was resolved at.
+    records_gen: (u64, u64, u64),
     /// Memoised replay results per resolution witness, valid for one
     /// (type-table, class-hierarchy) generation pair — the warm tenants'
     /// adoption fast path validates whole dependency sets from this map.
@@ -316,10 +328,6 @@ impl Engine {
             s.cache_hits += fast;
             s.intercepted_calls += fast;
         }
-        drop(st);
-        // Shadowed blames are counted on the RDL state so the pre-hook
-        // layer (which has no engine statistics) contributes too.
-        s.shadowed_blames = self.rdl.shadowed_blames();
         s
     }
 

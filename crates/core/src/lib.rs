@@ -98,7 +98,7 @@ pub use hb_rdl::{CheckPolicy, DiagnosticSink, MethodKey, RdlState, RdlStats};
 pub use hb_sched::{CheckTask, Scheduler, TaskVerdict, WorldSnapshot};
 pub use hb_syntax::{BlameTarget, DiagCode, DiagLabel, LabelRole, SourceMap, TypeDiagnostic};
 
-use hb_rdl::{install_rdl, RdlHook};
+use hb_rdl::install_rdl;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -323,8 +323,9 @@ impl HummingbirdBuilder {
         self
     }
 
-    /// Assembles the system: interpreter + RDL + engine, hooks installed
-    /// per mode, configuration applied (observability included), fleet
+    /// Assembles the system: interpreter + RDL + engine, the engine
+    /// installed as the dispatch hook unless the mode is `Original`,
+    /// configuration applied (observability included), fleet
     /// attached, core library seeded. No code runs, so the statistics
     /// start at zero; a fleet attachment's boot fetch is the only thing
     /// counted.
@@ -367,8 +368,7 @@ impl HummingbirdBuilder {
             None => (None, None),
         };
         if self.mode != Mode::Original {
-            interp.add_hook(Rc::new(RdlHook { state: rdl.clone() }));
-            interp.add_hook(engine.clone());
+            interp.set_hook(engine.clone());
         }
         interp.tier.set_tier(self.exec_tier);
         // Attach regardless of tier so invalidation always depatches: a

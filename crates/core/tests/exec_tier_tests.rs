@@ -286,3 +286,37 @@ fn steady_dispatch_hits_the_cache_and_patches_only_on_bytecode() {
         }
     }
 }
+
+#[test]
+fn dyn_flag_set_by_re_registration_blames_on_both_tiers() {
+    // Re-registering `m`'s arm with `"dyn" => true` adds no arm, so no
+    // type-table event fires; the flag still asks for the dynamic argument
+    // check that calls from the checked `c` otherwise skip, so the
+    // bytecode tier must leave `m`'s patched fast entry too.
+    for tier in [ExecTier::TreeWalk, ExecTier::Bytecode] {
+        let mut hb = Hummingbird::builder().exec_tier(tier).build();
+        hb.eval(
+            r#"
+class A
+  type :m, "(Fixnum) -> Fixnum", { "check" => true }
+  type :c, "(%any) -> Fixnum", { "check" => true }
+  def m(x)
+    x
+  end
+  def c(x)
+    m(x)
+  end
+end
+A.new.c(1)
+A.new.c(2)
+"#,
+        )
+        .unwrap();
+        hb.eval(
+            "class A\n type :m, \"(Fixnum) -> Fixnum\", { \"check\" => true, \"dyn\" => true }\nend",
+        )
+        .unwrap();
+        let err = hb.eval("A.new.c(\"s\")").unwrap_err();
+        assert_eq!(err.kind, ErrorKind::ContractBlame, "{tier:?}");
+    }
+}

@@ -1,5 +1,5 @@
-//! Call interception hooks — the mechanism Hummingbird (and RDL) use to
-//! run just-in-time checks at method entry.
+//! Call interception — the mechanism Hummingbird uses to run `pre`
+//! contracts and just-in-time checks at method entry.
 
 use crate::class::MethodEntry;
 use crate::error::HbError;
@@ -19,8 +19,8 @@ pub struct DispatchInfo {
     pub class_level: bool,
     /// The class/module that lexically owns the method definition.
     pub owner: ClassId,
-    /// The interned method name — hooks resolve annotations by symbol, so
-    /// constructing this info allocates nothing.
+    /// The interned method name — the hook resolves annotations by symbol,
+    /// so constructing this info allocates nothing.
     pub name: Sym,
     /// The method table entry (its `id` changes on redefinition).
     pub entry: MethodEntry,
@@ -37,7 +37,8 @@ pub struct HookOutcome {
     pub mark_checked: bool,
 }
 
-/// A hook invoked before every dispatch to a checkable method.
+/// The hook invoked before every dispatch to a checkable method. An
+/// interpreter holds at most one ([`crate::Interp::set_hook`]).
 ///
 /// Returning an error aborts the call — this is how Hummingbird's `blame`
 /// surfaces.

@@ -1,8 +1,8 @@
 //! The RubyLite evaluator.
 //!
 //! A tree-walking interpreter over [`hb_syntax::ast`]. Method dispatch runs
-//! through [`Interp::call_method`], which consults registered
-//! [`CallHook`]s — that is the seam where RDL wrapping and Hummingbird's
+//! through [`Interp::call_method`], which consults the installed
+//! [`CallHook`] — that is the seam where Hummingbird's `pre` contracts and
 //! just-in-time static checks attach, mirroring the paper's
 //! implementation on top of method interception.
 
@@ -68,9 +68,8 @@ pub struct Interp {
     /// entries when derivations are invalidated.
     pub tier: Rc<ExecTierState>,
     frames: Vec<Frame>,
-    /// `Rc`-wrapped so the per-dispatch snapshot is a refcount bump, not a
-    /// `Vec` allocation.
-    hooks: Rc<Vec<Rc<dyn CallHook>>>,
+    /// The dispatch hook (the Hummingbird engine), when one is installed.
+    hook: Option<Rc<dyn CallHook>>,
     extensions: HashMap<TypeId, Rc<dyn Any>>,
     /// Memoised per-class lexical nesting (`A::B` → `["A", "B"]`), keyed
     /// by the registry's hierarchy generation so renames invalidate it.
@@ -102,7 +101,7 @@ impl Interp {
             source_map: SourceMap::new(),
             tier: Rc::new(ExecTierState::new()),
             frames: Vec::new(),
-            hooks: Rc::new(Vec::new()),
+            hook: None,
             extensions: HashMap::new(),
             nesting_memo: RefCell::new((0, HashMap::new())),
             setter_syms: RefCell::new(HashMap::new()),
@@ -138,9 +137,10 @@ impl Interp {
 
     // ----- extensions & hooks ------------------------------------------------
 
-    /// Registers a call hook (RDL wrapping / Hummingbird engine).
-    pub fn add_hook(&mut self, hook: Rc<dyn CallHook>) {
-        Rc::make_mut(&mut self.hooks).push(hook);
+    /// Installs the call hook (the Hummingbird engine), replacing any
+    /// previous one.
+    pub fn set_hook(&mut self, hook: Rc<dyn CallHook>) {
+        self.hook = Some(hook);
     }
 
     /// Stores a typed extension (e.g. the RDL state) retrievable by any
@@ -1102,7 +1102,7 @@ impl Interp {
     /// # Errors
     ///
     /// `NoMethodError` when the method is missing (after `method_missing`),
-    /// plus whatever the method body raises. Registered hooks may veto the
+    /// plus whatever the method body raises. The installed hook may veto the
     /// call (Hummingbird blame).
     pub fn call_method(
         &mut self,
@@ -1230,7 +1230,7 @@ impl Interp {
         // the frame record (pre-interned callers skip it entirely).
         let mut sym = sym;
         let mut mark_checked = false;
-        if entry.is_checkable() && !self.hooks.is_empty() {
+        if let Some(hook) = self.hook.as_ref().filter(|_| entry.is_checkable()) {
             // Checked fast prologue: when the engine has patched this
             // `(receiver class, entry)` pair — its derivation holds and the
             // caller is itself checked — the per-call hook probe and all
@@ -1242,6 +1242,7 @@ impl Interp {
             {
                 mark_checked = true;
             } else {
+                let hook = Rc::clone(hook);
                 let info = DispatchInfo {
                     recv_class,
                     class_level,
@@ -1250,13 +1251,10 @@ impl Interp {
                     entry: entry.clone(),
                     span,
                 };
-                let hooks = Rc::clone(&self.hooks);
-                for h in hooks.iter() {
-                    let out = h
-                        .before_call(self, &info, &recv, &args)
-                        .map_err(Flow::Error)?;
-                    mark_checked |= out.mark_checked;
-                }
+                mark_checked = hook
+                    .before_call(self, &info, &recv, &args)
+                    .map_err(Flow::Error)?
+                    .mark_checked;
             }
         }
         match entry.body {

@@ -4,8 +4,8 @@
 //! a dynamic object-oriented language with full metaprogramming
 //! (`define_method`, `method_missing`, `send`, `class_eval`, re-openable
 //! classes, mixins) and a method-dispatch interception seam
-//! ([`hooks::CallHook`]) on which RDL-style contracts and Hummingbird's
-//! just-in-time static checks are built.
+//! ([`hooks::CallHook`]) on which Hummingbird builds its `pre` contracts
+//! and just-in-time static checks. An interpreter holds one hook.
 //!
 //! # Example
 //!

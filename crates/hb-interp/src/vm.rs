@@ -2,7 +2,7 @@
 //! against the live interpreter.
 //!
 //! The VM owns only register-file execution; everything observable —
-//! method dispatch, hooks, ivar/global/constant access, `to_s`, yields —
+//! method dispatch, the hook, ivar/global/constant access, `to_s`, yields —
 //! calls straight back into [`Interp`], so behaviour (including error
 //! messages and spans) is identical to the tree-walk evaluator. A frame is
 //! pushed exactly as the tree-walk `MethodBody::Ast` arm pushes one, with

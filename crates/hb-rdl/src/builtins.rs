@@ -12,8 +12,8 @@ use hb_types::parse_method_type;
 use std::rc::Rc;
 
 /// Installs RDL into an interpreter: stores the state extension and
-/// registers the annotation builtins. The `pre`-contract hook is registered
-/// separately via [`crate::hook::RdlHook`].
+/// registers the annotation builtins. The Hummingbird engine's dispatch
+/// hook runs the `pre` contracts they register.
 pub fn install(interp: &mut Interp) -> Rc<RdlState> {
     let state = Rc::new(RdlState::new());
     interp.set_extension(state.clone());

@@ -4,9 +4,10 @@
 //! `type`, `var_type`/`field_type`, `pre`, `rdl_cast` and `check_policy`
 //! are interpreter builtins that execute at run time and mutate a live
 //! [`RdlState`] type table. Method types accumulate intersection arms on
-//! repeated `type` calls; `pre` contracts run before dispatch and are
-//! where metaprogramming libraries generate types for the methods they
-//! create (Fig. 1).
+//! repeated `type` calls; `pre` contracts are stored here and run before
+//! dispatch by the Hummingbird engine's dispatch hook, and they are where
+//! metaprogramming libraries generate types for the methods they create
+//! (Fig. 1).
 //!
 //! The state also carries the embedding-facing *enforcement* surface the
 //! engine consults per dispatch (assembled through the
@@ -42,12 +43,10 @@
 
 pub mod builtins;
 pub mod conform;
-pub mod hook;
 pub mod state;
 
 pub use builtins::install as install_rdl;
 pub use conform::{type_of, value_conforms};
-pub use hook::RdlHook;
 pub use state::{
     AnnotationSource, CheckPolicy, DiagnosticSink, MethodKey, PreHook, RdlEvent, RdlEventSink,
     RdlState, RdlStats, Resolution, TableCapture, TableEntry, Witness, DEFAULT_DIAGNOSTICS_CAP,

@@ -241,6 +241,30 @@ impl TableEntry {
     pub fn sig_fingerprint(&self) -> u64 {
         hb_intern::fingerprint64(&self.sig)
     }
+
+    /// True when registering `mt` with these flags at `span` would leave
+    /// the entry exactly as it is: the same arms, the same
+    /// `check`/`always_dyn_check` and the same span. Such a
+    /// re-registration is not a mutation (see [`RdlState::add_type_at`]).
+    fn absorbs(
+        &self,
+        mt: &MethodType,
+        check: bool,
+        always_dyn_check: bool,
+        replace: bool,
+        span: Span,
+    ) -> bool {
+        let flags_kept = (self.check || !check) && (self.always_dyn_check || !always_dyn_check);
+        let (arms_kept, span_kept) = if replace {
+            (self.sig.arms == std::slice::from_ref(mt), self.span == span)
+        } else {
+            (
+                self.sig.arms.contains(mt),
+                self.span != Span::dummy() || span == Span::dummy(),
+            )
+        };
+        flags_kept && arms_kept && span_kept
+    }
 }
 
 /// A type-table change event, drained by the Hummingbird engine to drive
@@ -276,10 +300,12 @@ pub trait RdlEventSink {
     fn on_rdl_event(&self, ev: &RdlEvent);
 
     /// Called when enforcement configuration changes in a way emitted
-    /// events do not capture: a policy override is set or a `pre` contract
-    /// attaches. The bytecode tier's fast-entry patch table deoptimizes
-    /// here — patched entries skip the per-call hook probe entirely, which
-    /// is only sound while policies are trivial and no preconditions exist.
+    /// events do not capture: a policy override is set, a `pre` contract
+    /// attaches, or a re-registration sets an entry's `check` or `dyn`
+    /// flag without adding an arm. The bytecode tier's fast-entry patch
+    /// table deoptimizes here — patched entries skip the per-call hook
+    /// probe entirely, which is only sound while policies are trivial, no
+    /// preconditions exist and the method is not flagged always-dynamic.
     fn on_enforcement_changed(&self) {}
 }
 
@@ -297,9 +323,7 @@ pub struct RdlInner {
     gvar_types: HashMap<String, (Type, Span)>,
     /// `pre` contracts by `(method, class_level)`, each with the class it
     /// was registered on, in registration order. Keyed by name because a
-    /// contract applies along the receiver's whole ancestor chain, and
-    /// with [`hb_intern::FastMap`] because `RdlHook` probes it on every
-    /// intercepted call.
+    /// contract applies along the receiver's whole ancestor chain.
     pres: hb_intern::FastMap<(Sym, bool), Vec<(Sym, PreHook)>>,
     events: Vec<RdlEvent>,
     /// Keys consulted by the static checker (Table 1 "Used" needs the
@@ -334,11 +358,6 @@ pub struct RdlInner {
     class_policies: HashMap<Sym, CheckPolicy>,
     /// Per-method policy overrides, exact key.
     method_policies: HashMap<MethodKey, CheckPolicy>,
-    /// Blames swallowed by [`CheckPolicy::Shadow`] across every layer —
-    /// static checks, dynamic argument checks AND preconditions (the
-    /// latter blame from `hook.rs`, which has no engine statistics, so
-    /// the counter lives here and `EngineStats` snapshots it).
-    shadowed_blames: u64,
 }
 
 /// A copy of an [`RdlState`]'s type table, taken by
@@ -371,10 +390,13 @@ pub struct RdlState {
     /// outside the `inner` borrow so sinks may read the table.
     diag_sinks: RefCell<Vec<Rc<dyn DiagnosticSink>>>,
     /// Set once any policy override exists (or the global policy leaves
-    /// `Enforce`) — the dispatch hot path reads only this flag, so the
-    /// default configuration pays one `Cell` load per intercepted call and
-    /// never probes the policy maps.
+    /// `Enforce`) — dispatch-record resolution and the fast-entry patcher
+    /// read only this flag, so the default configuration never probes the
+    /// policy maps.
     policies_nontrivial: std::cell::Cell<bool>,
+    /// Bumped with every enforcement-change notification (see
+    /// [`RdlEventSink::on_enforcement_changed`]).
+    enforcement_gen: std::cell::Cell<u64>,
 }
 
 /// Folds one mutation into a rolling fingerprint: order-sensitive, cheap,
@@ -403,6 +425,7 @@ impl RdlState {
     }
 
     fn notify_enforcement_changed(&self) {
+        self.enforcement_gen.set(self.enforcement_gen.get() + 1);
         for sink in self.sinks.borrow().iter() {
             sink.on_enforcement_changed();
         }
@@ -435,6 +458,13 @@ impl RdlState {
     /// intersection arms unless `replace` is set. `span` is where the
     /// annotation was registered (the `type` call site), kept on the entry
     /// for blame labels.
+    ///
+    /// A call that would leave the entry as it is (the same arms, flags
+    /// and span; Rolify's Fig. 2 `pre` re-registers its types on every
+    /// call) changes nothing: no generation, fingerprint or event moves.
+    /// A call that only sets the `check` or `dyn` flag emits no event but
+    /// notifies the enforcement-change sinks, since a patched fast entry
+    /// would otherwise skip the dynamic argument check `dyn` asks for.
     #[allow(clippy::too_many_arguments)]
     pub fn add_type_at(
         &self,
@@ -447,6 +477,13 @@ impl RdlState {
         span: Span,
     ) {
         let mut inner = self.inner.borrow_mut();
+        if inner
+            .table
+            .get(&key)
+            .is_some_and(|e| e.absorbs(&mt, check, always_dyn_check, replace, span))
+        {
+            return;
+        }
         inner.version_counter += 1;
         let version = inner.version_counter;
         // Fingerprint string contents, not Sym indices: indices depend on
@@ -464,6 +501,7 @@ impl RdlState {
                 replace,
             ),
         );
+        let mut flags_changed = false;
         let event = match inner.table.get_mut(&key) {
             Some(shared) => {
                 // Entries are shared with the engine via `Rc`; annotation
@@ -479,9 +517,11 @@ impl RdlState {
                     Some(RdlEvent::TypeReplaced(key))
                 } else {
                     let before = entry.sig.arms.len();
+                    let flags = (entry.check, entry.always_dyn_check);
                     entry.sig.add_arm(mt);
                     entry.check |= check;
                     entry.always_dyn_check |= always_dyn_check;
+                    flags_changed = flags != (entry.check, entry.always_dyn_check);
                     if entry.span == Span::dummy() {
                         // An arm added from source upgrades a previously
                         // site-less entry to a blameable one.
@@ -514,6 +554,9 @@ impl RdlState {
             inner.events.push(ev.clone());
             drop(inner);
             self.notify(&ev);
+        } else if flags_changed {
+            drop(inner);
+            self.notify_enforcement_changed();
         }
     }
 
@@ -742,12 +785,14 @@ impl RdlState {
     }
 
     /// True when no `pre` contract anywhere is registered under this
-    /// method name: one map probe. The dispatch hook returns at once when
-    /// it holds, and the fast-prologue patcher requires it. Pres match
-    /// along the receiver's whole ancestor chain, so the gate is name-wide
-    /// rather than key-exact; a pre on an unrelated method must not forbid
-    /// eliding this one's probe. Pres added later are covered by the
-    /// enforcement-change flush.
+    /// method name: one map probe. The engine resolves it once per
+    /// (receiver class, method entry); its dispatch hook gathers and runs
+    /// contracts only when it fails, and the fast-prologue patcher
+    /// requires it to hold. Pres match along the receiver's whole
+    /// ancestor chain, so the gate is name-wide rather than key-exact; a
+    /// pre on an unrelated method must not forbid eliding this one's
+    /// probe. Pres added later are covered by the enforcement-change
+    /// flush.
     pub fn no_pre_named(&self, method: Sym, class_level: bool) -> bool {
         !self
             .inner
@@ -874,17 +919,6 @@ impl RdlState {
         self.notify_enforcement_changed();
     }
 
-    /// Counts a blame swallowed by [`CheckPolicy::Shadow`] (any layer).
-    pub fn note_shadowed_blame(&self) {
-        self.inner.borrow_mut().shadowed_blames += 1;
-    }
-
-    /// Blames swallowed by Shadow so far (snapshotted into
-    /// `EngineStats::shadowed_blames`).
-    pub fn shadowed_blames(&self) -> u64 {
-        self.inner.borrow().shadowed_blames
-    }
-
     /// Resolves the effective policy for a dispatch: method override
     /// (receiver key, then annotation key), class override (receiver
     /// class, then annotation class), then the global policy.
@@ -917,11 +951,23 @@ impl RdlState {
         std::mem::take(&mut self.inner.borrow_mut().events)
     }
 
+    /// True when type-table events are waiting to be drained.
+    pub fn has_events(&self) -> bool {
+        !self.inner.borrow().events.is_empty()
+    }
+
     /// Monotonic generation of the type table: bumped by every annotation
     /// change, never otherwise. Memos keyed by it stay valid exactly as
     /// long as the table is quiescent.
     pub fn table_generation(&self) -> u64 {
         self.inner.borrow().version_counter
+    }
+
+    /// Monotonic generation of the enforcement configuration: bumped by
+    /// every enforcement-change notification (policy setters, `add_pre`,
+    /// a re-registration that only sets a flag), never otherwise.
+    pub fn enforcement_generation(&self) -> u64 {
+        self.enforcement_gen.get()
     }
 
     /// The rolling mutation fingerprint (see `RdlInner::table_fp`).
@@ -1129,6 +1175,52 @@ mod tests {
         );
         assert!(st.drain_events().is_empty());
         assert_eq!(st.entry(&key).unwrap().sig.arms.len(), 1);
+    }
+
+    #[test]
+    fn a_re_registration_that_changes_nothing_moves_nothing() {
+        let st = RdlState::new();
+        let key = MethodKey::instance("A", "m");
+        let site = Span::new(hb_syntax::FileId(0), 10, 20);
+        let other_site = Span::new(hb_syntax::FileId(0), 30, 40);
+        let none = Span::dummy();
+        let add = |sig: &str, check: bool, dyn_check: bool, replace: bool, span: Span| {
+            let source = AnnotationSource::Static;
+            st.add_type_at(key, mt(sig), check, dyn_check, source, replace, span);
+        };
+        let (int, string) = ("(Fixnum) -> Fixnum", "(String) -> String");
+        add(int, true, false, false, none);
+        st.drain_events();
+        // (label, sig, check, dyn, replace, span, whether the entry changes)
+        let steps = [
+            ("same arm", int, true, false, false, none, false),
+            ("flag already set", int, false, false, false, none, false),
+            ("span upgrade", int, false, false, false, site, true),
+            ("site-less again", int, false, false, false, none, false),
+            ("another site", int, false, false, false, other_site, false),
+            ("new flag", int, false, true, false, site, true),
+            ("new arm", string, false, false, false, site, true),
+            ("replacement", int, false, false, true, site, true),
+            ("same replacement", int, true, true, true, site, false),
+        ];
+        for (label, sig, check, dyn_check, replace, span, changes) in steps {
+            let before = (st.table_generation(), st.table_fingerprint());
+            let enforcement = st.enforcement_generation();
+            add(sig, check, dyn_check, replace, span);
+            let (generation, fp) = (st.table_generation(), st.table_fingerprint());
+            assert_eq!(generation != before.0, changes, "{label}: table generation");
+            assert_eq!(fp != before.1, changes, "{label}: table fingerprint");
+            let events = st.drain_events();
+            assert!(changes || events.is_empty(), "{label}: {events:?}");
+            // Only the flag-only change lacks an event, so only it
+            // notifies the enforcement-change sinks.
+            let notified = st.enforcement_generation() != enforcement;
+            assert_eq!(notified, label == "new flag", "{label}: notification");
+        }
+        let e = st.entry(&key).unwrap();
+        assert!(e.check && e.always_dyn_check);
+        assert_eq!(e.span, site);
+        assert_eq!(e.sig.to_string(), int);
     }
 
     #[test]
