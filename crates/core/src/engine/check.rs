@@ -119,7 +119,7 @@ impl Engine {
         }
         let result = check_sig(&CheckRequest {
             cfg: &cfg,
-            self_class: cache_key.class.as_str(),
+            self_class: cache_key.class,
             class_level: cache_key.class_level,
             sig: &table_entry.sig,
             ann_key: *annotation_key,

@@ -160,7 +160,7 @@ impl EngineState {
     /// class hierarchy, memoised per generation pair: what does looking
     /// `res.method` up along `res.start`'s chain resolve to right now?
     /// Walks the chain the checker walks
-    /// ([`hb_interp::ClassRegistry::resolution_chain`]), so replay answers
+    /// ([`hb_interp::ClassRegistry::resolution_syms`]), so replay answers
     /// exactly match a hypothetical re-check.
     fn replay(
         &mut self,
@@ -172,10 +172,14 @@ impl EngineState {
         if let Some(c) = self.dep_memo.get(&memo_key) {
             return *c;
         }
-        let chain = interp.registry.resolution_chain(res.start.as_str());
+        let chain = interp.registry.resolution_syms(res.start);
         let skip = usize::from(res.skip_receiver);
         let cur = rdl
-            .lookup_along(chain.skip(skip), res.class_level, res.method)
+            .lookup_along(
+                chain.iter().skip(skip).copied(),
+                res.class_level,
+                res.method,
+            )
             .map(|(k, e)| {
                 let fp = self.sig_fp(k, &e);
                 (k, e.version, fp)

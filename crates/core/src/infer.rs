@@ -95,7 +95,7 @@ struct VerifyItem {
 fn run_verify(world: &WorldSnapshot, it: &VerifyItem) -> Result<CheckOutcome, CheckError> {
     verify_candidate(&CheckRequest {
         cfg: &it.cfg,
-        self_class: it.key.class.as_str(),
+        self_class: it.key.class,
         class_level: it.key.class_level,
         sig: &it.sig,
         ann_key: it.ann_key,

@@ -1,21 +1,22 @@
 //! Adapter exposing the live interpreter class registry to the checker.
 
 use hb_check::ClassInfo;
+use hb_intern::Sym;
 use hb_interp::ClassRegistry;
+use std::sync::Arc;
 
-/// Borrows the interpreter's class registry as checker [`ClassInfo`].
+/// Borrows the interpreter's class registry as checker [`ClassInfo`]:
+/// chains are the registry's memoised
+/// [`ClassRegistry::resolution_syms`].
 pub struct RegistryInfo<'a>(pub &'a ClassRegistry);
 
 impl ClassInfo for RegistryInfo<'_> {
-    fn ancestors(&self, class: &str) -> Vec<String> {
-        self.0
-            .resolution_chain(class)
-            .map(|s| s.as_str().to_string())
-            .collect()
+    fn ancestors(&self, class: Sym) -> Arc<[Sym]> {
+        self.0.resolution_syms(class)
     }
 
-    fn is_descendant(&self, sub: &str, sup: &str) -> bool {
-        self.0.is_descendant_name(sub, sup)
+    fn is_descendant(&self, sub: Sym, sup: Sym) -> bool {
+        self.0.is_descendant_name(sub.as_str(), sup.as_str())
     }
 
     fn class_exists(&self, name: &str) -> bool {
@@ -34,21 +35,25 @@ mod tests {
         i.eval_str("module M\nend\nclass A\n include M\nend\nclass B < A\nend")
             .unwrap();
         let info = RegistryInfo(&i.registry);
-        let names = info.ancestors("B");
-        assert_eq!(names, vec!["B", "A", "M", "Object"]);
-        assert!(info.is_descendant("B", "M"));
+        let names = info.ancestors(Sym::intern("B"));
+        assert_eq!(names.to_vec(), vec!["B", "A", "M", "Object"]);
+        assert!(info.is_descendant(Sym::intern("B"), Sym::intern("M")));
         assert!(info.class_exists("A"));
         assert!(!info.class_exists("Zzz"));
         // Unknown classes degrade gracefully.
-        assert_eq!(info.ancestors("Zzz"), vec!["Zzz", "Object"]);
+        assert_eq!(
+            info.ancestors(Sym::intern("Zzz")).to_vec(),
+            vec!["Zzz", "Object"]
+        );
     }
 
     #[test]
     fn numeric_tower_via_registry() {
         let i = Interp::new();
         let info = RegistryInfo(&i.registry);
-        assert!(info.is_descendant("Fixnum", "Numeric"));
-        assert!(info.is_descendant("Float", "Numeric"));
-        assert!(!info.is_descendant("Float", "Integer"));
+        let s = Sym::intern;
+        assert!(info.is_descendant(s("Fixnum"), s("Numeric")));
+        assert!(info.is_descendant(s("Float"), s("Numeric")));
+        assert!(!info.is_descendant(s("Float"), s("Integer")));
     }
 }

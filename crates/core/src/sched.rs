@@ -10,7 +10,6 @@
 use hb_rdl::RdlState;
 use hb_sched::{Scheduler, WorldSnapshot};
 use hb_syntax::TypeDiagnostic;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Captures the checker-visible world: every registered class's
@@ -23,15 +22,12 @@ use std::sync::Arc;
 /// quiescent table pays for one capture.
 pub fn capture_world(interp: &hb_interp::Interp, rdl: &RdlState) -> WorldSnapshot {
     let registry = &interp.registry;
-    let mut chains: HashMap<String, Vec<String>> = HashMap::new();
-    for i in 0..registry.class_count() as u32 {
-        let name = registry.name(hb_interp::ClassId(i));
-        let chain = registry
-            .resolution_chain(name)
-            .map(|s| s.as_str().to_string())
-            .collect();
-        chains.insert(name.to_string(), chain);
-    }
+    let chains = (0..registry.class_count() as u32)
+        .map(|i| {
+            let name = registry.name_sym(hb_interp::ClassId(i));
+            (name.as_str(), registry.resolution_syms(name))
+        })
+        .collect();
     let table = rdl
         .entries()
         .into_iter()

@@ -11,9 +11,11 @@
 use crate::info::{ClassInfo, InfoHierarchy};
 use crate::table::TypeTable;
 use hb_il::{BlockLit, CallArg, IlParamKind, InstrKind, MethodCfg, Operand, Rvalue, Terminator};
+use hb_intern::{sym, Sym};
 use hb_rdl::{CheckPolicy, MethodKey, Resolution, TableEntry};
 use hb_syntax::{BlameTarget, DiagCode, DiagLabel, LabelRole, Span, TypeDiagnostic};
 use hb_types::{MethodSig, MethodType, Type, TypeEnv};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// A static type error — the paper's `blame` at method entry — as a thin
@@ -123,7 +125,7 @@ pub struct CheckRequest<'a> {
     pub cfg: &'a MethodCfg,
     /// The *receiver's* class — module methods are checked and cached per
     /// mix-in class (paper §4 "Modules").
-    pub self_class: &'a str,
+    pub self_class: Sym,
     /// Whether the method is class-level (singleton).
     pub class_level: bool,
     /// The (possibly intersection) signature being checked against.
@@ -204,21 +206,21 @@ fn check_sig_arms(req: &CheckRequest) -> Result<CheckOutcome, CheckError> {
         ..
     } = *req;
     let mut out = CheckOutcome::default();
+    let method = Sym::intern(&cfg.name);
     for arm in &sig.arms {
-        let arm = arm.erase_vars();
+        let arm = arm.erased();
         let mut ck = Checker {
             info,
             rdl,
             opts,
-            self_class: self_class.to_string(),
+            self_class,
             self_type: if class_level {
-                Type::ClassObj(self_class.to_string())
+                Type::ClassObj(self_class)
             } else {
-                Type::Nominal(self_class.to_string())
+                Type::Nominal(self_class)
             },
-            method_name: cfg.name.clone(),
-            method_ret: arm.ret.clone(),
-            yield_block_type: arm.block.as_deref().cloned(),
+            method,
+            arm: &arm,
             ann_key: req.ann_key,
             ann_span: req.ann_span,
             resolutions: BTreeSet::new(),
@@ -247,8 +249,8 @@ fn check_sig_arms(req: &CheckRequest) -> Result<CheckOutcome, CheckError> {
 
 /// The generic type parameters of the built-in generic classes (used to
 /// instantiate method types like `Array#[] : (Fixnum) -> t`).
-pub fn generic_params(class: &str) -> &'static [&'static str] {
-    match class {
+pub fn generic_params(class: Sym) -> &'static [&'static str] {
+    match class.as_str() {
         "Array" => &["t"],
         "Hash" => &["k", "v"],
         "Range" => &["t"],
@@ -260,14 +262,14 @@ struct Checker<'a> {
     info: &'a dyn ClassInfo,
     rdl: &'a dyn TypeTable,
     opts: &'a CheckOptions,
-    self_class: String,
+    self_class: Sym,
     self_type: Type,
-    method_name: String,
-    /// Declared return type of the arm being checked (`return` inside
-    /// blocks checks against this).
-    method_ret: Type,
-    /// The arm's declared block type, for `yield`.
-    yield_block_type: Option<MethodType>,
+    /// The checked method's name.
+    method: Sym,
+    /// The arm being checked, its type variables erased: its return type
+    /// is what `return` inside blocks checks against, its block type what
+    /// `yield` does.
+    arm: &'a MethodType,
     /// The annotation being checked and its registration site — what
     /// own-signature failures blame, and the "while checking …" label on
     /// every other failure.
@@ -408,14 +410,11 @@ impl<'a> Checker<'a> {
                 }
                 IlParamKind::Rest => {
                     let elem = arm.param_at(pos).cloned().unwrap_or(Type::Any);
-                    env.assign(
-                        p.name.clone(),
-                        Type::Generic("Array".to_string(), vec![elem]),
-                    );
+                    env.assign(p.name.clone(), Type::Generic(sym!("Array"), vec![elem]));
                     pos += 1;
                 }
                 IlParamKind::Block => {
-                    env.assign(p.name.clone(), Type::nominal("Proc"));
+                    env.assign(p.name.clone(), Type::Nominal(sym!("Proc")));
                 }
             }
         }
@@ -426,12 +425,9 @@ impl<'a> Checker<'a> {
         match ty {
             Type::Generic(n, args) => {
                 if depth == 0 {
-                    Type::nominal(n.clone())
+                    Type::Nominal(*n)
                 } else {
-                    Type::Generic(
-                        n.clone(),
-                        args.iter().map(|a| self.widen(a, depth - 1)).collect(),
-                    )
+                    Type::Generic(*n, args.iter().map(|a| self.widen(a, depth - 1)).collect())
                 }
             }
             Type::Union(arms) => {
@@ -484,7 +480,7 @@ impl<'a> Checker<'a> {
             if iterations > self.opts.max_iterations {
                 return Err(self.err_own(
                     DiagCode::NonConvergence,
-                    format!("type checking of {} did not converge", self.method_name),
+                    format!("type checking of {} did not converge", self.method),
                     cfg.span,
                     "while checking against the annotation declared here".to_string(),
                 ));
@@ -540,15 +536,16 @@ impl<'a> Checker<'a> {
                 }
                 Terminator::MethodReturn(op) => {
                     let t = self.type_operand(&env, op);
-                    if !t.is_subtype(&self.method_ret, &self.hier()) {
+                    let declared = &self.arm.ret;
+                    if !t.is_subtype(declared, &self.hier()) {
                         return Err(self.err_own(
                             DiagCode::ReturnType,
                             format!(
                                 "return of {} does not match declared return type {} of {}",
-                                t, self.method_ret, self.method_name
+                                t, declared, self.method
                             ),
                             cfg.span,
-                            format!("return type {} declared here", self.method_ret),
+                            format!("return type {declared} declared here"),
                         ));
                     }
                 }
@@ -594,10 +591,10 @@ impl<'a> Checker<'a> {
         match op {
             Operand::NilConst => Type::Nil,
             Operand::TrueConst | Operand::FalseConst | Operand::Nondet => Type::Bool,
-            Operand::IntConst(_) => Type::nominal("Fixnum"),
-            Operand::FloatConst(_) => Type::nominal("Float"),
-            Operand::StrConst(_) => Type::nominal("String"),
-            Operand::SymConst(_) => Type::nominal("Symbol"),
+            Operand::IntConst(_) => Type::Nominal(sym!("Fixnum")),
+            Operand::FloatConst(_) => Type::Nominal(sym!("Float")),
+            Operand::StrConst(_) => Type::Nominal(sym!("String")),
+            Operand::SymConst(_) => Type::Nominal(sym!("Symbol")),
             Operand::SelfRef => self.self_type.clone(),
             Operand::Local(n) => env.get(n).cloned().unwrap_or(Type::Nil),
         }
@@ -617,7 +614,7 @@ impl<'a> Checker<'a> {
             }
             InstrKind::SetIVar { name, value } => {
                 let vt = self.type_operand(env, value);
-                let chain = self.info.ancestors(&self.self_class);
+                let chain = self.info.ancestors(self.self_class);
                 if let Some((declared, decl_span)) = self.rdl.ivar_decl(&chain, name) {
                     if !vt.is_subtype(&declared, &self.hier()) {
                         return Err(self.err_var(
@@ -631,7 +628,7 @@ impl<'a> Checker<'a> {
             }
             InstrKind::SetCVar { name, value } => {
                 let vt = self.type_operand(env, value);
-                let chain = self.info.ancestors(&self.self_class);
+                let chain = self.info.ancestors(self.self_class);
                 if let Some((declared, decl_span)) = self.rdl.cvar_decl(&chain, name) {
                     if !vt.is_subtype(&declared, &self.hier()) {
                         return Err(self.err_var(
@@ -672,40 +669,40 @@ impl<'a> Checker<'a> {
         match rv {
             Rvalue::Use(op) => Ok(self.type_operand(env, op)),
             Rvalue::IVar(name) => {
-                let chain = self.info.ancestors(&self.self_class);
+                let chain = self.info.ancestors(self.self_class);
                 Ok(self.rdl.ivar_type(&chain, name).unwrap_or(Type::Any))
             }
             Rvalue::CVar(name) => {
-                let chain = self.info.ancestors(&self.self_class);
+                let chain = self.info.ancestors(self.self_class);
                 Ok(self.rdl.cvar_type(&chain, name).unwrap_or(Type::Any))
             }
             Rvalue::GVar(name) => Ok(self.rdl.gvar_type(name).unwrap_or(Type::Any)),
             Rvalue::ConstRef(path) => {
                 let joined = path.join("::");
                 if self.info.class_exists(&joined) {
-                    return Ok(Type::ClassObj(joined));
+                    return Ok(Type::ClassObj(Sym::intern(&joined)));
                 }
                 // Try resolving relative to the receiver class's namespace.
                 let prefixed = format!("{}::{}", self.self_class, joined);
                 if self.info.class_exists(&prefixed) {
-                    return Ok(Type::ClassObj(prefixed));
+                    return Ok(Type::ClassObj(Sym::intern(&prefixed)));
                 }
                 Ok(Type::Any)
             }
-            Rvalue::StrInterp(_) => Ok(Type::nominal("String")),
+            Rvalue::StrInterp(_) => Ok(Type::Nominal(sym!("String"))),
             Rvalue::ArrayLit(elems) => {
                 if elems.is_empty() {
-                    return Ok(Type::nominal("Array"));
+                    return Ok(Type::Nominal(sym!("Array")));
                 }
                 let mut t = self.type_operand(env, &elems[0]);
                 for e in &elems[1..] {
                     t = t.lub(&self.type_operand(env, e), &hier);
                 }
-                Ok(Type::Generic("Array".to_string(), vec![t]))
+                Ok(Type::Generic(sym!("Array"), vec![t]))
             }
             Rvalue::HashLit(pairs) => {
                 if pairs.is_empty() {
-                    return Ok(Type::nominal("Hash"));
+                    return Ok(Type::Nominal(sym!("Hash")));
                 }
                 let mut kt = self.type_operand(env, &pairs[0].0);
                 let mut vt = self.type_operand(env, &pairs[0].1);
@@ -713,21 +710,19 @@ impl<'a> Checker<'a> {
                     kt = kt.lub(&self.type_operand(env, k), &hier);
                     vt = vt.lub(&self.type_operand(env, v), &hier);
                 }
-                Ok(Type::Generic("Hash".to_string(), vec![kt, vt]))
+                Ok(Type::Generic(sym!("Hash"), vec![kt, vt]))
             }
             Rvalue::RangeLit { lo, hi, .. } => {
                 let lt = self.type_operand(env, lo);
                 let ht = self.type_operand(env, hi);
-                Ok(Type::Generic("Range".to_string(), vec![lt.lub(&ht, &hier)]))
+                Ok(Type::Generic(sym!("Range"), vec![lt.lub(&ht, &hier)]))
             }
             Rvalue::Not(_) => Ok(Type::Bool),
             Rvalue::RescueBind(classes) => {
                 if classes.is_empty() {
-                    Ok(Type::nominal("StandardError"))
+                    Ok(Type::Nominal(sym!("StandardError")))
                 } else {
-                    Ok(Type::union_of(
-                        classes.iter().map(|c| Type::nominal(c.clone())).collect(),
-                    ))
+                    Ok(Type::union_of(classes.iter().map(Type::nominal).collect()))
                 }
             }
             Rvalue::Cast { value, ty } => {
@@ -738,19 +733,16 @@ impl<'a> Checker<'a> {
                 Ok(parsed)
             }
             Rvalue::Yield(args) => {
-                let bt = match &self.yield_block_type {
-                    Some(b) => b.clone(),
-                    None => {
-                        return Err(self.err_own(
-                            DiagCode::BlockIncompatible,
-                            format!(
-                                "method {} yields but its type declares no block",
-                                self.method_name
-                            ),
-                            span,
-                            "annotation declares no block type".to_string(),
-                        ))
-                    }
+                let Some(bt) = self.arm.block.as_deref() else {
+                    return Err(self.err_own(
+                        DiagCode::BlockIncompatible,
+                        format!(
+                            "method {} yields but its type declares no block",
+                            self.method
+                        ),
+                        span,
+                        "annotation declares no block type".to_string(),
+                    ));
                 };
                 for (i, a) in args.iter().enumerate() {
                     let at = self.type_operand(env, a);
@@ -768,25 +760,23 @@ impl<'a> Checker<'a> {
                 Ok(bt.ret.clone())
             }
             Rvalue::Super { args } => {
-                let chain = self.info.ancestors(&self.self_class);
-                let above: Vec<String> = chain.iter().skip(1).cloned().collect();
+                let chain = self.info.ancestors(self.self_class);
+                let above = chain.get(1..).unwrap_or_default();
                 let super_level = matches!(self.self_type, Type::ClassObj(_));
-                let found = self
-                    .rdl
-                    .lookup_along_names(&above, super_level, &self.method_name);
+                let found = self.rdl.lookup_along(above, super_level, self.method);
                 match found {
                     Some((key, entry)) => {
                         self.rdl.mark_used(&key);
                         self.resolutions.insert(Resolution {
-                            start: hb_intern::Sym::intern(&self.self_class),
+                            start: self.self_class,
                             skip_receiver: true,
                             class_level: super_level,
-                            method: hb_intern::Sym::intern(&self.method_name),
+                            method: self.method,
                             target: Some(key),
                         });
                         let mut ret: Option<Type> = None;
                         for arm in &entry.sig.arms {
-                            let arm = arm.erase_vars();
+                            let arm = arm.erased();
                             if let Some(args) = args {
                                 if !arm.accepts_arity(args.len()) {
                                     continue;
@@ -800,10 +790,7 @@ impl<'a> Checker<'a> {
                         ret.ok_or_else(|| {
                             self.err_callee(
                                 DiagCode::ArityMismatch,
-                                format!(
-                                    "no arm of super {} accepts these arguments",
-                                    self.method_name
-                                ),
+                                format!("no arm of super {} accepts these arguments", self.method),
                                 span,
                                 key,
                                 entry.span,
@@ -812,18 +799,18 @@ impl<'a> Checker<'a> {
                         })
                     }
                     None => {
-                        // The lookup that failed: `method_name` above
+                        // The lookup that failed: the checked method above
                         // `self_class` (keyed on the receiver for want of
                         // a resolved owner).
                         let missing = MethodKey {
-                            class: hb_intern::Sym::intern(&self.self_class),
+                            class: self.self_class,
                             class_level: super_level,
-                            method: hb_intern::Sym::intern(&self.method_name),
+                            method: self.method,
                         };
                         Err(self.err_missing(
                             format!(
                                 "Hummingbird: no type for super method {} above {}",
-                                self.method_name, self.self_class
+                                self.method, self.self_class
                             ),
                             span,
                             missing,
@@ -879,10 +866,9 @@ impl<'a> Checker<'a> {
             }
             Type::Union(arms) => {
                 // Paper §4: check once per arm, union the return types.
-                let arms = arms.clone();
                 let hier = self.hier();
                 let mut ret: Option<Type> = None;
-                for arm in &arms {
+                for arm in arms {
                     let t = self.type_call(cfg, env, arm, name, args, block, span)?;
                     ret = Some(match ret {
                         None => t,
@@ -892,20 +878,21 @@ impl<'a> Checker<'a> {
                 Ok(ret.unwrap_or(Type::Nil))
             }
             Type::Nil => {
-                self.type_nominal_call(cfg, env, "NilClass", None, false, name, args, block, span)
-            }
-            Type::Bool => {
-                self.type_nominal_call(cfg, env, "Boolean", None, false, name, args, block, span)
-            }
-            Type::Nominal(c) => {
+                let c = sym!("NilClass");
                 self.type_nominal_call(cfg, env, c, None, false, name, args, block, span)
             }
+            Type::Bool => {
+                let c = sym!("Boolean");
+                self.type_nominal_call(cfg, env, c, None, false, name, args, block, span)
+            }
+            Type::Nominal(c) => {
+                self.type_nominal_call(cfg, env, *c, None, false, name, args, block, span)
+            }
             Type::Generic(c, targs) => {
-                let targs = targs.clone();
-                self.type_nominal_call(cfg, env, c, Some(&targs), false, name, args, block, span)
+                self.type_nominal_call(cfg, env, *c, Some(targs), false, name, args, block, span)
             }
             Type::ClassObj(c) => {
-                self.type_nominal_call(cfg, env, c, None, true, name, args, block, span)
+                self.type_nominal_call(cfg, env, *c, None, true, name, args, block, span)
             }
         }
     }
@@ -918,7 +905,7 @@ impl<'a> Checker<'a> {
         &mut self,
         cfg: &MethodCfg,
         env: &mut TypeEnv,
-        c: &str,
+        c: Sym,
         targs: Option<&[Type]>,
         class_level: bool,
         name: &str,
@@ -926,12 +913,13 @@ impl<'a> Checker<'a> {
         block: Option<hb_il::BlockLitId>,
         span: Span,
     ) -> Result<Type, CheckError> {
+        let method = Sym::intern(name);
         let chain = self.info.ancestors(c);
         let found = if class_level {
-            match self.rdl.lookup_along_names(&chain, true, name) {
+            match self.rdl.lookup_along(&chain, true, method) {
                 Some(hit) => {
                     self.resolutions
-                        .insert(Resolution::of(c, true, name, Some(hit.0)));
+                        .insert(Resolution::of(c, true, method, Some(hit.0)));
                     Some(hit)
                 }
                 None => {
@@ -939,31 +927,33 @@ impl<'a> Checker<'a> {
                     // The miss above is part of the derivation: record the
                     // negative witness so a consumer with a class-level
                     // annotation on `c`'s chain rejects it.
-                    self.resolutions.insert(Resolution::of(c, true, name, None));
-                    let class_chain = self.info.ancestors("Class");
-                    let fb = self.rdl.lookup_along_names(&class_chain, false, name);
+                    self.resolutions
+                        .insert(Resolution::of(c, true, method, None));
+                    let class = sym!("Class");
+                    let class_chain = self.info.ancestors(class);
+                    let fb = self.rdl.lookup_along(&class_chain, false, method);
                     self.resolutions.insert(Resolution::of(
-                        "Class",
+                        class,
                         false,
-                        name,
+                        method,
                         fb.as_ref().map(|(k, _)| *k),
                     ));
                     fb
                 }
             }
         } else {
-            let found = self.rdl.lookup_along_names(&chain, false, name);
+            let found = self.rdl.lookup_along(&chain, false, method);
             self.resolutions.insert(Resolution::of(
                 c,
                 false,
-                name,
+                method,
                 found.as_ref().map(|(k, _)| *k),
             ));
             found
         };
 
         // `C.new` falls back to C#initialize (returning an instance of C).
-        if found.is_none() && class_level && name == "new" {
+        if found.is_none() && class_level && method == sym!("new") {
             return self.type_new_call(cfg, env, c, &chain, args, block, span);
         }
 
@@ -972,9 +962,9 @@ impl<'a> Checker<'a> {
             None => {
                 let kind = if class_level { "." } else { "#" };
                 let missing = MethodKey {
-                    class: hb_intern::Sym::intern(c),
+                    class: c,
                     class_level,
-                    method: hb_intern::Sym::intern(name),
+                    method,
                 };
                 return Err(self.err_missing(
                     format!("Hummingbird: no type for {c}{kind}{name}"),
@@ -999,8 +989,14 @@ impl<'a> Checker<'a> {
     }
 
     /// Instantiates a signature's generic variables against the receiver's
-    /// type arguments; raw receivers erase variables to `%any` (§4).
-    fn instantiate(&self, entry: &TableEntry, c: &str, targs: Option<&[Type]>) -> MethodSig {
+    /// type arguments; raw receivers erase variables to `%any` (§4). A
+    /// signature without type variables is borrowed as it is.
+    fn instantiate<'e>(
+        &self,
+        entry: &'e TableEntry,
+        c: Sym,
+        targs: Option<&[Type]>,
+    ) -> Cow<'e, MethodSig> {
         let params = generic_params(c);
         match targs {
             Some(targs) if !params.is_empty() => {
@@ -1009,18 +1005,19 @@ impl<'a> Checker<'a> {
                     .zip(targs.iter())
                     .map(|(p, t)| (p.to_string(), t.clone()))
                     .collect();
-                MethodSig {
+                Cow::Owned(MethodSig {
                     arms: entry
                         .sig
                         .arms
                         .iter()
                         .map(|a| a.subst(&map).erase_vars())
                         .collect(),
-                }
+                })
             }
-            _ => MethodSig {
+            _ if !entry.sig.arms.iter().any(MethodType::has_vars) => Cow::Borrowed(&entry.sig),
+            _ => Cow::Owned(MethodSig {
                 arms: entry.sig.arms.iter().map(|a| a.erase_vars()).collect(),
-            },
+            }),
         }
     }
 
@@ -1029,18 +1026,19 @@ impl<'a> Checker<'a> {
         &mut self,
         cfg: &MethodCfg,
         env: &mut TypeEnv,
-        c: &str,
-        chain: &[String],
+        c: Sym,
+        chain: &[Sym],
         args: &[CallArg],
         block: Option<hb_il::BlockLitId>,
         span: Span,
     ) -> Result<Type, CheckError> {
-        let instance = Type::nominal(c);
-        let found_init = self.rdl.lookup_along_names(chain, false, "initialize");
+        let instance = Type::Nominal(c);
+        let initialize = sym!("initialize");
+        let found_init = self.rdl.lookup_along(chain, false, initialize);
         self.resolutions.insert(Resolution::of(
             c,
             false,
-            "initialize",
+            initialize,
             found_init.as_ref().map(|(k, _)| *k),
         ));
         match found_init {
@@ -1088,7 +1086,7 @@ impl<'a> Checker<'a> {
         &mut self,
         cfg: &MethodCfg,
         env: &mut TypeEnv,
-        c: &str,
+        c: Sym,
         name: &str,
         sig: &MethodSig,
         args: &[CallArg],
@@ -1218,14 +1216,11 @@ impl<'a> Checker<'a> {
                 }
                 IlParamKind::Rest => {
                     let elem = bt.param_at(pos).cloned().unwrap_or(Type::Any);
-                    block_env.assign(
-                        p.name.clone(),
-                        Type::Generic("Array".to_string(), vec![elem]),
-                    );
+                    block_env.assign(p.name.clone(), Type::Generic(sym!("Array"), vec![elem]));
                     pos += 1;
                 }
                 IlParamKind::Block => {
-                    block_env.assign(p.name.clone(), Type::nominal("Proc"));
+                    block_env.assign(p.name.clone(), Type::Nominal(sym!("Proc")));
                 }
             }
         }
@@ -1233,7 +1228,7 @@ impl<'a> Checker<'a> {
         if !result.is_subtype(&bt.ret, &self.hier()) {
             let message = format!(
                 "block has type {} but {} expects a block returning {}",
-                result, self.method_name, bt.ret
+                result, self.method, bt.ret
             );
             return Err(match callee {
                 Some((key, ann_span)) => self.err_callee(

@@ -1,19 +1,24 @@
 //! Class-graph information the checker needs, abstracted from the
-//! interpreter so the checker is testable in isolation.
+//! interpreter so the checker is testable in isolation. Classes are named
+//! by interned [`Sym`]s, and an ancestor chain is a shared `Arc<[Sym]>`
+//! that an implementation can memoise per class, so resolving a call
+//! along it copies no names.
 
+use hb_intern::{sym, Sym};
 use hb_types::Hierarchy;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Nominal class-graph queries used during checking.
 pub trait ClassInfo {
     /// The ancestor chain of `class`, nearest first, including `class`
     /// itself and ending at `Object`. Unknown classes yield
-    /// `[class, "Object"]`.
-    fn ancestors(&self, class: &str) -> Vec<String>;
+    /// `[class, Object]`.
+    fn ancestors(&self, class: Sym) -> Arc<[Sym]>;
 
     /// Is `sub` the same as or below `sup`?
-    fn is_descendant(&self, sub: &str, sup: &str) -> bool {
-        sub == sup || sup == "Object" || self.ancestors(sub).iter().any(|a| a == sup)
+    fn is_descendant(&self, sub: Sym, sup: Sym) -> bool {
+        sub == sup || sup == sym!("Object") || self.ancestors(sub).contains(&sup)
     }
 
     /// Does a class/module of this name exist?
@@ -24,17 +29,16 @@ pub trait ClassInfo {
 pub struct InfoHierarchy<'a>(pub &'a dyn ClassInfo);
 
 impl Hierarchy for InfoHierarchy<'_> {
-    fn is_descendant(&self, sub: &str, sup: &str) -> bool {
+    fn is_descendant(&self, sub: Sym, sup: Sym) -> bool {
         self.0.is_descendant(sub, sup)
     }
 }
 
 /// A map-backed [`ClassInfo`] for tests and the formal calculus: class →
-/// strict ancestors (nearest first, `Object` implicit).
+/// its chain (the class itself first, `Object` last).
 #[derive(Debug, Clone, Default)]
 pub struct MapClassInfo {
-    parents: HashMap<String, Vec<String>>,
-    known: Vec<String>,
+    chains: HashMap<Sym, Arc<[Sym]>>,
 }
 
 impl MapClassInfo {
@@ -67,28 +71,26 @@ impl MapClassInfo {
 
     /// Declares `class` with the given strict ancestors.
     pub fn add(&mut self, class: &str, ancestors: Vec<&str>) {
-        self.known.push(class.to_string());
-        self.parents.insert(
-            class.to_string(),
-            ancestors.into_iter().map(|s| s.to_string()).collect(),
-        );
+        let chain = std::iter::once(class)
+            .chain(ancestors)
+            .chain((class != "Object").then_some("Object"))
+            .map(Sym::intern)
+            .collect();
+        self.chains.insert(Sym::intern(class), chain);
     }
 }
 
 impl ClassInfo for MapClassInfo {
-    fn ancestors(&self, class: &str) -> Vec<String> {
-        let mut out = vec![class.to_string()];
-        if let Some(ps) = self.parents.get(class) {
-            out.extend(ps.iter().cloned());
+    fn ancestors(&self, class: Sym) -> Arc<[Sym]> {
+        match self.chains.get(&class) {
+            Some(chain) => chain.clone(),
+            None if class == sym!("Object") => Arc::new([class]),
+            None => Arc::new([class, sym!("Object")]),
         }
-        if class != "Object" {
-            out.push("Object".to_string());
-        }
-        out
     }
 
     fn class_exists(&self, name: &str) -> bool {
-        name == "Object" || self.known.iter().any(|k| k == name)
+        name == "Object" || self.chains.keys().any(|k| k.as_str() == name)
     }
 }
 
@@ -99,13 +101,14 @@ mod tests {
     #[test]
     fn ancestors_and_descendants() {
         let info = MapClassInfo::with_core();
+        let s = Sym::intern;
         assert_eq!(
-            info.ancestors("Fixnum"),
+            info.ancestors(s("Fixnum")).to_vec(),
             vec!["Fixnum", "Integer", "Numeric", "Object"]
         );
-        assert!(info.is_descendant("Fixnum", "Numeric"));
-        assert!(info.is_descendant("Fixnum", "Object"));
-        assert!(!info.is_descendant("Integer", "Fixnum"));
+        assert!(info.is_descendant(s("Fixnum"), s("Numeric")));
+        assert!(info.is_descendant(s("Fixnum"), s("Object")));
+        assert!(!info.is_descendant(s("Integer"), s("Fixnum")));
         assert!(info.class_exists("Array"));
         assert!(!info.class_exists("Zork"));
     }

@@ -19,7 +19,7 @@ fn run_check(
 ) -> Result<hb_check::CheckOutcome, hb_check::CheckError> {
     check_sig(&CheckRequest {
         cfg,
-        self_class,
+        self_class: self_class.into(),
         class_level: false,
         sig,
         ann_key: MethodKey::instance(self_class, &cfg.name),

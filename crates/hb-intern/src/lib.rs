@@ -207,6 +207,21 @@ impl Sym {
     }
 }
 
+/// The [`Sym`] of a string literal, interned once per process: every
+/// later evaluation of the same call site is one atomic load. For the
+/// fixed names hot paths compare against (`"Object"`, `"Class"`, ...).
+///
+/// ```
+/// assert_eq!(hb_intern::sym!("Object"), hb_intern::Sym::intern("Object"));
+/// ```
+#[macro_export]
+macro_rules! sym {
+    ($s:literal) => {{
+        static SYM: ::std::sync::OnceLock<$crate::Sym> = ::std::sync::OnceLock::new();
+        *SYM.get_or_init(|| $crate::Sym::intern($s))
+    }};
+}
+
 /// Identifies a method: class name, instance/class level, method name.
 /// Interned and `Copy` — the engine's cache key, the type table's index,
 /// and the identity that structured diagnostics blame. Lives in the

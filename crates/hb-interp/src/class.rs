@@ -4,10 +4,11 @@
 
 use crate::error::Flow;
 use crate::value::{ClassId, ProcVal, Value};
-use hb_intern::{FastMap, Sym};
+use hb_intern::{sym, FastMap, Sym};
 use hb_syntax::ast::MethodDefNode;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Signature of a native (Rust-implemented) method.
 pub type BuiltinFn =
@@ -62,6 +63,9 @@ pub struct ClassDef {
     /// Memoised linearised ancestor chain, tagged with the hierarchy
     /// generation it was computed at (see `ClassRegistry::hierarchy_gen`).
     ancestor_cache: RefCell<Option<(u64, Rc<[ClassId]>)>>,
+    /// Memoised resolution chain of this class's name (see
+    /// `ClassRegistry::resolution_syms`), tagged the same way.
+    resolution_cache: RefCell<Option<(u64, Arc<[Sym]>)>>,
 }
 
 /// An event emitted by the registry; drained by the Hummingbird engine to
@@ -170,6 +174,7 @@ impl ClassRegistry {
             ivars: FastMap::default(),
             cvars: FastMap::default(),
             ancestor_cache: RefCell::new(None),
+            resolution_cache: RefCell::new(None),
         });
         self.by_name.insert(name.to_string(), id);
         // A new class changes what name-based resolution can see (a chain
@@ -359,24 +364,43 @@ impl ClassRegistry {
         })
     }
 
-    /// The chain a method lookup from the class named `class` walks — the
-    /// one resolution rule shared by the checker's view of this registry,
-    /// the world snapshots scheduler workers check against, and witness
-    /// replay: the class's ancestors, then `Object` unless the chain
-    /// already ends there (a module's does not), or `[class, Object]` for
-    /// a name the registry does not know. Allocates nothing for a known
-    /// class once its ancestor chain is memoised.
-    pub fn resolution_chain<'a>(&'a self, class: &str) -> impl Iterator<Item = Sym> + 'a {
-        let object = Sym::intern("Object");
-        let (unknown, chain): (Option<Sym>, Rc<[ClassId]>) = match self.lookup(class) {
+    /// Computes the chain [`ClassRegistry::resolution_syms`] memoises.
+    fn resolution_chain(&self, class: Sym) -> impl Iterator<Item = Sym> + '_ {
+        let object = sym!("Object");
+        let (unknown, chain): (Option<Sym>, Rc<[ClassId]>) = match self.lookup(class.as_str()) {
             Some(id) => (None, self.ancestor_chain(id)),
-            None => (Some(Sym::intern(class)), Rc::new([])),
+            None => (Some(class), Rc::new([])),
         };
         let ends_in_object = chain.last().is_some_and(|&id| self.name_sym(id) == object);
         unknown
             .into_iter()
             .chain((0..chain.len()).map(move |i| self.name_sym(chain[i])))
             .chain((!ends_in_object).then_some(object))
+    }
+
+    /// The chain a method lookup from the class named `class` walks, as a
+    /// shared list of interned names — the one resolution rule shared by
+    /// the checker's view of this registry, the world snapshots scheduler
+    /// workers check against, and witness replay. It is the class's
+    /// ancestors, then `Object` unless the chain already ends there (a
+    /// module's does not). It is memoised per class next to the ancestor
+    /// chain and recomputed when the hierarchy generation moves (define,
+    /// include and rename all move it), so cloning the `Arc` is the only
+    /// cost once memoised. A name the registry does not know gets a fresh
+    /// `[class, Object]`.
+    pub fn resolution_syms(&self, class: Sym) -> Arc<[Sym]> {
+        let Some(id) = self.lookup(class.as_str()) else {
+            return Arc::new([class, sym!("Object")]);
+        };
+        let cache = &self.class(id).resolution_cache;
+        if let Some((gen, chain)) = cache.borrow().as_ref() {
+            if *gen == self.hierarchy_gen {
+                return chain.clone();
+            }
+        }
+        let chain: Arc<[Sym]> = self.resolution_chain(class).collect();
+        *cache.borrow_mut() = Some((self.hierarchy_gen, chain.clone()));
+        chain
     }
 
     /// Finds an instance method along the ancestor chain; returns the owner
@@ -611,6 +635,64 @@ mod tests {
         assert_eq!(r.lookup("Transaction"), Some(c));
         assert_eq!(r.lookup("AnonStruct1"), None);
         assert_eq!(r.name(c), "Transaction");
+    }
+
+    #[test]
+    fn resolution_syms_memoise_the_resolution_chain() {
+        let mut r = ClassRegistry::new();
+        let m = r.define_class("M", None, true);
+        let base = r.define_class("Base", None, false);
+        let c = r.define_class("C", Some(base), false);
+        let listed = |r: &ClassRegistry, name: &str| -> Vec<Sym> {
+            r.resolution_chain(Sym::intern(name)).collect()
+        };
+        for name in ["C", "Base", "M", "Object"] {
+            let memo = r.resolution_syms(Sym::intern(name));
+            assert_eq!(memo.to_vec(), listed(&r, name), "{name}");
+            assert!(
+                Arc::ptr_eq(&memo, &r.resolution_syms(Sym::intern(name))),
+                "a second call is served from the memo"
+            );
+        }
+        assert_eq!(
+            r.resolution_syms(Sym::intern("M")).to_vec(),
+            ["M", "Object"]
+        );
+
+        let before = r.resolution_syms(Sym::intern("C"));
+        assert_eq!(before.to_vec(), ["C", "Base", "Object"]);
+        r.include_module(c, m);
+        let after = r.resolution_syms(Sym::intern("C"));
+        assert_eq!(after.to_vec(), ["C", "M", "Base", "Object"]);
+        assert_eq!(after.to_vec(), listed(&r, "C"));
+
+        r.rename(base, "Model");
+        assert_eq!(
+            r.resolution_syms(Sym::intern("C")).to_vec(),
+            ["C", "M", "Model", "Object"]
+        );
+        assert_eq!(
+            r.resolution_syms(Sym::intern("Base")).to_vec(),
+            ["Base", "Object"],
+            "the old name is no longer known"
+        );
+    }
+
+    #[test]
+    fn resolution_syms_of_unknown_and_later_defined_names() {
+        let mut r = ClassRegistry::new();
+        let base = r.define_class("Base", None, false);
+        let later = Sym::intern("Later");
+        assert_eq!(r.resolution_syms(later).to_vec(), ["Later", "Object"]);
+        assert_eq!(
+            r.resolution_syms(later).to_vec(),
+            r.resolution_chain(later).collect::<Vec<_>>()
+        );
+        r.define_class("Later", Some(base), false);
+        assert_eq!(
+            r.resolution_syms(later).to_vec(),
+            ["Later", "Base", "Object"]
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Run-time conformance: `type_of` a value and checking a value against a
 //! type (used by dynamic argument checks and `rdl_cast`, paper §4).
 
-use hb_interp::{Interp, Value};
+use hb_intern::{sym, Sym};
+use hb_interp::{ClassId, Interp, Value};
 use hb_types::Type;
 
 /// The run-time type of a value, as the paper's `type_of`: `type_of(nil) =
@@ -19,9 +20,17 @@ pub fn type_of(interp: &Interp, v: &Value) -> Type {
         Value::Hash(_) => Type::nominal("Hash"),
         Value::Range(_) => Type::nominal("Range"),
         Value::Proc(_) => Type::nominal("Proc"),
-        Value::Obj(o) => Type::nominal(interp.registry.name(o.class)),
-        Value::Class(c) => Type::ClassObj(interp.registry.name(*c).to_string()),
+        Value::Obj(o) => Type::Nominal(interp.registry.name_sym(o.class)),
+        Value::Class(c) => Type::ClassObj(interp.registry.name_sym(*c)),
     }
+}
+
+/// Is the class `have` the class named `want`, or below it? An exact
+/// match is one `Sym` comparison; anything else asks the registry by name.
+fn class_conforms(interp: &Interp, have: ClassId, want: Sym) -> bool {
+    let registry = &interp.registry;
+    registry.name_sym(have) == want
+        || registry.is_descendant_name(registry.name(have), want.as_str())
 }
 
 /// Does `v` conform to `ty` at run time? Deep for instantiated generics
@@ -38,12 +47,9 @@ pub fn value_conforms(interp: &Interp, v: &Value, ty: &Type) -> bool {
         Type::Union(arms) => arms.iter().any(|a| value_conforms(interp, v, a)),
         Type::Nominal(n) => {
             if matches!(v, Value::Bool(_)) {
-                return n == "Boolean" || n == "Object";
+                return *n == sym!("Boolean") || *n == sym!("Object");
             }
-            let have = interp.registry.class_of(v);
-            interp
-                .registry
-                .is_descendant_name(interp.registry.name(have), n)
+            class_conforms(interp, interp.registry.class_of(v), *n)
         }
         Type::Generic(n, args) => {
             let arg = |i: usize| args.get(i).unwrap_or(&Type::Any);
@@ -57,19 +63,12 @@ pub fn value_conforms(interp: &Interp, v: &Value, ty: &Type) -> bool {
                 ("Range", Value::Range(r)) => {
                     value_conforms(interp, &r.0, arg(0)) && value_conforms(interp, &r.1, arg(0))
                 }
-                _ => {
-                    // Other generics conform by base class.
-                    let have = interp.registry.class_of(v);
-                    interp
-                        .registry
-                        .is_descendant_name(interp.registry.name(have), n)
-                }
+                // Other generics conform by base class.
+                _ => class_conforms(interp, interp.registry.class_of(v), *n),
             }
         }
         Type::ClassObj(n) => match v {
-            Value::Class(c) => interp
-                .registry
-                .is_descendant_name(interp.registry.name(*c), n),
+            Value::Class(c) => class_conforms(interp, *c, *n),
             _ => false,
         },
     }

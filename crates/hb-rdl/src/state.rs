@@ -157,16 +157,16 @@ pub struct Resolution {
 impl Resolution {
     /// A plain instance/class-level resolution from `start`'s chain.
     pub fn of(
-        start: &str,
+        start: impl Into<Sym>,
         class_level: bool,
-        method: &str,
+        method: impl Into<Sym>,
         target: Option<MethodKey>,
     ) -> Resolution {
         Resolution {
-            start: Sym::intern(start),
+            start: start.into(),
             skip_receiver: false,
             class_level,
-            method: Sym::intern(method),
+            method: method.into(),
             target,
         }
     }
@@ -399,6 +399,22 @@ pub struct RdlState {
     enforcement_gen: std::cell::Cell<u64>,
 }
 
+/// The first `(class, var)` declaration along `classes`: the one
+/// ivar/cvar lookup rule, shared by [`RdlState`] and the scheduler's world
+/// snapshot.
+pub fn decl_along(
+    decls: &HashMap<(String, String), (Type, Span)>,
+    classes: &[impl AsRef<str>],
+    var: &str,
+) -> Option<(Type, Span)> {
+    let mut key = (String::new(), var.to_string());
+    classes.iter().find_map(|c| {
+        key.0.clear();
+        key.0.push_str(c.as_ref());
+        decls.get(&key).cloned()
+    })
+}
+
 /// Folds one mutation into a rolling fingerprint: order-sensitive, cheap,
 /// and stable within the process (Sym indices are process-global, and the
 /// hasher is the shared tier's single fingerprint helper).
@@ -607,8 +623,9 @@ impl RdlState {
     }
 
     /// Resolves a method type along an ancestor chain of interned class
-    /// names — the engine hook's per-call lookup. Returns the annotation's
-    /// own key plus a pointer clone of the entry; allocates nothing.
+    /// names — the engine hook's per-call lookup, the static checker's
+    /// (TApp) resolution and witness replay. Returns the annotation's own
+    /// key plus a pointer clone of the entry; allocates nothing.
     pub fn lookup_along(
         &self,
         classes: impl IntoIterator<Item = Sym>,
@@ -627,18 +644,6 @@ impl RdlState {
             }
         }
         None
-    }
-
-    /// [`RdlState::lookup_along`] over plain class names (the static
-    /// checker's resolution path, where chains arrive as strings).
-    pub fn lookup_along_names(
-        &self,
-        classes: &[String],
-        class_level: bool,
-        method: &str,
-    ) -> Option<(MethodKey, Rc<TableEntry>)> {
-        let m = Sym::intern(method);
-        self.lookup_along(classes.iter().map(|c| Sym::intern(c)), class_level, m)
     }
 
     /// Records that the checker consulted `key` (for "Used" statistics).
@@ -662,19 +667,13 @@ impl RdlState {
     }
 
     /// Looks up an instance-variable type along an ancestor chain.
-    pub fn ivar_type(&self, classes: &[String], ivar: &str) -> Option<Type> {
+    pub fn ivar_type(&self, classes: &[impl AsRef<str>], ivar: &str) -> Option<Type> {
         self.ivar_decl(classes, ivar).map(|(t, _)| t)
     }
 
     /// Instance-variable type *and* declaration site along a chain.
-    pub fn ivar_decl(&self, classes: &[String], ivar: &str) -> Option<(Type, Span)> {
-        let inner = self.inner.borrow();
-        for c in classes {
-            if let Some(t) = inner.ivar_types.get(&(c.clone(), ivar.to_string())) {
-                return Some(t.clone());
-            }
-        }
-        None
+    pub fn ivar_decl(&self, classes: &[impl AsRef<str>], ivar: &str) -> Option<(Type, Span)> {
+        decl_along(&self.inner.borrow().ivar_types, classes, ivar)
     }
 
     /// Registers a class-variable type with its declaration site.
@@ -688,19 +687,13 @@ impl RdlState {
     }
 
     /// Looks up a class-variable type along an ancestor chain.
-    pub fn cvar_type(&self, classes: &[String], cvar: &str) -> Option<Type> {
+    pub fn cvar_type(&self, classes: &[impl AsRef<str>], cvar: &str) -> Option<Type> {
         self.cvar_decl(classes, cvar).map(|(t, _)| t)
     }
 
     /// Class-variable type *and* declaration site along a chain.
-    pub fn cvar_decl(&self, classes: &[String], cvar: &str) -> Option<(Type, Span)> {
-        let inner = self.inner.borrow();
-        for c in classes {
-            if let Some(t) = inner.cvar_types.get(&(c.clone(), cvar.to_string())) {
-                return Some(t.clone());
-            }
-        }
-        None
+    pub fn cvar_decl(&self, classes: &[impl AsRef<str>], cvar: &str) -> Option<(Type, Span)> {
+        decl_along(&self.inner.borrow().cvar_types, classes, cvar)
     }
 
     /// Registers a global-variable type (no declaration site).
@@ -1259,10 +1252,16 @@ mod tests {
             AnnotationSource::Static,
             false,
         );
-        let chain = vec!["Talk".to_string(), "Base".to_string(), "Object".to_string()];
-        let (key, _) = st.lookup_along_names(&chain, false, "save").unwrap();
+        let chain = [
+            Sym::intern("Talk"),
+            Sym::intern("Base"),
+            Sym::intern("Object"),
+        ];
+        let (key, _) = st.lookup_along(chain, false, Sym::intern("save")).unwrap();
         assert_eq!(key.class, "Base");
-        assert!(st.lookup_along_names(&chain, false, "missing").is_none());
+        assert!(st
+            .lookup_along(chain, false, Sym::intern("missing"))
+            .is_none());
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl CheckTask {
     pub fn run(&self) -> TaskVerdict {
         let req = CheckRequest {
             cfg: &self.cfg,
-            self_class: self.cache_key.class.as_str(),
+            self_class: self.cache_key.class,
             class_level: self.cache_key.class_level,
             sig: &self.sig,
             ann_key: self.ann_key,

@@ -1,8 +1,11 @@
 //! The owned world snapshot a [`crate::CheckTask`] carries: everything
-//! `check_sig` reads — ancestor chains, the annotation table, variable
-//! declarations — captured as plain owned maps so the capture is `Send`
-//! and a worker thread checks against *exactly* the state the task was
-//! extracted from, no matter what the interpreter thread does meanwhile.
+//! `check_sig` reads — each class's resolution chain of interned names,
+//! the annotation table, variable declarations — captured as plain owned
+//! maps so the capture is `Send + Sync` and a worker thread checks
+//! against *exactly* the state the task was extracted from, no matter
+//! what the interpreter thread does meanwhile. The chains are the same
+//! shared `Arc<[Sym]>`s the live registry memoises; a table lookup hands
+//! the checker a fresh `Rc` copy of the captured entry.
 //!
 //! The snapshot also remembers the capture-time epoch fingerprints
 //! (type-table, class-hierarchy shape, variable types). They are what
@@ -12,19 +15,25 @@
 //! never adopted.
 
 use hb_check::{ClassInfo, TypeTable};
+use hb_intern::{sym, Sym};
+use hb_rdl::state::decl_along;
 use hb_rdl::{MethodKey, TableEntry};
 use hb_syntax::Span;
 use hb_types::Type;
 use std::collections::HashMap;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// An owned, `Send + Sync` capture of the checker-visible world: class
 /// hierarchy + type table + variable declarations + epoch fingerprints.
 /// Built once per (table, hierarchy, variable) state by the engine and
 /// shared across every task extracted at that state via `Arc`.
 pub struct WorldSnapshot {
-    /// Class → full ancestor chain (the class itself first, `Object`
-    /// last), mirroring the live registry's resolution chains.
-    chains: HashMap<String, Vec<String>>,
+    /// Class name → full ancestor chain (the class itself first,
+    /// `Object` last), mirroring the live registry's resolution chains.
+    /// Keyed by text, so `class_exists` can ask by string without
+    /// interning it.
+    chains: HashMap<&'static str, Arc<[Sym]>>,
     /// The annotation table (owned copies of every entry).
     table: HashMap<MethodKey, TableEntry>,
     /// Instance-variable declarations keyed `(class, name)`.
@@ -42,7 +51,7 @@ impl WorldSnapshot {
     /// Assembles a snapshot from its captured parts (the engine-side
     /// extraction walks the live registry and `RdlState`).
     pub fn new(
-        chains: HashMap<String, Vec<String>>,
+        chains: HashMap<&'static str, Arc<[Sym]>>,
         table: HashMap<MethodKey, TableEntry>,
         ivars: HashMap<(String, String), (Type, Span)>,
         cvars: HashMap<(String, String), (Type, Span)>,
@@ -98,21 +107,21 @@ impl WorldSnapshot {
 }
 
 impl ClassInfo for WorldSnapshot {
-    fn ancestors(&self, class: &str) -> Vec<String> {
-        match self.chains.get(class) {
+    fn ancestors(&self, class: Sym) -> Arc<[Sym]> {
+        match self.chains.get(class.as_str()) {
             Some(chain) => chain.clone(),
             // Unknown classes degrade exactly like the live registry view.
-            None => vec![class.to_string(), "Object".to_string()],
+            None => Arc::new([class, sym!("Object")]),
         }
     }
 
-    fn is_descendant(&self, sub: &str, sup: &str) -> bool {
+    fn is_descendant(&self, sub: Sym, sup: Sym) -> bool {
         sub == sup
-            || sup == "Object"
+            || sup == sym!("Object")
             || self
                 .chains
-                .get(sub)
-                .is_some_and(|c| c.iter().any(|a| a == sup))
+                .get(sub.as_str())
+                .is_some_and(|c| c.contains(&sup))
     }
 
     fn class_exists(&self, name: &str) -> bool {
@@ -121,42 +130,28 @@ impl ClassInfo for WorldSnapshot {
 }
 
 impl TypeTable for WorldSnapshot {
-    fn lookup_along_names(
+    fn lookup_along(
         &self,
-        classes: &[String],
+        classes: &[Sym],
         class_level: bool,
-        method: &str,
-    ) -> Option<(MethodKey, TableEntry)> {
-        let method = hb_intern::Sym::intern(method);
-        for class in classes {
+        method: Sym,
+    ) -> Option<(MethodKey, Rc<TableEntry>)> {
+        classes.iter().find_map(|&class| {
             let key = MethodKey {
-                class: hb_intern::Sym::intern(class),
+                class,
                 class_level,
                 method,
             };
-            if let Some(e) = self.table.get(&key) {
-                return Some((key, e.clone()));
-            }
-        }
-        None
+            self.table.get(&key).map(|e| (key, Rc::new(e.clone())))
+        })
     }
 
-    fn ivar_decl(&self, classes: &[String], ivar: &str) -> Option<(Type, Span)> {
-        for c in classes {
-            if let Some(d) = self.ivars.get(&(c.clone(), ivar.to_string())) {
-                return Some(d.clone());
-            }
-        }
-        None
+    fn ivar_decl(&self, classes: &[Sym], ivar: &str) -> Option<(Type, Span)> {
+        decl_along(&self.ivars, classes, ivar)
     }
 
-    fn cvar_decl(&self, classes: &[String], cvar: &str) -> Option<(Type, Span)> {
-        for c in classes {
-            if let Some(d) = self.cvars.get(&(c.clone(), cvar.to_string())) {
-                return Some(d.clone());
-            }
-        }
-        None
+    fn cvar_decl(&self, classes: &[Sym], cvar: &str) -> Option<(Type, Span)> {
+        decl_along(&self.cvars, classes, cvar)
     }
 
     fn gvar_decl(&self, gvar: &str) -> Option<(Type, Span)> {
@@ -175,15 +170,10 @@ mod tests {
     use hb_types::{parse_method_type, MethodSig};
 
     fn snap() -> WorldSnapshot {
+        let s = Sym::intern;
         let mut chains = HashMap::new();
-        chains.insert(
-            "Talk".to_string(),
-            vec!["Talk".to_string(), "Base".to_string(), "Object".to_string()],
-        );
-        chains.insert(
-            "Base".to_string(),
-            vec!["Base".to_string(), "Object".to_string()],
-        );
+        chains.insert("Talk", Arc::from([s("Talk"), s("Base"), s("Object")]));
+        chains.insert("Base", Arc::from([s("Base"), s("Object")]));
         let mut table = HashMap::new();
         table.insert(
             MethodKey::instance("Base", "save"),
@@ -209,11 +199,15 @@ mod tests {
     #[test]
     fn chain_queries_mirror_the_live_view() {
         let w = snap();
-        assert_eq!(w.ancestors("Talk"), vec!["Talk", "Base", "Object"]);
-        assert_eq!(w.ancestors("Zzz"), vec!["Zzz", "Object"]);
-        assert!(w.is_descendant("Talk", "Base"));
-        assert!(w.is_descendant("Talk", "Object"));
-        assert!(!w.is_descendant("Base", "Talk"));
+        let s = Sym::intern;
+        assert_eq!(
+            w.ancestors(s("Talk")).to_vec(),
+            vec!["Talk", "Base", "Object"]
+        );
+        assert_eq!(w.ancestors(s("Zzz")).to_vec(), vec!["Zzz", "Object"]);
+        assert!(w.is_descendant(s("Talk"), s("Base")));
+        assert!(w.is_descendant(s("Talk"), s("Object")));
+        assert!(!w.is_descendant(s("Base"), s("Talk")));
         assert!(w.class_exists("Base"));
         assert!(!w.class_exists("Zzz"));
     }
@@ -221,11 +215,11 @@ mod tests {
     #[test]
     fn table_resolves_along_chains() {
         let w = snap();
-        let chain: Vec<String> = w.ancestors("Talk");
-        let (key, e) = TypeTable::lookup_along_names(&w, &chain, false, "save").unwrap();
+        let chain = w.ancestors(Sym::intern("Talk"));
+        let (key, e) = TypeTable::lookup_along(&w, &chain, false, Sym::intern("save")).unwrap();
         assert_eq!(key, MethodKey::instance("Base", "save"));
         assert_eq!(e.version, 3);
-        assert!(TypeTable::lookup_along_names(&w, &chain, false, "missing").is_none());
+        assert!(TypeTable::lookup_along(&w, &chain, false, Sym::intern("missing")).is_none());
     }
 
     #[test]

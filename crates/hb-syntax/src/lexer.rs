@@ -55,6 +55,12 @@ impl<'a> Lexer<'a> {
         c
     }
 
+    /// The whole character at the current position, if any. The lexer
+    /// only ever stops between characters, so this never splits one.
+    fn peek_char(&self) -> Option<char> {
+        self.text.get(self.pos..)?.chars().next()
+    }
+
     fn span_from(&self, lo: usize) -> Span {
         Span::new(self.file, lo as u32, self.pos as u32)
     }
@@ -175,17 +181,17 @@ impl<'a> Lexer<'a> {
                 }
                 b'\\' => {
                     self.pos += 1;
-                    let e = self.bump();
+                    // Any other escaped character stands for itself,
+                    // `\\`, `\"` and `\#` included. At the end of input
+                    // the loop reports the unterminated literal.
+                    let Some(e) = self.peek_char() else { continue };
+                    self.pos += e.len_utf8();
                     lit.push(match e {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'0' => '\0',
-                        b'\\' => '\\',
-                        b'"' => '"',
-                        b'\'' => '\'',
-                        b'#' => '#',
-                        other => other as char,
+                        'n' => '\n',
+                        't' => '\t',
+                        'r' => '\r',
+                        '0' => '\0',
+                        other => other,
                     });
                 }
                 b'#' if self.peek2() == b'{' => {
@@ -198,8 +204,7 @@ impl<'a> Lexer<'a> {
                 }
                 _ => {
                     // Push whole UTF-8 characters, not bytes.
-                    let ch_start = self.pos;
-                    let ch = self.text[ch_start..].chars().next().unwrap();
+                    let ch = self.peek_char().unwrap();
                     self.pos += ch.len_utf8();
                     lit.push(ch);
                 }
@@ -263,7 +268,7 @@ impl<'a> Lexer<'a> {
                     lit.push(self.bump() as char);
                 }
                 _ => {
-                    let ch = self.text[self.pos..].chars().next().unwrap();
+                    let ch = self.peek_char().unwrap();
                     self.pos += ch.len_utf8();
                     lit.push(ch);
                 }
@@ -409,44 +414,45 @@ impl<'a> Lexer<'a> {
 
     fn lex_op(&mut self, lo: usize) -> Result<(), ParseError> {
         use TokenKind::*;
-        let three = &self.text[self.pos..self.text.len().min(self.pos + 3)];
-        let two = &self.text[self.pos..self.text.len().min(self.pos + 2)];
-        let (kind, len) = if three == "<=>" {
+        // Operators are ASCII: compare bytes, so a multi-byte character
+        // after an operator is never sliced through.
+        let rest = &self.src[self.pos..];
+        let (kind, len) = if rest.starts_with(b"<=>") {
             (Spaceship, 3)
-        } else if three == "..." {
+        } else if rest.starts_with(b"...") {
             (DotDotDot, 3)
-        } else if three == "**=" {
+        } else if rest.starts_with(b"**=") {
             return Err(self.err(lo, "`**=` is not supported"));
         } else {
-            match two {
-                "==" => (EqEq, 2),
-                "!=" => (NotEq, 2),
-                "<=" => (LtEq, 2),
-                ">=" => (GtEq, 2),
-                "&&" => {
+            match (self.peek(), self.peek2()) {
+                (b'=', b'=') => (EqEq, 2),
+                (b'!', b'=') => (NotEq, 2),
+                (b'<', b'=') => (LtEq, 2),
+                (b'>', b'=') => (GtEq, 2),
+                (b'&', b'&') => {
                     if self.peek3() == b'=' {
                         (AndAndAssign, 3)
                     } else {
                         (AndAnd, 2)
                     }
                 }
-                "||" => {
+                (b'|', b'|') => {
                     if self.peek3() == b'=' {
                         (OrOrAssign, 3)
                     } else {
                         (OrOr, 2)
                     }
                 }
-                "+=" => (PlusAssign, 2),
-                "-=" => (MinusAssign, 2),
-                "*=" => (StarAssign, 2),
-                "/=" => (SlashAssign, 2),
-                "%=" => (PercentAssign, 2),
-                "<<" => (ShiftL, 2),
-                ">>" => (ShiftR, 2),
-                "**" => (StarStar, 2),
-                "=>" => (FatArrow, 2),
-                ".." => (DotDot, 2),
+                (b'+', b'=') => (PlusAssign, 2),
+                (b'-', b'=') => (MinusAssign, 2),
+                (b'*', b'=') => (StarAssign, 2),
+                (b'/', b'=') => (SlashAssign, 2),
+                (b'%', b'=') => (PercentAssign, 2),
+                (b'<', b'<') => (ShiftL, 2),
+                (b'>', b'>') => (ShiftR, 2),
+                (b'*', b'*') => (StarStar, 2),
+                (b'=', b'>') => (FatArrow, 2),
+                (b'.', b'.') => (DotDot, 2),
                 _ => match self.peek() {
                     b'+' => (Plus, 1),
                     b'-' => (Minus, 1),
@@ -469,10 +475,9 @@ impl<'a> Lexer<'a> {
                     b'|' => (Pipe, 1),
                     b'&' => (Amp, 1),
                     b';' => (Semi, 1),
-                    other => {
-                        return Err(
-                            self.err(lo, format!("unexpected character `{}`", other as char))
-                        )
+                    _ => {
+                        let ch = self.peek_char().unwrap_or_default();
+                        return Err(self.err(lo, format!("unexpected character `{ch}`")));
                     }
                 },
             }
@@ -756,6 +761,49 @@ mod tests {
             kinds(":a => 1"),
             vec![Symbol("a".into()), FatArrow, Int(1), Eof]
         );
+    }
+
+    #[test]
+    fn non_ascii_after_an_operator_is_named_not_split() {
+        for src in ["a.é", "a==é", "A={é:", "é"] {
+            let e = crate::parse_program(src, "t.rb").expect_err(src);
+            assert!(e.message.contains("`é`"), "{src}: {}", e.message);
+        }
+        // An escaped character stands for itself, multi-byte ones too.
+        assert_eq!(kinds(r#"x = "\é""#)[2], Str(vec![P::Lit("é".into())]));
+        assert_eq!(kinds(r#""\😀!""#)[0], Str(vec![P::Lit("😀!".into())]));
+        assert!(lex("\"\\", FileId(0)).is_err());
+    }
+
+    /// Lexes and parses strings glued from operators, keywords and
+    /// multi-byte characters, from a fixed seed: every one must come back
+    /// as a token stream or a `ParseError`, never as a panic.
+    #[test]
+    fn operator_and_multibyte_sweep_never_panics() {
+        const PIECES: &[&str] = &[
+            "<=>", "...", "**=", "==", "!=", "<=", ">=", "&&=", "&&", "||=", "||", "+=", "-=",
+            "*=", "/=", "%=", "<<", ">>", "**", "=>", "..", "+", "-", "*", "/", "%", "<", ">", "=",
+            "!", "?", ".", ",", "(", ")", "[", "]", "{", "}", "|", "&", ";", ":", "::", "@", "@@",
+            "$", "#", "#{", "\"", "'", "\\", "\n", " ", "1", "2.5", "x", "A", "class", "def",
+            "end", "if", "do", "yield", "self", "nil", "é", "→", "😀",
+        ];
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..12_000 {
+            let len = 1 + next() % 8;
+            let src: String = (0..len)
+                .map(|_| PIECES[(next() % PIECES.len() as u64) as usize])
+                .collect();
+            let lexed = std::panic::catch_unwind(|| lex(&src, FileId(0)));
+            assert!(lexed.is_ok(), "lex panicked on {src:?}");
+            let parsed = std::panic::catch_unwind(|| crate::parse_program(&src, "t.rb"));
+            assert!(parsed.is_ok(), "parse panicked on {src:?}");
+        }
     }
 
     #[test]

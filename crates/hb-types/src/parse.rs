@@ -15,6 +15,7 @@
 //! ```
 
 use crate::ty::{MethodType, ParamMode, ParamType, Type};
+use hb_intern::{sym, Sym};
 use std::error::Error;
 use std::fmt;
 
@@ -123,12 +124,12 @@ impl<'a> TyParser<'a> {
         }
     }
 
-    fn ident(&mut self) -> String {
+    fn ident(&mut self) -> &'a str {
         let start = self.pos;
         while matches!(self.peek(), b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_') {
             self.pos += 1;
         }
-        self.src[start..self.pos].to_string()
+        &self.src[start..self.pos]
     }
 
     /// Peeks whether the next word is `or` (the union separator).
@@ -160,7 +161,7 @@ impl<'a> TyParser<'a> {
             b'%' => {
                 self.pos += 1;
                 let name = self.ident();
-                match name.as_str() {
+                match name {
                     "any" => Ok(Type::Any),
                     "bool" => Ok(Type::Bool),
                     other => Err(self.err(format!("unknown special type `%{other}`"))),
@@ -174,24 +175,24 @@ impl<'a> TyParser<'a> {
             }
             b'a'..=b'z' | b'_' => {
                 let name = self.ident();
-                match name.as_str() {
+                match name {
                     "nil" => Ok(Type::Nil),
                     "" => Err(self.err("expected a type")),
-                    _ => Ok(Type::Var(name)),
+                    _ => Ok(Type::Var(name.to_string())),
                 }
             }
             b'A'..=b'Z' => {
-                let mut name = self.ident();
-                // Constant paths flatten to their joined name.
+                let start = self.pos;
+                self.ident();
+                // Constant paths flatten to their joined name, which is
+                // the source text itself: no space may surround `::`.
                 while self.src[self.pos..].starts_with("::") {
                     self.pos += 2;
-                    let seg = self.ident();
-                    if seg.is_empty() {
+                    if self.ident().is_empty() {
                         return Err(self.err("expected constant after `::`"));
                     }
-                    name.push_str("::");
-                    name.push_str(&seg);
                 }
+                let name = Sym::intern(&self.src[start..self.pos]);
                 self.skip_ws();
                 if self.peek() == b'<' {
                     self.pos += 1;
@@ -200,9 +201,9 @@ impl<'a> TyParser<'a> {
                         args.push(self.parse_union()?);
                     }
                     self.expect(b'>')?;
-                    if name == "Class" && args.len() == 1 {
-                        if let Type::Nominal(inner) = &args[0] {
-                            return Ok(Type::ClassObj(inner.clone()));
+                    if name == sym!("Class") && args.len() == 1 {
+                        if let Type::Nominal(inner) = args[0] {
+                            return Ok(Type::ClassObj(inner));
                         }
                     }
                     Ok(Type::Generic(name, args))

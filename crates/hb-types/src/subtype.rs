@@ -7,6 +7,7 @@
 //! RDL's default invariance — see DESIGN.md).
 
 use crate::ty::Type;
+use hb_intern::{sym, Sym};
 use std::collections::HashMap;
 
 /// Provides the nominal subtype relation between class/module names.
@@ -15,7 +16,7 @@ use std::collections::HashMap;
 /// `Object` as the top of the nominal lattice.
 pub trait Hierarchy {
     /// Is `sub` the same as, a subclass of, or a mixer-in of `sup`?
-    fn is_descendant(&self, sub: &str, sup: &str) -> bool;
+    fn is_descendant(&self, sub: Sym, sup: Sym) -> bool;
 }
 
 /// A hierarchy with no user classes: only reflexivity and `Object` as top.
@@ -23,8 +24,8 @@ pub trait Hierarchy {
 pub struct NoHierarchy;
 
 impl Hierarchy for NoHierarchy {
-    fn is_descendant(&self, sub: &str, sup: &str) -> bool {
-        sub == sup || sup == "Object"
+    fn is_descendant(&self, sub: Sym, sup: Sym) -> bool {
+        sub == sup || sup == sym!("Object")
     }
 }
 
@@ -60,12 +61,12 @@ impl MapHierarchy {
 }
 
 impl Hierarchy for MapHierarchy {
-    fn is_descendant(&self, sub: &str, sup: &str) -> bool {
-        if sub == sup || sup == "Object" {
+    fn is_descendant(&self, sub: Sym, sup: Sym) -> bool {
+        if NoHierarchy.is_descendant(sub, sup) {
             return true;
         }
-        match self.ancestors.get(sub) {
-            Some(a) => a.iter().any(|x| x == sup),
+        match self.ancestors.get(sub.as_str()) {
+            Some(a) => a.iter().any(|x| x == sup.as_str()),
             None => false,
         }
     }
@@ -85,20 +86,20 @@ impl Type {
             (Type::Union(arms), b) => arms.iter().all(|a| a.is_subtype(b, hier)),
             // Union on the right: some arm must accommodate.
             (a, Type::Union(arms)) => arms.iter().any(|b| a.is_subtype(b, hier)),
-            (Type::Bool, Type::Nominal(n)) => n == "Boolean" || n == "Object",
-            (Type::Nominal(n), Type::Bool) => n == "Boolean",
-            (Type::Nominal(a), Type::Nominal(b)) => hier.is_descendant(a, b),
+            (Type::Bool, Type::Nominal(n)) => *n == sym!("Boolean") || *n == sym!("Object"),
+            (Type::Nominal(n), Type::Bool) => *n == sym!("Boolean"),
+            (Type::Nominal(a), Type::Nominal(b)) => hier.is_descendant(*a, *b),
             (Type::Generic(a, xs), Type::Generic(b, ys)) => {
-                hier.is_descendant(a, b)
+                hier.is_descendant(*a, *b)
                     && xs.len() == ys.len()
                     && xs.iter().zip(ys).all(|(x, y)| x.is_subtype(y, hier))
             }
             // Raw-compatibility: an instantiated generic may be used where
             // the raw class is expected (e.g. `Array<Fixnum> ≤ Array`), but
             // not the reverse — promoting a raw value needs a cast (§4).
-            (Type::Generic(a, _), Type::Nominal(b)) => hier.is_descendant(a, b),
-            (Type::ClassObj(a), Type::ClassObj(b)) => hier.is_descendant(a, b),
-            (Type::ClassObj(_), Type::Nominal(b)) => b == "Class" || b == "Object",
+            (Type::Generic(a, _), Type::Nominal(b)) => hier.is_descendant(*a, *b),
+            (Type::ClassObj(a), Type::ClassObj(b)) => hier.is_descendant(*a, *b),
+            (Type::ClassObj(_), Type::Nominal(b)) => *b == sym!("Class") || *b == sym!("Object"),
             _ => false,
         }
     }

@@ -1,15 +1,19 @@
 //! Type representation: value types, method types and intersection
 //! signatures.
 
+use hb_intern::Sym;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A RubyLite value type.
 ///
-/// Unions are kept in a canonical form (flattened, deduplicated, sorted by
-/// display) so that structural equality coincides with semantic equality for
-/// the fragments the checker produces.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Class names are interned [`Sym`]s, so copying or comparing a name is a
+/// `u32` operation. Unions are kept in a canonical form (flattened,
+/// deduplicated, sorted by display) so that structural equality coincides
+/// with semantic equality for the fragments the checker produces.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Type {
     /// `%any` — the dynamic type, compatible in both directions.
     Any,
@@ -18,17 +22,39 @@ pub enum Type {
     /// `nil` — the type of `nil`; a subtype of every type (paper §3).
     Nil,
     /// A class or module name, e.g. `User`.
-    Nominal(String),
+    Nominal(Sym),
     /// A generic instantiation, e.g. `Array<Fixnum>`, `Hash<String, %any>`.
-    Generic(String, Vec<Type>),
-    /// A union, e.g. `Fixnum or Float`. Invariant: at least two arms, no
-    /// nested unions, no duplicates.
+    Generic(Sym, Vec<Type>),
+    /// A union, e.g. `Fixnum or Float`. Invariant: built by
+    /// [`Type::union_of`], so at least two arms, no nested unions, no
+    /// duplicates, no `%any`, sorted by display.
     Union(Vec<Type>),
     /// A type variable (lowercase identifier such as `t`).
     Var(String),
     /// The class object itself (the type of the constant `User`), written
     /// `Class<User>`.
-    ClassObj(String),
+    ClassObj(Sym),
+}
+
+/// Hashes each class name's text, never its [`Sym`] index: indices depend
+/// on the order a process interned names, and signature, table and witness
+/// fingerprints built from this hash are compared across processes. The
+/// bytes fed are exactly those of the same enum over `String` names with
+/// a derived `Hash`: the discriminant, then each field in order.
+impl Hash for Type {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Type::Any | Type::Bool | Type::Nil => {}
+            Type::Nominal(n) | Type::ClassObj(n) => n.as_str().hash(state),
+            Type::Generic(n, args) => {
+                n.as_str().hash(state);
+                args.hash(state);
+            }
+            Type::Union(arms) => arms.hash(state),
+            Type::Var(v) => v.hash(state),
+        }
+    }
 }
 
 impl Type {
@@ -38,8 +64,13 @@ impl Type {
     }
 
     /// A nominal type from a class name.
-    pub fn nominal(name: impl Into<String>) -> Type {
+    pub fn nominal(name: impl Into<Sym>) -> Type {
         Type::Nominal(name.into())
+    }
+
+    /// A generic instantiation of the class `name`.
+    pub fn generic(name: impl Into<Sym>, args: Vec<Type>) -> Type {
+        Type::Generic(name.into(), args)
     }
 
     /// Builds a canonical union of `arms`: flattens nested unions, removes
@@ -108,7 +139,7 @@ impl Type {
         match self {
             Type::Var(v) => map.get(v).cloned().unwrap_or_else(|| self.clone()),
             Type::Generic(n, args) => {
-                Type::Generic(n.clone(), args.iter().map(|a| a.subst(map)).collect())
+                Type::Generic(*n, args.iter().map(|a| a.subst(map)).collect())
             }
             Type::Union(arms) => Type::union_of(arms.iter().map(|a| a.subst(map)).collect()),
             t => t.clone(),
@@ -121,17 +152,26 @@ impl Type {
         match self {
             Type::Var(_) => Type::Any,
             Type::Generic(n, args) => {
-                Type::Generic(n.clone(), args.iter().map(Type::erase_vars).collect())
+                Type::Generic(*n, args.iter().map(Type::erase_vars).collect())
             }
             Type::Union(arms) => Type::union_of(arms.iter().map(Type::erase_vars).collect()),
             t => t.clone(),
         }
     }
 
+    /// True if a type variable occurs anywhere in this type.
+    pub fn has_vars(&self) -> bool {
+        match self {
+            Type::Var(_) => true,
+            Type::Generic(_, args) | Type::Union(args) => args.iter().any(Type::has_vars),
+            _ => false,
+        }
+    }
+
     /// The underlying class name for method lookup, if any.
     pub fn base_name(&self) -> Option<&str> {
         match self {
-            Type::Nominal(n) | Type::Generic(n, _) => Some(n),
+            Type::Nominal(n) | Type::Generic(n, _) => Some(n.as_str()),
             Type::Bool => Some("Boolean"),
             Type::Nil => Some("NilClass"),
             _ => None,
@@ -276,6 +316,26 @@ impl MethodType {
                 .collect(),
             block: self.block.as_ref().map(|b| Box::new(b.subst(map))),
             ret: self.ret.subst(map),
+        }
+    }
+
+    /// True if a type variable occurs in a parameter, the block or the
+    /// return type.
+    pub fn has_vars(&self) -> bool {
+        self.params.iter().any(|p| p.ty.has_vars())
+            || self.block.as_ref().is_some_and(|b| b.has_vars())
+            || self.ret.has_vars()
+    }
+
+    /// [`MethodType::erase_vars`], borrowing `self` when it has no type
+    /// variables. Borrowing changes no result: erasing a type without
+    /// variables rebuilds an equal type, because every union is already
+    /// in the canonical form [`Type::union_of`] builds.
+    pub fn erased(&self) -> Cow<'_, MethodType> {
+        if self.has_vars() {
+            Cow::Owned(self.erase_vars())
+        } else {
+            Cow::Borrowed(self)
         }
     }
 
@@ -455,6 +515,93 @@ mod tests {
         sig.add_arm(mt.clone());
         sig.add_arm(mt);
         assert_eq!(sig.arms.len(), 1);
+    }
+
+    /// A `Hasher` that records every byte it is fed.
+    #[derive(Default)]
+    struct Recorder(Vec<u8>);
+
+    impl Hasher for Recorder {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    fn fed(x: &impl Hash) -> Vec<u8> {
+        let mut r = Recorder::default();
+        x.hash(&mut r);
+        r.0
+    }
+
+    /// The same enum with `String` names and a derived `Hash`: the bytes
+    /// every fingerprint was built from before names were interned.
+    #[derive(Hash)]
+    #[allow(dead_code)]
+    enum StrType {
+        Any,
+        Bool,
+        Nil,
+        Nominal(String),
+        Generic(String, Vec<StrType>),
+        Union(Vec<StrType>),
+        Var(String),
+        ClassObj(String),
+    }
+
+    #[test]
+    fn hash_feeds_name_text_not_sym_index() {
+        let user = Type::nominal("User");
+        let mut want = fed(&std::mem::discriminant(&user));
+        want.extend(fed(&"User"));
+        assert_eq!(fed(&user), want);
+
+        let cls = Type::ClassObj("User".into());
+        let mut want = fed(&std::mem::discriminant(&cls));
+        want.extend(fed(&"User"));
+        assert_eq!(fed(&cls), want);
+
+        let args = vec![Type::nominal("Fixnum")];
+        let arr = Type::generic("Array", args.clone());
+        let mut want = fed(&std::mem::discriminant(&arr));
+        want.extend(fed(&"Array"));
+        want.extend(fed(&args));
+        assert_eq!(fed(&arr), want);
+
+        // Byte for byte what the derived `String` version fed.
+        let old = StrType::Union(vec![
+            StrType::Generic(
+                "Hash".into(),
+                vec![StrType::Nominal("String".into()), StrType::Var("v".into())],
+            ),
+            StrType::ClassObj("User".into()),
+            StrType::Nil,
+        ]);
+        let new = Type::Union(vec![
+            Type::generic("Hash", vec![Type::nominal("String"), Type::Var("v".into())]),
+            Type::ClassObj("User".into()),
+            Type::Nil,
+        ]);
+        assert_eq!(fed(&new), fed(&old));
+        assert_eq!(fed(&Type::Any), fed(&StrType::Any));
+        assert_eq!(fed(&Type::Bool), fed(&StrType::Bool));
+    }
+
+    #[test]
+    fn erased_borrows_only_without_vars() {
+        let plain = MethodType::simple(
+            vec![Type::union_of(vec![Type::nominal("B"), Type::nominal("A")])],
+            Type::generic("Array", vec![Type::nominal("Fixnum")]),
+        );
+        assert!(!plain.has_vars());
+        assert!(matches!(plain.erased(), Cow::Borrowed(_)));
+        assert_eq!(*plain.erased(), plain.erase_vars());
+        let generic = MethodType::simple(vec![Type::Var("t".into())], Type::Nil);
+        assert!(generic.has_vars());
+        assert_eq!(generic.erased().to_string(), "(%any) -> nil");
     }
 
     #[test]

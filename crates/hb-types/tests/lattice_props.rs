@@ -19,12 +19,12 @@ fn arb_type() -> impl Strategy<Value = Type> {
         Just(Type::nominal("Talk")),
         Just(Type::nominal("Object")),
         Just(Type::Var("t".to_string())),
-        Just(Type::ClassObj("User".to_string())),
+        Just(Type::ClassObj("User".into())),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 1..3)
-                .prop_map(|args| Type::Generic("Array".to_string(), args)),
+                .prop_map(|args| Type::generic("Array", args)),
             prop::collection::vec(inner, 2..4).prop_map(Type::union_of),
         ]
     })
