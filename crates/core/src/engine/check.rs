@@ -72,20 +72,24 @@ impl Engine {
         let body_fp = body_fingerprint(interp, &info.entry, captured.as_ref());
         let shared = self.shared.borrow().clone().filter(|_| self.caching);
         if let (Some(shared), Some(fp)) = (shared, body_fp) {
-            if let Some(d) = shared.lookup(cache_key, info.entry.id, table_entry.version, fp) {
-                let mut st = self.state.borrow_mut();
-                if self.adoptable(&mut st, interp, &d, annotation_key, table_entry) {
-                    let ns = t_first.elapsed().as_nanos() as u64;
-                    self.land(
-                        &mut st,
-                        *cache_key,
-                        annotation_key,
-                        d,
-                        Provenance::Adopted,
-                        ns,
-                    );
-                    return Ok(true);
-                }
+            // Each variant holds in the world that checked it; adopt the
+            // newest one that holds in this one.
+            let variants = shared.lookup(cache_key, info.entry.id, table_entry.version, fp);
+            let mut st = self.state.borrow_mut();
+            if let Some(d) = variants
+                .into_iter()
+                .find(|d| self.adoptable(&mut st, interp, d, annotation_key, table_entry))
+            {
+                let ns = t_first.elapsed().as_nanos() as u64;
+                self.land(
+                    &mut st,
+                    *cache_key,
+                    annotation_key,
+                    d,
+                    Provenance::Adopted,
+                    ns,
+                );
+                return Ok(true);
             }
         }
         // Miss in both tiers: lower (or fetch) the body CFG.

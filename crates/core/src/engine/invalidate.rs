@@ -67,7 +67,7 @@ impl Engine {
                             class_level,
                             method: Sym::intern(&name),
                         };
-                        self.retire_method(&mut st, &key);
+                        Self::invalidate(&mut st, &key);
                         // An inferred signature was evidence about the
                         // old body, not user intent about the new one:
                         // retract it rather than enforce it against a
@@ -96,7 +96,7 @@ impl Engine {
                         class_level,
                         method: Sym::intern(&name),
                     };
-                    self.retire_method(&mut st, &key);
+                    Self::invalidate(&mut st, &key);
                     // The event does not name the retired entry id.
                     st.records.clear();
                 }
@@ -122,7 +122,6 @@ impl Engine {
                 // Adding a new arm re-checks the method itself (version
                 // mismatch at next hit) but leaves dependents valid —
                 // the §4 "Cache Invalidation" intersection subtlety.
-                // (Shared-tier eviction fans out via the RdlEventSink.)
                 RdlEvent::ArmAdded(key) => {
                     st.retire(&key);
                     // Version bumped: the memoised fingerprints of this
@@ -143,8 +142,8 @@ impl Engine {
             }
         }
         // Retraction mutates the type table and fans out through the
-        // event sinks (fast-entry flush, shared-tier eviction), which
-        // must not run under the state borrow. The retractions' own
+        // event sinks (the fast-entry flush), which must not run under
+        // the state borrow. The retractions' own
         // events are then drained by re-entering — guaranteed to
         // terminate because retracted entries are gone.
         drop(st);
@@ -171,15 +170,6 @@ impl Engine {
         let (_, entry) = interp.registry.find_method_at(class, name, class_level)?;
         let new_cfg = lower_entry(&entry)?;
         new_cfg.same_shape(old_cfg).then_some(new_cfg)
-    }
-
-    /// A redefined or removed method: invalidates it and its dependents
-    /// locally and evicts its family (and theirs) from the shared tier.
-    fn retire_method(&self, st: &mut EngineState, key: &MethodKey) {
-        Self::invalidate(st, key);
-        if let Some(shared) = self.shared.borrow().as_ref() {
-            shared.evict_with_dependents(key);
-        }
     }
 
     /// Removes a cache entry and every entry that depends on it —
@@ -273,10 +263,9 @@ impl Engine {
 
     /// Walks `start`'s ancestor chain past `key.class` and invalidates the
     /// dependents of the first annotation `key` now shadows along that
-    /// chain. Local tier only: shared entries carry resolution witnesses,
-    /// and replay at adoption rejects anything the new key shadows —
-    /// evicting there would punish *other* tenants whose identical boot
-    /// sequence emits this same event.
+    /// chain. Local tier only, like all invalidation: shared entries carry
+    /// resolution witnesses, and replay at adoption rejects anything the
+    /// new key shadows.
     fn invalidate_shadowed_along(
         &self,
         st: &mut EngineState,

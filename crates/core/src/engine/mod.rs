@@ -32,7 +32,7 @@ mod schedule;
 
 use crate::derivation::{Derivation, Epochs};
 use crate::obs::EngineObs;
-use crate::shared_cache::{SharedCache, SharedEvictionSink};
+use crate::shared_cache::SharedCache;
 use crate::stats::{CheckLogItem, EngineStats, PhaseTracker};
 use hb_check::CheckOptions;
 use hb_il::{lower_block_body, lower_method, MethodCfg};
@@ -299,13 +299,11 @@ impl Engine {
 
     /// Attaches the process-wide shared derivation tier, making this
     /// engine a tenant: local cache misses probe the shared tier before
-    /// running the checker, performed checks publish to it, and this
-    /// tenant's type-table mutations fan out evictions to it. Call once
-    /// per engine, ideally before app code loads.
+    /// running the checker, and performed checks publish to it. This
+    /// tenant's invalidations stay local: a derivation in the tier holds
+    /// or fails in each adopter's own world. Call once per engine,
+    /// ideally before app code loads.
     pub fn set_shared_cache(&self, shared: Arc<SharedCache>) {
-        self.rdl.add_event_sink(Rc::new(SharedEvictionSink {
-            shared: shared.clone(),
-        }));
         *self.shared.borrow_mut() = Some(shared);
     }
 

@@ -5,8 +5,8 @@
 //! them across processes as a file-at-boot snapshot. This module closes
 //! ROADMAP item 1's remaining gap: a fleet of N app-server processes
 //! warm-boots from — and continuously feeds — one daemon-owned
-//! [`SharedCache`] tier, over the versioned, length-prefixed `HBFLEET1`
-//! protocol (see `docs/HBFLEET1.md`). The payloads reuse the `HBSNAP02`
+//! [`SharedCache`] tier, over the versioned, length-prefixed `HBFLEET2`
+//! protocol (see `docs/HBFLEET2.md`). The payloads reuse the `HBSNAP02`
 //! snapshot encoding ([`crate::snapshot`]) wholesale: a fetch response
 //! *is* a snapshot, restricted to the entries past the client's
 //! watermark when the daemon can prove the delta.
@@ -22,55 +22,54 @@
 //! degrade the same way: the session detaches and the tenant falls back
 //! to purely local checking.
 //!
-//! Nothing that arrives from the daemon retires a local derivation. Under
-//! paper Definition 1 a cached derivation stays valid until the tenant's
-//! own world changes, and neither a fetched entry nor another tenant's
-//! tombstone changes it. A sync ([`crate::Hummingbird::fleet_sync`])
-//! therefore only adds candidates to the shared tier and evicts
-//! tombstoned families from it; the engine's Definition 1 invalidation,
-//! driven by the tenant's own interpreter and type-table events, is the
-//! one place a local derivation is retired. A writer's own publications
-//! coming back in its next delta cost nothing.
+//! Nothing that arrives from the daemon retires a local derivation, and
+//! nothing a tenant retires is sent to the daemon. Under paper
+//! Definition 1 a cached derivation stays valid until the holding
+//! tenant's own world changes, and a fetched entry cannot change it. A
+//! sync ([`crate::Hummingbird::fleet_sync`]) therefore only publishes
+//! the derivations new to this tenant's tier and adds the fetched ones
+//! as candidates; the engine's Definition 1 invalidation, driven by the
+//! tenant's own interpreter and type-table events, is the one place a
+//! local derivation is retired. A writer's own publications coming back
+//! in its next delta cost nothing.
 //!
 //! # Watermarks and deltas
 //!
 //! Fetch responses carry an opaque watermark — the daemon's publication
 //! sequence number plus the `(table, hierarchy, var)` epoch-fingerprint
 //! triple of its current world. A delta fetch echoes the watermark back;
-//! the daemon serves only entries published after it (plus tombstones
-//! for evicted families) when the watermark is genuine and recent enough
-//! to enumerate, and silently widens to a full snapshot otherwise. The
+//! the daemon serves every variant of each family changed after it when
+//! the watermark is genuine and recent enough to enumerate, and silently
+//! widens to a full snapshot otherwise. The
 //! client treats both shapes identically, so a restarted or compacted
 //! daemon is indistinguishable from a slow one.
 
-use crate::derivation::epochs_of;
+use crate::derivation::{epochs_of, Derivation};
 use crate::engine::Engine;
-use crate::shared_cache::{CacheEventHook, SharedCache};
+use crate::shared_cache::{CacheEventHook, SharedCache, FAMILY_CAP};
 use crate::snapshot::{CacheSnapshot, SnapshotError};
 use hb_interp::Interp;
 use hb_rdl::MethodKey;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The `HBFLEET1` framing layer, shared verbatim by the client (here)
+/// The `HBFLEET2` framing layer, shared verbatim by the client (here)
 /// and the daemon (`hb-fleetd`): an 8-byte magic handshake in each
 /// direction, then length-prefixed frames `u32 LE len | u8 opcode |
 /// payload` where `len` counts the opcode byte plus the payload.
-/// Method keys travel as strings (symbols are process-local) and are
-/// re-interned on receipt.
 pub mod wire {
     use super::FleetError;
-    use hb_intern::Sym;
-    use hb_rdl::MethodKey;
     use std::io::{Read, Write};
 
     /// Protocol magic, exchanged by both sides immediately after
-    /// connect. A mismatch is [`FleetError::BadHandshake`].
-    pub const MAGIC: &[u8; 8] = b"HBFLEET1";
+    /// connect. A mismatch is [`FleetError::BadHandshake`]: a peer on
+    /// `HBFLEET1`, whose snapshot responses had another layout, is
+    /// refused instead of misread.
+    pub const MAGIC: &[u8; 8] = b"HBFLEET2";
 
     /// Upper bound on a frame's declared length (opcode + payload).
     /// Anything larger is [`FleetError::FrameTooLarge`] — a corrupt or
@@ -89,12 +88,9 @@ pub mod wire {
     /// Publish-back: payload is three `u64` epoch fingerprints (the
     /// publisher's current world) followed by `HBSNAP02` snapshot bytes
     /// of the locally derived entries. Answered with [`RESP_ACK`]
-    /// carrying the count of genuinely new entries.
+    /// carrying the count of genuinely new entries. (Opcode `0x04`, the
+    /// retired eviction notice, is unknown.)
     pub const PUBLISH: u8 = 0x03;
-    /// Eviction notice: payload is a `u32` count of method keys. The
-    /// daemon drops each family plus its dependents, tombstoning every
-    /// removal. Answered with [`RESP_ACK`] carrying the dropped count.
-    pub const EVICT: u8 = 0x04;
     /// Liveness probe. Empty payload; answered with [`RESP_ACK`].
     pub const PING: u8 = 0x06;
     /// Orderly shutdown (test and CI harness use). Answered with
@@ -161,18 +157,6 @@ pub mod wire {
         out.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a method key as strings (`u8` class-level flag, then
-    /// length-prefixed class and method names).
-    pub fn put_key(out: &mut Vec<u8>, key: &MethodKey) {
-        out.push(u8::from(key.class_level));
-        let class = key.class.as_str();
-        put_u32(out, class.len() as u32);
-        out.extend_from_slice(class.as_bytes());
-        let method = key.method.as_str();
-        put_u32(out, method.len() as u32);
-        out.extend_from_slice(method.as_bytes());
-    }
-
     /// Bounds-checked reader over a frame payload. Every overrun is the
     /// typed [`FleetError::BadFrame`], never a panic or a misparse.
     pub struct PayloadCursor<'a> {
@@ -219,31 +203,10 @@ pub mod wire {
         pub fn u64(&mut self) -> Result<u64, FleetError> {
             Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
         }
-
-        /// Reads a length-prefixed UTF-8 string.
-        pub fn string(&mut self) -> Result<&'a str, FleetError> {
-            let len = self.u32()? as usize;
-            std::str::from_utf8(self.take(len)?)
-                .map_err(|_| FleetError::BadFrame("string is not UTF-8"))
-        }
-
-        /// Reads a method key ([`put_key`]'s inverse), interning its
-        /// symbols into this process.
-        pub fn key(&mut self) -> Result<MethodKey, FleetError> {
-            let class_level = self.u8()? != 0;
-            let class = Sym::intern(self.string()?);
-            let method = Sym::intern(self.string()?);
-            Ok(MethodKey {
-                class,
-                class_level,
-                method,
-            })
-        }
     }
 
-    /// A decoded [`RESP_SNAPSHOT`] payload: the new watermark, the
-    /// tombstoned families, and the (possibly delta-restricted)
-    /// `HBSNAP02` snapshot bytes.
+    /// A decoded [`RESP_SNAPSHOT`] payload: the new watermark and the
+    /// (possibly delta-restricted) `HBSNAP02` snapshot bytes.
     #[derive(Debug, Clone)]
     pub struct SnapshotResp {
         /// True when the snapshot holds only entries past the client's
@@ -254,9 +217,6 @@ pub mod wire {
         pub seq: u64,
         /// The daemon's current world epoch triple — the other half.
         pub epochs: (u64, u64, u64),
-        /// Families evicted since the watermark (delta only; a full
-        /// snapshot carries none — the client replaces wholesale).
-        pub tombstones: Vec<MethodKey>,
         /// `HBSNAP02` bytes ([`crate::CacheSnapshot::from_bytes`]).
         pub snapshot: Vec<u8>,
     }
@@ -269,10 +229,6 @@ pub mod wire {
         put_u64(&mut out, resp.epochs.0);
         put_u64(&mut out, resp.epochs.1);
         put_u64(&mut out, resp.epochs.2);
-        put_u32(&mut out, resp.tombstones.len() as u32);
-        for key in &resp.tombstones {
-            put_key(&mut out, key);
-        }
         put_u32(&mut out, resp.snapshot.len() as u32);
         out.extend_from_slice(&resp.snapshot);
         out
@@ -284,11 +240,6 @@ pub mod wire {
         let delta = c.u8()? != 0;
         let seq = c.u64()?;
         let epochs = (c.u64()?, c.u64()?, c.u64()?);
-        let ntombs = c.u32()? as usize;
-        let mut tombstones = Vec::with_capacity(ntombs.min(1 << 16));
-        for _ in 0..ntombs {
-            tombstones.push(c.key()?);
-        }
         let snap_len = c.u32()? as usize;
         let snapshot = c.take(snap_len)?.to_vec();
         if c.remaining() != 0 {
@@ -298,7 +249,6 @@ pub mod wire {
             delta,
             seq,
             epochs,
-            tombstones,
             snapshot,
         })
     }
@@ -317,7 +267,8 @@ pub mod wire {
         pub deltas: u64,
         /// Genuinely new entries accepted from publish-backs.
         pub publishes: u64,
-        /// Families dropped by eviction notices (dependents included).
+        /// Derivations the daemon's tier dropped at the family cap (its
+        /// `SharedCacheStats::evictions`).
         pub evictions: u64,
         /// Families dropped by the LRU compaction pass.
         pub compactions: u64,
@@ -326,15 +277,17 @@ pub mod wire {
     }
 
     impl DaemonStats {
-        /// Renders the two fields the daemon reads rather than counts:
-        /// `hb_fleetd_entries` (a gauge) and `hb_fleetd_seq`. The other
-        /// six are counters in the daemon's registry, which renders
-        /// them under the same `hb_fleetd_<field>` names.
+        /// Renders the three fields the daemon reads rather than
+        /// counts: `hb_fleetd_entries` (a gauge), `hb_fleetd_seq` and
+        /// `hb_fleetd_evictions` (the tier's own counter). The other five
+        /// are counters in the daemon's registry, which renders them
+        /// under the same `hb_fleetd_<field>` names.
         pub fn to_prometheus(&self) -> String {
             format!(
                 "# TYPE hb_fleetd_entries gauge\nhb_fleetd_entries {}\n\
-                 # TYPE hb_fleetd_seq counter\nhb_fleetd_seq {}\n",
-                self.entries, self.seq
+                 # TYPE hb_fleetd_seq counter\nhb_fleetd_seq {}\n\
+                 # TYPE hb_fleetd_evictions counter\nhb_fleetd_evictions {}\n",
+                self.entries, self.seq, self.evictions
             )
         }
 
@@ -383,7 +336,7 @@ pub mod wire {
 pub enum FleetError {
     /// Socket-level failure (connect, read, write, unexpected EOF).
     Io(std::io::Error),
-    /// The peer did not present the `HBFLEET1` magic.
+    /// The peer did not present the `HBFLEET2` magic.
     BadHandshake,
     /// A structurally malformed frame payload (truncated field, bad
     /// UTF-8, trailing bytes). The static message names the defect.
@@ -406,15 +359,15 @@ impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FleetError::Io(e) => write!(f, "fleet socket error: {e}"),
-            FleetError::BadHandshake => write!(f, "peer is not an HBFLEET1 endpoint"),
-            FleetError::BadFrame(what) => write!(f, "malformed HBFLEET1 frame: {what}"),
+            FleetError::BadHandshake => write!(f, "peer is not an HBFLEET2 endpoint"),
+            FleetError::BadFrame(what) => write!(f, "malformed HBFLEET2 frame: {what}"),
             FleetError::FrameTooLarge(len) => {
-                write!(f, "HBFLEET1 frame of {len} bytes exceeds the 64 MiB bound")
+                write!(f, "HBFLEET2 frame of {len} bytes exceeds the 64 MiB bound")
             }
             FleetError::Daemon(msg) => write!(f, "fleet daemon refused: {msg}"),
             FleetError::Snapshot(e) => write!(f, "fleet response snapshot: {e}"),
             FleetError::UnexpectedOpcode(op) => {
-                write!(f, "unexpected HBFLEET1 response opcode {op:#04x}")
+                write!(f, "unexpected HBFLEET2 response opcode {op:#04x}")
             }
             FleetError::Detached(why) => {
                 write!(f, "fleet session detached (local checking only): {why}")
@@ -452,7 +405,7 @@ pub struct FleetWatermark {
     pub epochs: (u64, u64, u64),
 }
 
-/// A connected `HBFLEET1` client: one framed request/response exchange
+/// A connected `HBFLEET2` client: one framed request/response exchange
 /// at a time over a Unix-domain socket. [`FleetSession`] drives it for
 /// an embedded tenant; the benchmark and tests use it directly.
 pub struct FleetClient {
@@ -465,7 +418,7 @@ impl FleetClient {
     /// # Errors
     ///
     /// [`FleetError::Io`] on socket failure, [`FleetError::BadHandshake`]
-    /// when the peer is not an `HBFLEET1` endpoint.
+    /// when the peer is not an `HBFLEET2` endpoint.
     pub fn connect(path: &Path) -> Result<FleetClient, FleetError> {
         let mut stream = UnixStream::connect(path)?;
         stream.write_all(wire::MAGIC)?;
@@ -551,17 +504,6 @@ impl FleetClient {
         self.expect_ack(wire::PUBLISH, &payload)
     }
 
-    /// Sends eviction notices for `keys`. Returns the number of
-    /// families the daemon dropped (dependents included).
-    pub fn evict(&mut self, keys: &[MethodKey]) -> Result<u64, FleetError> {
-        let mut payload = Vec::with_capacity(keys.len() * 24 + 4);
-        wire::put_u32(&mut payload, keys.len() as u32);
-        for key in keys {
-            wire::put_key(&mut payload, key);
-        }
-        self.expect_ack(wire::EVICT, &payload)
-    }
-
     /// Fetches the daemon's counters (parsed out of the `STATS_V2` text).
     pub fn daemon_stats(&mut self) -> Result<wire::DaemonStats, FleetError> {
         wire::DaemonStats::from_prometheus(&self.daemon_stats_v2()?)
@@ -590,46 +532,23 @@ impl FleetClient {
     }
 }
 
-/// The tier-mutation observer a fleet-attached tenant registers on its
-/// [`SharedCache`]: inserts become pending publications, family
-/// evictions become pending eviction notices, both drained by the next
-/// [`FleetSession::sync`]. The `suppress` latch masks the echo while
-/// the session itself applies daemon-fetched entries — without it every
-/// fetch would immediately republish.
+/// The insert observer a fleet-attached tenant registers on its
+/// [`SharedCache`]: every derivation new to the tier is pending
+/// publication until the next [`FleetSession::sync`], at most
+/// [`FAMILY_CAP`] per method, the oldest dropped first as the tier
+/// does, so a tenant that never syncs stays bounded. The `suppress`
+/// latch masks the echo while the session itself applies
+/// daemon-fetched entries — without it every fetch would immediately
+/// republish.
 #[derive(Default)]
 pub(crate) struct FleetTracker {
-    pending_pubs: Mutex<HashSet<MethodKey>>,
-    pending_evicts: Mutex<HashSet<MethodKey>>,
+    pending: Mutex<HashMap<MethodKey, Vec<Derivation>>>,
     suppress: AtomicBool,
 }
 
 impl FleetTracker {
-    fn take_pubs(&self) -> HashSet<MethodKey> {
-        std::mem::take(&mut self.pending_pubs.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    fn take_evicts(&self) -> Vec<MethodKey> {
-        let mut set = self
-            .pending_evicts
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let mut keys: Vec<MethodKey> = std::mem::take(&mut *set).into_iter().collect();
-        keys.sort();
-        keys
-    }
-
-    fn restore_pubs(&self, keys: HashSet<MethodKey>) {
-        self.pending_pubs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend(keys);
-    }
-
-    fn restore_evicts(&self, keys: &[MethodKey]) {
-        self.pending_evicts
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend(keys.iter().copied());
+    fn take(&self) -> HashMap<MethodKey, Vec<Derivation>> {
+        std::mem::take(&mut self.pending.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Masks tracking until the guard drops (daemon-fetch application).
@@ -652,24 +571,16 @@ impl Drop for SuppressGuard {
 }
 
 impl CacheEventHook for FleetTracker {
-    fn on_insert(&self, key: &MethodKey) {
+    fn on_insert(&self, key: &MethodKey, d: &Derivation) {
         if self.suppress.load(Ordering::Acquire) {
             return;
         }
-        self.pending_pubs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(*key);
-    }
-
-    fn on_evict(&self, key: &MethodKey) {
-        if self.suppress.load(Ordering::Acquire) {
-            return;
+        let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
+        let family = pending.entry(*key).or_default();
+        family.push(d.clone());
+        if family.len() > FAMILY_CAP {
+            family.remove(0);
         }
-        self.pending_evicts
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(*key);
     }
 }
 
@@ -678,16 +589,9 @@ impl CacheEventHook for FleetTracker {
 pub struct FleetSyncReport {
     /// Locally derived entries published back to the daemon.
     pub published: usize,
-    /// Eviction notices sent (families this tenant's type-table
-    /// mutations retired).
-    pub evict_notices: usize,
     /// Entries in the fetched snapshot (zero when the fleet is quiet —
     /// the steady-state delta).
     pub fetched_entries: usize,
-    /// Tombstoned families the fetch evicted from the shared tier.
-    /// Local derivations of those methods stay cached until this
-    /// tenant's own events retire them.
-    pub tombstones: usize,
     /// True when the fetch was served as a delta (false: full snapshot,
     /// including the watermark-invalid fallback).
     pub delta: bool,
@@ -748,15 +652,14 @@ impl FleetSession {
         })
     }
 
-    /// One synchronization round: drain pending eviction notices and
-    /// publications to the daemon, then fetch the delta past the
-    /// current watermark and apply it to the shared tier: tombstoned
-    /// families are evicted, which keeps the tier bounded, and fetched
-    /// entries load as candidates for the next local miss. The engine's
-    /// own derivations are left alone; a fetched entry or another
-    /// tenant's tombstone changes nothing in this tenant's world, so
-    /// only its own events retire them (Definition 1). Failed sends
-    /// restore their pending state, so a transient error loses nothing.
+    /// One synchronization round: publish the derivations new to the
+    /// tier since the last round, then fetch the delta past the current
+    /// watermark and load it into the shared tier as candidates for the
+    /// next local miss. The engine's own derivations are left alone; a
+    /// fetched entry changes nothing in this tenant's world, so only its
+    /// own events retire them (Definition 1). An error detaches the
+    /// session (see [`crate::Hummingbird::fleet_sync`]), and its pending
+    /// publications go with it.
     pub(crate) fn sync(
         &mut self,
         engine: &Engine,
@@ -769,37 +672,24 @@ impl FleetSession {
         let obs = engine.obs();
         let mut report = FleetSyncReport::default();
 
-        let evicts = self.tracker.take_evicts();
-        if !evicts.is_empty() {
-            if let Err(e) = self.client.evict(&evicts) {
-                self.tracker.restore_evicts(&evicts);
-                return Err(e);
-            }
-            report.evict_notices = evicts.len();
+        let mut pending: Vec<(MethodKey, Vec<Derivation>)> =
+            self.tracker.take().into_iter().collect();
+        if !pending.is_empty() {
+            pending.sort_unstable_by_key(|(key, _)| *key);
+            let snap = CacheSnapshot::of(
+                pending
+                    .iter()
+                    .flat_map(|(key, family)| family.iter().map(move |d| (key, d))),
+            );
+            let epochs = epochs_of(interp, &engine.rdl);
+            let t_pub = std::time::Instant::now();
+            self.client.publish(epochs, &snap.to_bytes())?;
             if let Some(obs) = &obs {
-                obs.record(hb_obs::EventKind::FleetEvict, crate::obs::fleet_key());
+                let ns = t_pub.elapsed().as_nanos() as u64;
+                obs.fleet_publish.record(ns);
+                obs.record_span(hb_obs::EventKind::FleetPublish, crate::obs::fleet_key(), ns);
             }
-        }
-
-        let pubs = self.tracker.take_pubs();
-        if !pubs.is_empty() {
-            let snap = self.shared.snapshot_filtered(|k| pubs.contains(k));
-            // Keys whose families were since evicted serialize nothing;
-            // only a non-empty snapshot is worth a frame.
-            if snap.entry_count() > 0 {
-                let epochs = epochs_of(interp, &engine.rdl);
-                let t_pub = std::time::Instant::now();
-                if let Err(e) = self.client.publish(epochs, &snap.to_bytes()) {
-                    self.tracker.restore_pubs(pubs);
-                    return Err(e);
-                }
-                if let Some(obs) = &obs {
-                    let ns = t_pub.elapsed().as_nanos() as u64;
-                    obs.fleet_publish.record(ns);
-                    obs.record_span(hb_obs::EventKind::FleetPublish, crate::obs::fleet_key(), ns);
-                }
-                report.published = snap.entry_count();
-            }
+            report.published = snap.entry_count();
         }
 
         let t_fetch = std::time::Instant::now();
@@ -819,15 +709,11 @@ impl FleetSession {
         }
         let snap = CacheSnapshot::from_bytes(&resp.snapshot).map_err(FleetError::Snapshot)?;
         report.fetched_entries = snap.entry_count();
-        report.tombstones = resp.tombstones.len();
         report.delta = resp.delta;
         {
             // Applying the daemon's view must not echo back as pending
-            // publications/evictions next round.
+            // publications next round.
             let _mask = self.tracker.suppressed();
-            for key in &resp.tombstones {
-                self.shared.evict_method(key);
-            }
             self.shared
                 .load_snapshot(&snap)
                 .map_err(FleetError::Snapshot)?;
@@ -843,7 +729,6 @@ impl FleetSession {
                 s.fleet_fetches += 1;
             }
             s.fleet_publishes += report.published as u64;
-            s.fleet_evictions += report.evict_notices as u64;
         });
         Ok(report)
     }
@@ -886,7 +771,6 @@ mod tests {
             delta: true,
             seq: 42,
             epochs: (1, 2, 3),
-            tombstones: vec![k("Talk", "owner?"), MethodKey::class_level("Talk", "find")],
             snapshot: vec![9, 9, 9],
         };
         let payload = wire::encode_snapshot_resp(&resp);
@@ -894,7 +778,6 @@ mod tests {
         assert_eq!(back.delta, resp.delta);
         assert_eq!(back.seq, resp.seq);
         assert_eq!(back.epochs, resp.epochs);
-        assert_eq!(back.tombstones, resp.tombstones);
         assert_eq!(back.snapshot, resp.snapshot);
     }
 
@@ -904,7 +787,6 @@ mod tests {
             delta: false,
             seq: 7,
             epochs: (0, 0, 0),
-            tombstones: vec![k("Talk", "title")],
             snapshot: vec![1, 2, 3, 4],
         };
         let payload = wire::encode_snapshot_resp(&resp);
@@ -934,13 +816,13 @@ mod tests {
             compactions: 7,
             writebacks: 8,
         };
-        // The daemon's registry renders the six counters; `to_prometheus`
-        // adds the two readings. The fields survive embedding in a larger
-        // metrics document.
+        // The daemon's registry renders the five counters; `to_prometheus`
+        // adds the three readings. The fields survive embedding in a
+        // larger metrics document.
         let text = format!(
             "# TYPE hb_fleetd_requests_total counter\nhb_fleetd_requests_total{{op=\"ping\"}} 9\n\
              hb_fleetd_fetches 3\nhb_fleetd_deltas 4\nhb_fleetd_publishes 5\n\
-             hb_fleetd_evictions 6\nhb_fleetd_compactions 7\nhb_fleetd_writebacks 8\n{}",
+             hb_fleetd_compactions 7\nhb_fleetd_writebacks 8\n{}",
             s.to_prometheus()
         );
         assert_eq!(wire::DaemonStats::from_prometheus(&text).unwrap(), s);
@@ -950,21 +832,41 @@ mod tests {
         ));
     }
 
+    fn der(entry_id: u64) -> Derivation {
+        Derivation {
+            entry_id,
+            sig_version: 1,
+            body_fp: Some(1),
+            own_sig_fp: 1,
+            epochs: (1, 1, 1),
+            witnesses: Arc::new([]),
+            cast_sites: Arc::new([]),
+        }
+    }
+
     #[test]
     fn tracker_records_and_suppresses() {
         let tracker = Arc::new(FleetTracker::default());
-        tracker.on_insert(&k("Talk", "title"));
-        tracker.on_evict(&k("Talk", "owner?"));
+        tracker.on_insert(&k("Talk", "title"), &der(1));
         {
             let _mask = tracker.suppressed();
-            tracker.on_insert(&k("User", "name"));
-            tracker.on_evict(&k("User", "name"));
+            tracker.on_insert(&k("User", "name"), &der(2));
         }
-        tracker.on_insert(&k("Talk", "slug"));
-        let pubs = tracker.take_pubs();
-        assert!(pubs.contains(&k("Talk", "title")));
-        assert!(pubs.contains(&k("Talk", "slug")));
-        assert!(!pubs.contains(&k("User", "name")), "suppressed");
-        assert_eq!(tracker.take_evicts(), vec![k("Talk", "owner?")]);
+        tracker.on_insert(&k("Talk", "slug"), &der(3));
+        // A family keeps at most FAMILY_CAP pending derivations, the
+        // oldest dropped first.
+        for id in 10..10 + FAMILY_CAP as u64 + 1 {
+            tracker.on_insert(&k("Talk", "page"), &der(id));
+        }
+        let pubs = tracker.take();
+        assert_eq!(pubs[&k("Talk", "title")], vec![der(1)]);
+        assert_eq!(pubs[&k("Talk", "slug")], vec![der(3)]);
+        assert!(!pubs.contains_key(&k("User", "name")), "suppressed");
+        let page: Vec<u64> = pubs[&k("Talk", "page")]
+            .iter()
+            .map(|d| d.entry_id)
+            .collect();
+        assert_eq!(page, (11..11 + FAMILY_CAP as u64).collect::<Vec<_>>());
+        assert!(tracker.take().is_empty(), "taken");
     }
 }

@@ -30,9 +30,9 @@
 //!    previously-inferred signature changes under its adopters.)
 //! 6. **Adoption**: each survivor registers through the normal
 //!    [`hb_rdl::RdlState::add_type_at`] path with
-//!    `AnnotationSource::Inferred`, so invalidation, fast-entry flushes,
-//!    shared-tier eviction and fleet distribution all happen exactly as
-//!    for a declared annotation. Re-deriving an identical signature on a
+//!    `AnnotationSource::Inferred`, so invalidation, fast-entry flushes
+//!    and fleet distribution all happen exactly as for a declared
+//!    annotation. Re-deriving an identical signature on a
 //!    later run re-verifies but does **not** re-register, keeping the
 //!    epoch stream quiet and the pass idempotent.
 //!

@@ -609,14 +609,12 @@ impl Hummingbird {
         self.fleet_err.as_ref()
     }
 
-    /// One fleet synchronization round: sends this tenant's pending
-    /// eviction notices and locally derived publications to the daemon,
-    /// then fetches and applies the delta past the current watermark to
-    /// the shared tier: tombstoned families are evicted and fetched
-    /// entries load as *candidates* that the normal adoption funnel
-    /// validates on the next miss. Local derivations are left alone;
-    /// only this system's own interpreter and type-table events retire
-    /// them.
+    /// One fleet synchronization round: publishes the derivations new to
+    /// this tenant's shared tier since the last round, then fetches the
+    /// delta past the current watermark and loads it into the shared tier
+    /// as *candidates* that the normal adoption funnel validates on the
+    /// next miss. Local derivations are left alone; only this system's
+    /// own interpreter and type-table events retire them.
     ///
     /// # Errors
     ///
@@ -624,8 +622,8 @@ impl Hummingbird {
     /// calls return [`FleetError::Io`] with `NotConnected` semantics via
     /// [`Hummingbird::fleet_attached`] being false — callers should
     /// stop syncing) and the system degrades to local checking. Nothing
-    /// in the live tier is ever left half-applied: sends restore their
-    /// pending state, and snapshot loads are all-or-nothing.
+    /// in the live tier is ever left half-applied: snapshot loads are
+    /// all-or-nothing.
     pub fn fleet_sync(&mut self) -> Result<FleetSyncReport, FleetError> {
         let Some(session) = self.fleet.as_mut() else {
             let why = self

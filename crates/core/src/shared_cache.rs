@@ -20,51 +20,61 @@
 //! codebases whose counters happen to coincide. Tenants built from
 //! identical sources validate and adopt without ever calling `check_sig`.
 //!
-//! Invalidation fans out from every tenant: signature replacements and
-//! method redefinitions evict the affected entry family (all cached
-//! versions of the method) plus — per Definition 1(2) — the families of
-//! entries whose dependency sets mention the changed key. Version
-//! validation at adoption time makes eviction a memory/latency
-//! optimisation rather than a soundness requirement, which is what lets
-//! the tiers stay loosely coupled.
+//! A method's *family* keeps up to [`FAMILY_CAP`] distinct derivations.
+//! Tenants that share the tier but load different annotations (a plugin,
+//! a feature flag) can check one body under one version key and still
+//! reach different derivations, each valid only in its own world. Both
+//! stay: a lookup returns every variant under the version key, newest
+//! first, and a tenant adopts the first one its own validation accepts.
+//!
+//! Nothing leaves the tier because some tenant's world changed. A
+//! derivation is valid only in the world of the tenant that holds it
+//! (Definition 1), so validation at adoption is the one test a foreign
+//! derivation must pass, and a tenant's own invalidation stays local. A
+//! derivation leaves only to bound memory: the oldest of a family past
+//! the cap, or a whole family the fleet daemon compacts.
 
-use crate::derivation::{Derivation, VersionKey};
-use hb_rdl::{MethodKey, RdlEvent, RdlEventSink};
-use std::collections::{HashMap, HashSet};
+use crate::derivation::Derivation;
+use crate::snapshot::{CacheSnapshot, SnapshotError};
+use hb_rdl::MethodKey;
+use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 
+/// How many distinct derivations one method's family keeps. An insert
+/// past it drops the family's oldest.
+pub const FAMILY_CAP: usize = 4;
+
 #[derive(Default)]
 struct Shard {
-    /// Method → version key → derivation. The outer key groups an entry
-    /// *family* so eviction of a method drops every cached version in one
-    /// probe.
-    entries: HashMap<MethodKey, HashMap<VersionKey, Derivation>>,
-    /// dep (annotation key) → methods whose shared derivations used it.
-    dependents: HashMap<MethodKey, HashSet<MethodKey>>,
+    /// Method → its family: distinct derivations, oldest first, at most
+    /// [`FAMILY_CAP`] of them.
+    entries: HashMap<MethodKey, Vec<Derivation>>,
 }
 
 /// Aggregate counters (monotonic, relaxed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedCacheStats {
+    /// Lookups that returned at least one variant.
     pub hits: u64,
+    /// Lookups that returned none.
     pub misses: u64,
+    /// Derivations that entered the tier (equal re-inserts excluded).
     pub inserts: u64,
+    /// Derivations dropped to bound memory: the oldest of a family past
+    /// [`FAMILY_CAP`], and whatever a poisoned shard held.
     pub evictions: u64,
 }
 
-/// Observer of tier mutations, called *after* the shard lock is released.
-/// The fleet client hangs its publication tracking here: every insert is
-/// a candidate for publish-back to the daemon, every family eviction a
-/// candidate eviction notice. Hooks must be cheap and must not re-enter
-/// the tier (they run on whatever tenant thread performed the mutation).
+/// Observer of tier inserts, called *after* the shard lock is released.
+/// The fleet client hangs its publication tracking here: every
+/// derivation new to the tier is a candidate for publish-back to the
+/// daemon. Hooks must be cheap and must not re-enter the tier (they run
+/// on whatever tenant thread performed the insert).
 pub trait CacheEventHook: Send + Sync {
-    /// A derivation for `key` was published into the tier.
-    fn on_insert(&self, _key: &MethodKey) {}
-    /// The entry family for `key` was evicted (at least one derivation
-    /// dropped).
-    fn on_evict(&self, _key: &MethodKey) {}
+    /// `d` entered `key`'s family: no equal derivation was there.
+    fn on_insert(&self, key: &MethodKey, d: &Derivation);
 }
 
 /// The shared tier. Cheap to clone behind `Arc`; every method takes
@@ -107,7 +117,7 @@ impl SharedCache {
         }
     }
 
-    /// Registers a mutation observer (see [`CacheEventHook`]). The tier
+    /// Registers an insert observer (see [`CacheEventHook`]). The tier
     /// holds it weakly: once its owner drops the last `Arc` (a tenant's
     /// fleet session ends, or its attach fails), it is never called
     /// again and its slot is pruned.
@@ -134,8 +144,7 @@ impl SharedCache {
         live
     }
 
-    /// Shard by method key only, so an entry family and its eviction path
-    /// always land in a single shard.
+    /// Shard by method key only, so a whole family lands in one shard.
     fn shard_of(&self, key: &MethodKey) -> &RwLock<Shard> {
         &self.shards[(self.hasher.hash_one(key) as usize) % self.shards.len()]
     }
@@ -143,15 +152,14 @@ impl SharedCache {
     // ----- poison recovery ---------------------------------------------------
     //
     // The tier is shared by every tenant thread in the process; a tenant
-    // panicking while it holds a shard lock (a publisher dying mid-insert,
-    // an app thread unwinding through an eviction) poisons that shard.
-    // Propagating the poison — the old `.unwrap()` behaviour — would turn
-    // one crashed tenant into a fleet-wide brick: every later adopter
-    // panics on its first probe of the shard. Instead a poisoned shard is
-    // *recovered* by clearing it: the interrupted mutation may have left
-    // the shard logically half-applied (entry present, edges missing), and
-    // eviction is always sound, so dropping the shard's derivations maps
-    // the damage to a clean miss. Other tenants re-derive and republish.
+    // panicking while it holds a shard lock (a publisher dying mid-insert)
+    // poisons that shard. Propagating the poison — the old `.unwrap()`
+    // behaviour — would turn one crashed tenant into a fleet-wide brick:
+    // every later adopter panics on its first probe of the shard. Instead
+    // a poisoned shard is *recovered* by clearing it: the interrupted
+    // mutation may have left a family half-applied, and dropping a
+    // candidate is always sound, so the damage maps to a clean miss.
+    // Other tenants re-derive and republish.
 
     /// Clears and un-poisons a poisoned shard, counting the dropped
     /// derivations as evictions.
@@ -162,7 +170,6 @@ impl SharedCache {
         };
         let dropped: usize = shard.entries.values().map(|family| family.len()).sum();
         shard.entries.clear();
-        shard.dependents.clear();
         lock.clear_poison();
         if dropped > 0 {
             self.evictions.fetch_add(dropped as u64, Ordering::Relaxed);
@@ -189,148 +196,82 @@ impl SharedCache {
         lock.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks up a derivation for `(key, method_entry_id, sig_version,
-    /// body_fingerprint)`. The caller still must validate the returned
-    /// signature fingerprints against its own type table before adopting.
+    /// Every variant cached under `(key, method_entry_id, sig_version,
+    /// body_fingerprint)`, newest first; empty on a miss. The caller
+    /// still must validate a variant against its own world before
+    /// adopting it.
     pub fn lookup(
         &self,
         key: &MethodKey,
         method_entry_id: u64,
         sig_version: u64,
         body_fingerprint: u64,
-    ) -> Option<Derivation> {
+    ) -> Vec<Derivation> {
+        let version = Some((method_entry_id, sig_version, body_fingerprint));
         let shard = self.shard_read(self.shard_of(key));
-        let found = shard
+        let found: Vec<Derivation> = shard
             .entries
             .get(key)
-            .and_then(|family| family.get(&(method_entry_id, sig_version, body_fingerprint)))
-            .cloned();
+            .map(|family| {
+                family
+                    .iter()
+                    .rev()
+                    .filter(|d| d.version_key() == version)
+                    .cloned()
+                    .collect()
+            })
+            .unwrap_or_default();
         drop(shard);
-        match found {
-            Some(d) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(d)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// True when the exact `(key, entry id, sig version, body
-    /// fingerprint)` derivation is present. Unlike [`SharedCache::lookup`]
-    /// this is a pure probe: no clone, no hit/miss accounting — the fleet
-    /// daemon's publish-dedup path, which must not skew adoption stats.
-    pub fn contains(
-        &self,
-        key: &MethodKey,
-        method_entry_id: u64,
-        sig_version: u64,
-        body_fingerprint: u64,
-    ) -> bool {
-        let shard = self.shard_read(self.shard_of(key));
-        shard.entries.get(key).is_some_and(|family| {
-            family.contains_key(&(method_entry_id, sig_version, body_fingerprint))
-        })
-    }
-
-    /// Publishes a derivation and registers its dependency edges. A
-    /// derivation without a body fingerprint has no identity another
-    /// tenant could match, so it is not published.
-    pub fn insert(&self, key: MethodKey, d: Derivation) {
-        let Some(version) = d.version_key() else {
-            return;
+        let counter = if found.is_empty() {
+            &self.misses
+        } else {
+            &self.hits
         };
-        let witnesses = d.witnesses.clone();
-        self.shard_write(self.shard_of(&key))
-            .entries
-            .entry(key)
-            .or_default()
-            .insert(version, d);
-        // Negative witnesses have no entry to hang an eviction edge on;
-        // replay-validation alone guards them.
-        for target in witnesses.iter().filter_map(|w| w.resolution.target) {
-            let mut shard = self.shard_write(self.shard_of(&target));
-            shard.dependents.entry(target).or_default().insert(key);
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Adds `d` to `key`'s family and returns true, or returns false and
+    /// changes nothing when an equal derivation is already there. A
+    /// family past [`FAMILY_CAP`] drops its oldest. A derivation without
+    /// a body fingerprint has no identity another tenant could match, so
+    /// it is not added.
+    pub fn insert(&self, key: MethodKey, d: Derivation) -> bool {
+        if d.body_fp.is_none() {
+            return false;
         }
+        let dropped = {
+            let mut shard = self.shard_write(self.shard_of(&key));
+            let family = shard.entries.entry(key).or_default();
+            if family.contains(&d) {
+                return false;
+            }
+            family.push(d.clone());
+            let excess = family.len().saturating_sub(FAMILY_CAP);
+            family.drain(..excess);
+            excess
+        };
         self.inserts.fetch_add(1, Ordering::Relaxed);
+        if dropped > 0 {
+            self.evictions.fetch_add(dropped as u64, Ordering::Relaxed);
+        }
         for hook in self.hooks() {
-            hook.on_insert(&key);
+            hook.on_insert(&key, &d);
         }
+        true
     }
 
-    /// Evicts every cached version of `key` (the entry family), pruning
-    /// the family's reverse-dependency edges so retired derivations can't
-    /// trigger spurious fleet-wide evictions later and the edge map stays
-    /// bounded across reload sessions (the shared-tier analogue of the
-    /// engine's `unlink`). Returns the number of derivations dropped.
-    pub fn evict_method(&self, key: &MethodKey) -> usize {
-        let family = {
-            let mut shard = self.shard_write(self.shard_of(key));
-            shard.entries.remove(key)
-        };
-        let Some(family) = family else { return 0 };
-        // Collect dep targets outside any lock (edge shards differ from
-        // the entry shard; never hold two shard locks at once — the entry
-        // shard's lock is already released, so a self-recursive method's
-        // own edge prunes like any other).
-        let targets: HashSet<MethodKey> = family.values().flat_map(Derivation::deps).collect();
-        for t in targets {
-            let mut shard = self.shard_write(self.shard_of(&t));
-            if let Some(set) = shard.dependents.get_mut(&t) {
-                set.remove(key);
-                if set.is_empty() {
-                    shard.dependents.remove(&t);
-                }
-            }
-        }
-        self.evictions
-            .fetch_add(family.len() as u64, Ordering::Relaxed);
-        for hook in self.hooks() {
-            hook.on_evict(key);
-        }
-        family.len()
+    /// Drops `key`'s whole family and returns how many derivations it
+    /// held. The fleet daemon's LRU compaction uses it: a capacity
+    /// decision, not a world change.
+    pub fn remove_family(&self, key: &MethodKey) -> usize {
+        self.shard_write(self.shard_of(key))
+            .entries
+            .remove(key)
+            .map_or(0, |family| family.len())
     }
 
-    /// The methods whose shared derivations currently depend on `key`
-    /// (the direct reverse-dependency set [`SharedCache::evict_dependents`]
-    /// would fan out to). The fleet daemon reads this before applying an
-    /// eviction notice so every family it drops gets its own tombstone.
-    pub fn dependents_of(&self, key: &MethodKey) -> Vec<MethodKey> {
-        let shard = self.shard_read(self.shard_of(key));
-        shard
-            .dependents
-            .get(key)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Evicts the families of every method whose shared derivation
-    /// depended on `key` — Definition 1(2) across tenants. Returns the
-    /// number of derivations dropped.
-    pub fn evict_dependents(&self, key: &MethodKey) -> usize {
-        let dependents = {
-            let mut shard = self.shard_write(self.shard_of(key));
-            shard.dependents.remove(key)
-        };
-        let mut removed = 0;
-        if let Some(methods) = dependents {
-            for m in methods {
-                removed += self.evict_method(&m);
-            }
-        }
-        removed
-    }
-
-    /// [`SharedCache::evict_method`] plus [`SharedCache::evict_dependents`]
-    /// — the full Definition 1 fan-out for a replaced signature or
-    /// redefined method.
-    pub fn evict_with_dependents(&self, key: &MethodKey) -> usize {
-        self.evict_method(key) + self.evict_dependents(key)
-    }
-
-    /// Number of live derivations (sums entry families across shards).
+    /// Number of live derivations (sums families across shards).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -349,78 +290,57 @@ impl SharedCache {
         self.len() == 0
     }
 
-    /// Number of live reverse-dependency edges (diagnostic: eviction
-    /// keeps this bounded by the live entries' dependency sets).
-    pub fn edge_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                self.shard_read(s)
-                    .dependents
-                    .values()
-                    .map(|set| set.len())
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
     // ----- snapshots ---------------------------------------------------------
 
-    /// Every live derivation with its method key, in deterministic (key,
-    /// version) order (snapshot support).
-    pub(crate) fn iter_derivations(&self) -> Vec<(MethodKey, Derivation)> {
-        let mut out: Vec<(MethodKey, Derivation)> = Vec::new();
-        for lock in self.shards.iter() {
-            let shard = self.shard_read(lock);
-            for (key, family) in &shard.entries {
-                out.extend(family.values().map(|d| (*key, d.clone())));
-            }
-        }
-        out.sort_by_key(|(key, d)| (*key, d.version_key()));
-        out
-    }
-
-    /// Serializes the tier into a portable [`crate::snapshot::CacheSnapshot`]
-    /// (see [`crate::snapshot`] for the lifecycle and soundness story).
-    pub fn snapshot(&self) -> crate::snapshot::CacheSnapshot {
-        crate::snapshot::snapshot_of(self)
+    /// Serializes the tier into a portable [`CacheSnapshot`] (see
+    /// [`crate::snapshot`] for the lifecycle and soundness story).
+    pub fn snapshot(&self) -> CacheSnapshot {
+        self.snapshot_filtered(|_| true)
     }
 
     /// [`SharedCache::snapshot`] restricted to methods `keep` accepts —
-    /// the delta encoder: the fleet daemon serializes only entries past a
-    /// client's watermark; a fleet client serializes only its pending
-    /// publications.
-    pub fn snapshot_filtered(
-        &self,
-        keep: impl Fn(&MethodKey) -> bool,
-    ) -> crate::snapshot::CacheSnapshot {
-        crate::snapshot::snapshot_of_filtered(self, &keep)
+    /// the delta encoder: the fleet daemon serializes only the families
+    /// changed past a client's watermark. Entries come in deterministic
+    /// (key, version) order, a family's variants oldest first.
+    pub fn snapshot_filtered(&self, keep: impl Fn(&MethodKey) -> bool) -> CacheSnapshot {
+        let mut kept: Vec<(MethodKey, Derivation)> = Vec::new();
+        for lock in self.shards.iter() {
+            let shard = self.shard_read(lock);
+            for (key, family) in shard.entries.iter().filter(|(key, _)| keep(key)) {
+                kept.extend(family.iter().map(|d| (*key, d.clone())));
+            }
+        }
+        kept.sort_by_key(|(key, d)| (*key, d.version_key()));
+        CacheSnapshot::of(kept.iter().map(|(key, d)| (key, d)))
     }
 
     /// Loads a snapshot's derivations into this tier, re-interning its
     /// symbol dictionary in this process. Returns the number of
-    /// derivations loaded. Loaded entries are *candidates*: every adoption
-    /// still passes the normal epoch/witness-replay validation, so a stale
-    /// or divergent snapshot degrades to re-checking, never to unsound
-    /// adoption.
+    /// derivations in the snapshot. Loaded entries are *candidates*:
+    /// every adoption still passes the normal epoch/witness-replay
+    /// validation, so a stale or divergent snapshot degrades to
+    /// re-checking, never to unsound adoption.
     ///
     /// This is the one way derivations from elsewhere enter a process: a
     /// snapshot file at boot, a rolling-deploy push into a live tier, and
     /// every fleet fetch. It retires no tenant's cached derivations; those
     /// stay valid until the tenant's own world changes, and a loaded entry
-    /// is considered at the tenant's next local cache miss.
+    /// is considered at the tenant's next local cache miss. Repeated
+    /// version keys load as variants of one family.
     ///
     /// # Errors
     ///
-    /// [`crate::snapshot::SnapshotError::BadSymbol`] when an entry
-    /// references a symbol id outside the snapshot's dictionary (a
-    /// malformed artifact). Validation happens before anything is
-    /// inserted, so on `Err` the tier is untouched.
-    pub fn load_snapshot(
-        &self,
-        snap: &crate::snapshot::CacheSnapshot,
-    ) -> Result<usize, crate::snapshot::SnapshotError> {
-        crate::snapshot::load_into(self, snap)
+    /// [`SnapshotError::BadSymbol`] when an entry references a symbol id
+    /// outside the snapshot's dictionary (a malformed artifact). Every
+    /// entry is translated before anything is inserted, so on `Err` the
+    /// tier is untouched.
+    pub fn load_snapshot(&self, snap: &CacheSnapshot) -> Result<usize, SnapshotError> {
+        let derivations = snap.derivations()?;
+        let loaded = derivations.len();
+        for (key, d) in derivations {
+            self.insert(key, d);
+        }
+        Ok(loaded)
     }
 
     /// Counter snapshot.
@@ -430,36 +350,6 @@ impl SharedCache {
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The eviction fan-out sink wired into each tenant's `RdlState` (see
-/// `hb_rdl::RdlEventSink`): a tenant's type-table mutations evict the
-/// affected shared entries immediately, on the mutating tenant's thread,
-/// so other tenants stop adopting derivations checked against signatures
-/// that no longer exist anywhere.
-pub struct SharedEvictionSink {
-    pub shared: Arc<SharedCache>,
-}
-
-impl RdlEventSink for SharedEvictionSink {
-    fn on_rdl_event(&self, ev: &RdlEvent) {
-        match ev {
-            // Replacement invalidates the method and everything that
-            // consulted its signature (Definition 1).
-            RdlEvent::TypeReplaced(k) => {
-                self.shared.evict_with_dependents(k);
-            }
-            // A new arm re-checks the method itself but leaves dependents
-            // valid — the §4 "Cache Invalidation" intersection subtlety.
-            RdlEvent::ArmAdded(k) => {
-                self.shared.evict_method(k);
-            }
-            // Shadow-driven invalidation needs the class hierarchy, which
-            // lives in the interpreter; the engine handles TypeAdded in
-            // `process_events`.
-            RdlEvent::TypeAdded(_) => {}
         }
     }
 }
@@ -499,15 +389,16 @@ mod tests {
         let c = SharedCache::new();
         let key = k("Talk", "owner?");
         c.insert(key, der(7, 3, 0xB0D7, vec![dep("User", "name", 2)]));
-        let d = c.lookup(&key, 7, 3, 0xB0D7).expect("exact version hits");
+        let found = c.lookup(&key, 7, 3, 0xB0D7);
+        let d = found.first().expect("exact version hits");
         assert_eq!(d.witnesses.as_ref(), &[dep("User", "name", 2)]);
         assert!(
-            c.lookup(&key, 7, 4, 0xB0D7).is_none(),
+            c.lookup(&key, 7, 4, 0xB0D7).is_empty(),
             "sig version mismatch"
         );
-        assert!(c.lookup(&key, 8, 3, 0xB0D7).is_none(), "entry id mismatch");
+        assert!(c.lookup(&key, 8, 3, 0xB0D7).is_empty(), "entry id mismatch");
         assert!(
-            c.lookup(&key, 7, 3, 0xDEAD).is_none(),
+            c.lookup(&key, 7, 3, 0xDEAD).is_empty(),
             "body fingerprint mismatch: same counters, different code"
         );
         let s = c.stats();
@@ -515,31 +406,58 @@ mod tests {
     }
 
     #[test]
-    fn eviction_drops_family_and_dependents() {
+    fn an_equal_insert_is_a_no_op() {
         let c = SharedCache::new();
-        let caller = k("Talk", "owner?");
-        let other = k("Talk", "title");
-        c.insert(caller, der(1, 1, 1, vec![dep("User", "name", 1)]));
-        c.insert(caller, der(2, 2, 1, vec![dep("User", "name", 1)])); // second family version
-        c.insert(other, der(3, 1, 1, vec![]));
-        assert_eq!(c.len(), 3);
-        assert_eq!(
-            c.evict_with_dependents(&k("User", "name")),
-            2,
-            "both caller versions"
+        let key = k("Talk", "title");
+        assert!(c.insert(key, der(1, 1, 1, vec![dep("User", "name", 1)])));
+        assert!(
+            !c.insert(key, der(1, 1, 1, vec![dep("User", "name", 1)])),
+            "an equal derivation is already there"
         );
-        assert_eq!(c.len(), 1, "unrelated entry survives");
-        assert!(c.lookup(&other, 3, 1, 1).is_some());
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.lookup(&key, 1, 1, 1).len(), 1);
+        assert_eq!(c.stats().inserts, 1, "only the first insert counts");
     }
 
     #[test]
-    fn self_recursive_eviction_prunes_own_edge() {
+    fn a_variant_under_the_same_version_key_is_kept_and_looked_up_first() {
         let c = SharedCache::new();
-        let key = k("Talk", "visit");
-        c.insert(key, der(1, 1, 1, vec![dep("Talk", "visit", 1)]));
-        assert_eq!(c.edge_count(), 1);
-        assert_eq!(c.evict_method(&key), 1);
-        assert_eq!(c.edge_count(), 0, "self edge pruned like any other");
+        let key = k("Talk", "title");
+        let plain = der(1, 1, 1, vec![dep("User", "name", 1)]);
+        // Another world: same version key and witnesses, another
+        // hierarchy epoch.
+        let writer = Derivation {
+            epochs: (1, 2, 1),
+            ..plain.clone()
+        };
+        assert!(c.insert(key, plain.clone()));
+        assert!(c.insert(key, writer.clone()), "a distinct variant is kept");
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.lookup(&key, 1, 1, 1), vec![writer, plain], "newest first");
+        assert_eq!(c.stats().evictions, 0);
+    }
+
+    #[test]
+    fn the_family_cap_drops_the_oldest() {
+        let c = SharedCache::new();
+        let key = k("Talk", "title");
+        let other = k("Talk", "slug");
+        c.insert(other, der(9, 1, 9, vec![]));
+        for v in 1..=FAMILY_CAP as u64 + 2 {
+            assert!(c.insert(key, der(v, 1, 1, vec![])));
+        }
+        assert_eq!(c.len(), FAMILY_CAP + 1, "the capped family plus `other`");
+        assert_eq!(c.stats().evictions, 2);
+        assert!(c.lookup(&key, 1, 1, 1).is_empty(), "the oldest went first");
+        assert!(c.lookup(&key, 2, 1, 1).is_empty());
+        assert_eq!(c.lookup(&key, 3, 1, 1).len(), 1);
+        assert_eq!(
+            c.lookup(&other, 9, 1, 9).len(),
+            1,
+            "another family is untouched"
+        );
+        assert_eq!(c.remove_family(&key), FAMILY_CAP);
+        assert_eq!(c.len(), 1);
     }
 
     /// Counts the inserts it sees.
@@ -547,7 +465,7 @@ mod tests {
     struct CountingHook(AtomicU64);
 
     impl CacheEventHook for CountingHook {
-        fn on_insert(&self, _key: &MethodKey) {
+        fn on_insert(&self, _key: &MethodKey, _d: &Derivation) {
             self.0.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -587,7 +505,7 @@ mod tests {
         let c = Arc::new(SharedCache::with_shards(1));
         let key = k("Talk", "owner?");
         c.insert(key, der(1, 1, 1, vec![dep("User", "name", 1)]));
-        assert!(c.lookup(&key, 1, 1, 1).is_some());
+        assert!(!c.lookup(&key, 1, 1, 1).is_empty());
 
         // Poison the (only) shard: a thread panics while holding the
         // write lock, exactly like a publisher dying mid-mutation.
@@ -607,7 +525,7 @@ mod tests {
         // clearing (its possibly half-applied state becomes a clean miss,
         // counted as evictions) and keeps serving.
         assert!(
-            c.lookup(&key, 1, 1, 1).is_none(),
+            c.lookup(&key, 1, 1, 1).is_empty(),
             "recovered shard serves a clean miss, not a panic"
         );
         assert_eq!(c.stats().evictions, 1, "dropped derivations are counted");
@@ -615,7 +533,7 @@ mod tests {
 
         // The tier keeps working end to end: publish again, adopt again.
         c.insert(key, der(1, 1, 1, vec![dep("User", "name", 1)]));
-        assert!(c.lookup(&key, 1, 1, 1).is_some());
-        assert_eq!(c.evict_with_dependents(&k("User", "name")), 1);
+        assert!(!c.lookup(&key, 1, 1, 1).is_empty());
+        assert_eq!(c.remove_family(&key), 1);
     }
 }

@@ -12,12 +12,19 @@
 //! process, which then resolves its first calls by adoption straight from
 //! disk.
 //!
+//! [`SharedCache`]: crate::SharedCache
+//! [`SharedCache::load_snapshot`]: crate::SharedCache::load_snapshot
+//!
 //! The same call is the rolling-deploy artifact push into a *live*
 //! process: it adds entries to that process's shared tier and retires
 //! nothing. A tenant's cached derivations stay valid until its own world
 //! changes (paper Definition 1), which a foreign artifact cannot do. A
 //! pushed entry is considered at the tenant's next local cache miss,
 //! through the adoption gate below.
+//!
+//! A snapshot is a list of entries, so one version key may appear more
+//! than once: each occurrence is a variant from another world, and they
+//! load as one family's variants, oldest first.
 //!
 //! # Symbol portability
 //!
@@ -57,7 +64,6 @@
 //! as [`SnapshotError::BadMagic`] like any other unknown version.
 
 use crate::derivation::Derivation;
-use crate::shared_cache::SharedCache;
 use hb_intern::{fingerprint64, MethodKey, SymDictReader, SymDictWriter};
 use hb_rdl::{Resolution, Witness};
 
@@ -106,6 +112,10 @@ pub(crate) struct SnapEntry {
 /// [`SharedCache::snapshot`] (or `Hummingbird::snapshot()`), persist it
 /// with [`CacheSnapshot::to_bytes`], and rebuild a tier in another process
 /// with [`CacheSnapshot::from_bytes`] + [`SharedCache::load_snapshot`].
+///
+/// [`SharedCache`]: crate::SharedCache
+/// [`SharedCache::snapshot`]: crate::SharedCache::snapshot
+/// [`SharedCache::load_snapshot`]: crate::SharedCache::load_snapshot
 #[derive(Debug, Clone, Default)]
 pub struct CacheSnapshot {
     pub(crate) symbols: Vec<String>,
@@ -218,23 +228,109 @@ impl CacheSnapshot {
     }
 
     /// Every entry's `(method key, entry id, sig version, body
-    /// fingerprint)` version tuple, interned into the live process — the
-    /// identity a [`SharedCache::contains`] probe takes. The fleet daemon
-    /// uses this to distinguish genuinely new publications from re-sends
-    /// of derivations it already serves.
+    /// fingerprint)` version tuple, interned into the live process.
     pub fn entry_versions(&self) -> Result<Vec<(MethodKey, u64, u64, u64)>, SnapshotError> {
+        Ok(self
+            .derivations()?
+            .into_iter()
+            .filter_map(|(key, d)| d.version_key().map(|(id, sig, body)| (key, id, sig, body)))
+            .collect())
+    }
+
+    /// The snapshot's derivations with their method keys, in entry order,
+    /// re-interned into this process. `SharedCache::load_snapshot` and
+    /// the fleet daemon's publish path both insert exactly these.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::BadSymbol`] when an entry references a symbol id
+    /// outside the dictionary. Every entry is translated before any is
+    /// returned, so a malformed snapshot yields nothing to insert.
+    pub fn derivations(&self) -> Result<Vec<(MethodKey, Derivation)>, SnapshotError> {
         let dict = SymDictReader::new(self.symbols.iter().map(String::as_str));
         let sym = |id: u32| dict.sym(id).ok_or(SnapshotError::BadSymbol(id));
+        let key = |k: &SnapKey| -> Result<MethodKey, SnapshotError> {
+            Ok(MethodKey {
+                class: sym(k.class)?,
+                class_level: k.class_level,
+                method: sym(k.method)?,
+            })
+        };
         let mut out = Vec::with_capacity(self.entries.len());
         for e in &self.entries {
-            let key = MethodKey {
-                class: sym(e.key.class)?,
-                class_level: e.key.class_level,
-                method: sym(e.key.method)?,
-            };
-            out.push((key, e.method_entry_id, e.sig_version, e.body_fp));
+            let mut deps = Vec::with_capacity(e.deps.len());
+            for d in &e.deps {
+                deps.push(Witness {
+                    resolution: Resolution {
+                        start: sym(d.start)?,
+                        skip_receiver: d.skip_receiver,
+                        class_level: d.class_level,
+                        method: sym(d.method)?,
+                        target: d.target.as_ref().map(&key).transpose()?,
+                    },
+                    sig_version: d.sig_version,
+                    sig_fingerprint: d.sig_fingerprint,
+                });
+            }
+            out.push((
+                key(&e.key)?,
+                Derivation {
+                    entry_id: e.method_entry_id,
+                    sig_version: e.sig_version,
+                    body_fp: Some(e.body_fp),
+                    own_sig_fp: e.own_sig_fp,
+                    epochs: (e.table_fp, e.hier_fp, e.var_fp),
+                    witnesses: deps.into(),
+                    cast_sites: e.cast_sites.as_slice().into(),
+                },
+            ));
         }
         Ok(out)
+    }
+
+    /// A snapshot of exactly `derivations`, in the order given. A
+    /// derivation without a body fingerprint is skipped: the shared tier
+    /// never holds one.
+    pub(crate) fn of<'a>(
+        derivations: impl IntoIterator<Item = (&'a MethodKey, &'a Derivation)>,
+    ) -> CacheSnapshot {
+        let mut dict = SymDictWriter::new();
+        let mut entries = Vec::new();
+        for (key, d) in derivations {
+            let Some((method_entry_id, sig_version, body_fp)) = d.version_key() else {
+                continue;
+            };
+            let skey = key_id(&mut dict, key);
+            let deps = d
+                .witnesses
+                .iter()
+                .map(|dep| SnapDep {
+                    start: dict.id(dep.resolution.start),
+                    skip_receiver: dep.resolution.skip_receiver,
+                    class_level: dep.resolution.class_level,
+                    method: dict.id(dep.resolution.method),
+                    target: dep.resolution.target.map(|t| key_id(&mut dict, &t)),
+                    sig_version: dep.sig_version,
+                    sig_fingerprint: dep.sig_fingerprint,
+                })
+                .collect();
+            entries.push(SnapEntry {
+                key: skey,
+                method_entry_id,
+                sig_version,
+                body_fp,
+                own_sig_fp: d.own_sig_fp,
+                table_fp: d.epochs.0,
+                hier_fp: d.epochs.1,
+                var_fp: d.epochs.2,
+                deps,
+                cast_sites: d.cast_sites.to_vec(),
+            });
+        }
+        CacheSnapshot {
+            symbols: dict.strings().iter().map(|s| s.to_string()).collect(),
+            entries,
+        }
     }
 
     /// Serializes to the `HBSNAP02` wire format (trailing content
@@ -299,7 +395,7 @@ impl CacheSnapshot {
     ///
     /// [`SnapshotError`] on bad magic, checksum mismatch, truncation, or
     /// invalid UTF-8 in the symbol dictionary. (Dangling symbol references
-    /// surface later, from [`SharedCache::load_snapshot`].)
+    /// surface later, from [`crate::SharedCache::load_snapshot`].)
     pub fn from_bytes(bytes: &[u8]) -> Result<CacheSnapshot, SnapshotError> {
         let magic = bytes.get(..MAGIC.len()).ok_or(SnapshotError::Truncated)?;
         if magic != MAGIC {
@@ -375,8 +471,6 @@ impl CacheSnapshot {
     }
 }
 
-// ----- capture / restore -----------------------------------------------------
-
 fn key_id(dict: &mut SymDictWriter, k: &MethodKey) -> SnapKey {
     SnapKey {
         class: dict.id(k.class),
@@ -385,115 +479,10 @@ fn key_id(dict: &mut SymDictWriter, k: &MethodKey) -> SnapKey {
     }
 }
 
-pub(crate) fn snapshot_of(cache: &SharedCache) -> CacheSnapshot {
-    snapshot_of_filtered(cache, &|_| true)
-}
-
-/// [`snapshot_of`] restricted to methods `keep` accepts — the delta
-/// encoder: the fleet daemon serializes only the entries past a client's
-/// watermark, and a fleet client serializes only its pending
-/// publications.
-pub(crate) fn snapshot_of_filtered(
-    cache: &SharedCache,
-    keep: &dyn Fn(&MethodKey) -> bool,
-) -> CacheSnapshot {
-    let mut dict = SymDictWriter::new();
-    let mut entries = Vec::new();
-    for (key, d) in cache.iter_derivations() {
-        // The tier only holds derivations with a body fingerprint.
-        let Some((method_entry_id, sig_version, body_fp)) = d.version_key() else {
-            continue;
-        };
-        if !keep(&key) {
-            continue;
-        }
-        let skey = key_id(&mut dict, &key);
-        let deps = d
-            .witnesses
-            .iter()
-            .map(|dep| SnapDep {
-                start: dict.id(dep.resolution.start),
-                skip_receiver: dep.resolution.skip_receiver,
-                class_level: dep.resolution.class_level,
-                method: dict.id(dep.resolution.method),
-                target: dep.resolution.target.map(|t| key_id(&mut dict, &t)),
-                sig_version: dep.sig_version,
-                sig_fingerprint: dep.sig_fingerprint,
-            })
-            .collect();
-        entries.push(SnapEntry {
-            key: skey,
-            method_entry_id,
-            sig_version,
-            body_fp,
-            own_sig_fp: d.own_sig_fp,
-            table_fp: d.epochs.0,
-            hier_fp: d.epochs.1,
-            var_fp: d.epochs.2,
-            deps,
-            cast_sites: d.cast_sites.to_vec(),
-        });
-    }
-    CacheSnapshot {
-        symbols: dict.strings().iter().map(|s| s.to_string()).collect(),
-        entries,
-    }
-}
-
-pub(crate) fn load_into(cache: &SharedCache, snap: &CacheSnapshot) -> Result<usize, SnapshotError> {
-    let dict = SymDictReader::new(snap.symbols.iter().map(String::as_str));
-    let sym = |id: u32| dict.sym(id).ok_or(SnapshotError::BadSymbol(id));
-    let key = |k: &SnapKey| -> Result<MethodKey, SnapshotError> {
-        Ok(MethodKey {
-            class: sym(k.class)?,
-            class_level: k.class_level,
-            method: sym(k.method)?,
-        })
-    };
-    // Two-phase: translate (and thereby validate) EVERY entry before
-    // inserting ANY, so a malformed snapshot leaves the live tier exactly
-    // as it was — an embedder can treat Err as "nothing happened" and
-    // retry with a corrected artifact.
-    let mut translated = Vec::with_capacity(snap.entries.len());
-    for e in &snap.entries {
-        let k = key(&e.key)?;
-        let mut deps = Vec::with_capacity(e.deps.len());
-        for d in &e.deps {
-            deps.push(Witness {
-                resolution: Resolution {
-                    start: sym(d.start)?,
-                    skip_receiver: d.skip_receiver,
-                    class_level: d.class_level,
-                    method: sym(d.method)?,
-                    target: d.target.as_ref().map(&key).transpose()?,
-                },
-                sig_version: d.sig_version,
-                sig_fingerprint: d.sig_fingerprint,
-            });
-        }
-        translated.push((
-            k,
-            Derivation {
-                entry_id: e.method_entry_id,
-                sig_version: e.sig_version,
-                body_fp: Some(e.body_fp),
-                own_sig_fp: e.own_sig_fp,
-                epochs: (e.table_fp, e.hier_fp, e.var_fp),
-                witnesses: deps.into(),
-                cast_sites: e.cast_sites.as_slice().into(),
-            },
-        ));
-    }
-    let loaded = translated.len();
-    for (k, d) in translated {
-        cache.insert(k, d);
-    }
-    Ok(loaded)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shared_cache::SharedCache;
 
     fn k(c: &str, m: &str) -> MethodKey {
         MethodKey::instance(c, m)
@@ -558,8 +547,9 @@ mod tests {
         let fresh = SharedCache::new();
         assert_eq!(fresh.load_snapshot(&parsed).expect("loads"), 2);
         assert_eq!(fresh.len(), 2);
-        let d = fresh
-            .lookup(&k("Talk", "owner?"), 7, 3, 0xB0D7)
+        let found = fresh.lookup(&k("Talk", "owner?"), 7, 3, 0xB0D7);
+        let d = found
+            .first()
             .expect("restored derivation hits under the original version key");
         assert_eq!(d.own_sig_fp, 0x5167);
         assert_eq!(d.epochs, (11, 22, 33));
@@ -567,11 +557,32 @@ mod tests {
         assert_eq!(d.witnesses[0].resolution.target, Some(k("User", "name")));
         assert_eq!(d.cast_sites.as_ref(), &[(1, 10, 20)]);
         // Negative witnesses survive too.
-        let d2 = fresh.lookup(&k("Talk", "title"), 9, 1, 0xCAFE).unwrap();
-        assert_eq!(d2.witnesses[0].resolution.target, None);
-        // Dependency edges were rebuilt: evicting the dep key drops the
-        // dependent derivation.
-        assert_eq!(fresh.evict_with_dependents(&k("User", "name")), 1);
+        let d2 = fresh.lookup(&k("Talk", "title"), 9, 1, 0xCAFE);
+        assert_eq!(d2[0].witnesses[0].resolution.target, None);
+    }
+
+    #[test]
+    fn repeated_version_keys_load_as_variants() {
+        let c = sample_cache();
+        let key = k("Talk", "owner?");
+        let first = c.lookup(&key, 7, 3, 0xB0D7).remove(0);
+        // The same method checked in another world: same version key,
+        // another hierarchy epoch.
+        let other = Derivation {
+            epochs: (11, 99, 33),
+            ..first.clone()
+        };
+        assert!(c.insert(key, other.clone()));
+        let bytes = c.snapshot().to_bytes();
+        let parsed = CacheSnapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(parsed.entry_count(), 3);
+        let fresh = SharedCache::new();
+        assert_eq!(fresh.load_snapshot(&parsed).unwrap(), 3);
+        assert_eq!(
+            fresh.lookup(&key, 7, 3, 0xB0D7),
+            vec![other, first],
+            "both variants, newest first"
+        );
     }
 
     #[test]
@@ -614,11 +625,11 @@ mod tests {
         assert_eq!(snap.entry_count(), 1);
         let versions = snap.entry_versions().unwrap();
         assert_eq!(versions, vec![(keep, 7, 3, 0xB0D7)]);
-        assert!(
-            c.contains(&keep, 7, 3, 0xB0D7),
-            "contains probes the same version tuple"
+        assert_eq!(
+            snap.derivations().unwrap(),
+            vec![(keep, c.lookup(&keep, 7, 3, 0xB0D7).remove(0))],
+            "the kept family's derivation, translated back whole"
         );
-        assert!(!c.contains(&keep, 7, 3, 0xDEAD));
     }
 
     #[test]

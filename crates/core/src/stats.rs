@@ -166,9 +166,6 @@ engine_stats! {
     counter fleet_deltas: u64,
     /// Locally derived entries published back to the fleet daemon.
     counter fleet_publishes: u64,
-    /// Eviction notices sent to the fleet daemon (families this tenant's
-    /// type-table mutations retired).
-    counter fleet_evictions: u64,
     /// Dynamic argument checks executed.
     counter dyn_arg_checks: u64,
     /// Cache invalidations of the method itself.

@@ -1,6 +1,5 @@
 //! Multi-tenant shared derivation tier: identical tenants warm each other,
-//! divergent tenants are protected by dependency-version validation, and
-//! invalidation fans out across tenants.
+//! and divergent tenants are protected by dependency-version validation.
 
 use hummingbird::{ErrorKind, Hummingbird, MethodKey, SharedCache};
 use std::sync::Arc;
@@ -79,9 +78,9 @@ fn divergent_tenant_fails_validation_and_rechecks() {
     assert_eq!(t1.stats().checks_performed, 3);
 
     // Tenant 2 replaces Helper#value's signature *before* first calls.
-    // Its sig replacement also evicts the shared Talk#compute entry (the
-    // fan-out sink), and even a racing stale read would fail dependency
-    // version validation — either way the tenant re-derives soundly.
+    // Tenant 1's Talk#compute derivation stays in the tier and fails
+    // dependency version validation here, so the tenant re-derives
+    // soundly.
     let mut t2 = Hummingbird::builder().shared_cache(shared.clone()).build();
     t2.eval(
         r#"
@@ -125,29 +124,9 @@ t.title_line("PLDI")
                 u64::MAX,
                 0
             )
-            .is_none(),
+            .is_empty(),
         "sanity: lookups with wrong versions never hit"
     );
-}
-
-#[test]
-fn cross_tenant_eviction_fans_out() {
-    let shared = Arc::new(SharedCache::new());
-    let mut t1 = Hummingbird::builder().shared_cache(shared.clone()).build();
-    t1.eval(APP).unwrap();
-    let before = shared.len();
-    assert_eq!(before, 3);
-
-    // Tenant 1 replaces Helper#value: the sink evicts the method's shared
-    // family plus dependents (Talk#compute) immediately.
-    t1.eval("class Helper\n type :value, \"() -> String\", { \"replace\" => true }\nend")
-        .unwrap();
-    assert_eq!(
-        shared.len(),
-        1,
-        "Helper#value and its dependent Talk#compute evicted; title_line survives"
-    );
-    assert!(shared.stats().evictions >= 2);
 }
 
 #[test]

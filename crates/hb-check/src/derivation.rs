@@ -26,8 +26,9 @@ pub type Epochs = (u64, u64, u64);
 pub type VersionKey = (u64, u64, u64);
 
 /// A cached derivation: the paper's cache entry `(DM, D≤)`, represented by
-/// what must stay unchanged for it to remain valid.
-#[derive(Debug, Clone)]
+/// what must stay unchanged for it to remain valid. Two derivations are
+/// equal when every field is: the shared tier keeps one copy of each.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Derivation {
     /// The method-table entry id the body was lowered from ((EDef)
     /// invalidation: redefinition changes the id).

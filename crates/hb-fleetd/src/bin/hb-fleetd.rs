@@ -81,7 +81,7 @@ fn main() {
     daemon.maintain();
     let s = daemon.stats();
     hb_info!(
-        "hb-fleetd: shut down (seq {}, {} fetches, {} deltas, {} publishes, {} evictions)",
+        "hb-fleetd: shut down (seq {}, {} fetches, {} deltas, {} publishes, {} dropped at the family cap)",
         s.seq,
         s.fetches,
         s.deltas,

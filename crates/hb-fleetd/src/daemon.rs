@@ -3,13 +3,17 @@
 //!
 //! [`FleetDaemon`] owns a [`SharedCache`] plus the publication metadata
 //! that makes *delta* serving possible: a monotonic sequence number
-//! bumped by every accepted state change, per-method "last changed at
-//! seq" stamps, a tombstone log of evicted families, and a bounded
-//! history of the `(seq, world-epochs)` watermarks it has handed out. A
-//! delta fetch is honoured only for a watermark the daemon itself
-//! issued and whose tombstone suffix is still enumerable; anything else
-//! silently widens to a full snapshot — clients never see an error for
-//! being too far behind, only more bytes.
+//! bumped by every publish that added a derivation, per-method "last
+//! changed at seq" stamps, and a bounded history of the `(seq,
+//! world-epochs)` watermarks it has handed out. A delta fetch is
+//! honoured only for a watermark the daemon itself issued; anything
+//! else silently widens to a full snapshot — clients never see an error
+//! for being too far behind, only more bytes.
+//!
+//! The tier only gains candidates: no tenant's world change retires a
+//! derivation here, because each adopter validates what it fetches
+//! against its own world. A derivation leaves only to bound memory —
+//! at the tier's per-method family cap, or by compaction.
 //!
 //! Maintenance — LRU compaction to a configurable entry cap and atomic
 //! snapshot writeback for crash recovery — is exposed both as a
@@ -64,8 +68,8 @@ struct EntryMeta {
 
 #[derive(Default)]
 struct DaemonState {
-    /// Monotonic publication sequence; bumped by every accepted publish
-    /// batch and every eviction notice that removed something.
+    /// Monotonic publication sequence; bumped by every publish batch
+    /// that added at least one derivation.
     seq: u64,
     /// The epoch triple of the most recent accepted publication — the
     /// fleet's current world tag, echoed in every watermark.
@@ -76,13 +80,6 @@ struct DaemonState {
     /// The `(seq, world)` watermarks this daemon has issued, newest at
     /// the back, bounded to [`WATERMARK_HISTORY`].
     history: VecDeque<(u64, (u64, u64, u64))>,
-    /// Families evicted by notices, with the seq of the eviction.
-    /// Trimmed by writeback (the snapshot file is a full image, so
-    /// tombstones at or below the written seq fold into it).
-    tombstones: VecDeque<(u64, MethodKey)>,
-    /// Watermarks below this cannot have their tombstone suffix
-    /// enumerated (the log was folded); deltas for them widen to full.
-    tombstone_floor: u64,
 }
 
 impl DaemonState {
@@ -118,8 +115,8 @@ pub struct FleetDaemon {
     cache: Arc<SharedCache>,
     state: Mutex<DaemonState>,
     config: DaemonConfig,
-    /// Every counter the daemon keeps; `entries` and `seq` are read from
-    /// the tier and the state when rendered.
+    /// Every counter the daemon keeps; `entries`, `seq` and `evictions`
+    /// are read from the tier and the state when rendered.
     registry: Arc<Registry>,
     /// Requests handled, across opcodes (including ones that errored).
     pub requests_total: Arc<Counter>,
@@ -132,7 +129,6 @@ pub struct FleetDaemon {
     fetches: Arc<Counter>,
     deltas: Arc<Counter>,
     publishes: Arc<Counter>,
-    evictions: Arc<Counter>,
     compactions: Arc<Counter>,
     writebacks: Arc<Counter>,
     connections: Mutex<Connections>,
@@ -184,13 +180,13 @@ impl FleetDaemon {
             config,
             requests_total: registry.counter(
                 "hb_fleetd_requests_total",
-                "HBFLEET1 requests handled, across all opcodes",
+                "HBFLEET2 requests handled, across all opcodes",
             ),
             errors_total: registry
                 .counter("hb_fleetd_errors_total", "requests answered with RESP_ERR"),
             request_ns: registry.histogram(
                 "hb_fleetd_request_ns",
-                "wall-clock nanoseconds handling each HBFLEET1 request",
+                "wall-clock nanoseconds handling each HBFLEET2 request",
             ),
             connections_total: registry
                 .counter("hb_fleetd_connections_total", "client connections accepted"),
@@ -201,7 +197,6 @@ impl FleetDaemon {
             fetches: registry.counter("hb_fleetd_fetches", "full fetches served"),
             deltas: registry.counter("hb_fleetd_deltas", "delta fetches served"),
             publishes: registry.counter("hb_fleetd_publishes", "new entries accepted"),
-            evictions: registry.counter("hb_fleetd_evictions", "families evicted by notices"),
             compactions: registry.counter("hb_fleetd_compactions", "families compacted"),
             writebacks: registry.counter("hb_fleetd_writebacks", "snapshot writebacks"),
             registry,
@@ -302,17 +297,17 @@ impl FleetDaemon {
             fetches: self.fetches.get(),
             deltas: self.deltas.get(),
             publishes: self.publishes.get(),
-            evictions: self.evictions.get(),
+            evictions: self.cache.stats().evictions,
             compactions: self.compactions.get(),
             writebacks: self.writebacks.get(),
         }
     }
 
     /// The daemon-side metrics as Prometheus text (the `STATS_V2`
-    /// opcode): every registry series, then the `entries` and `seq`
-    /// readings. Together they carry one `hb_fleetd_<field>` series per
-    /// [`DaemonStats`] field, which `FleetClient::daemon_stats` parses
-    /// back out.
+    /// opcode): every registry series, then the `entries`, `seq` and
+    /// `evictions` readings. Together they carry one
+    /// `hb_fleetd_<field>` series per [`DaemonStats`] field, which
+    /// `FleetClient::daemon_stats` parses back out.
     pub fn metrics_prometheus(&self) -> String {
         let mut out = self.registry.render_prometheus();
         out.push_str(&self.stats().to_prometheus());
@@ -333,20 +328,18 @@ impl FleetDaemon {
             delta: false,
             seq,
             epochs,
-            tombstones: Vec::new(),
             snapshot,
         }
     }
 
-    /// Serves the entries published after `(seq, epochs)` plus the
-    /// tombstones of families evicted since — or a full snapshot when
-    /// the watermark is not one this daemon issued (restart, forgery,
-    /// aged out of history) or its tombstone suffix was folded away.
+    /// Serves every variant of each family changed after `(seq,
+    /// epochs)` — or a full snapshot when the watermark is not one this
+    /// daemon issued (restart, forgery, aged out of history).
     pub fn fetch_delta(&self, seq: u64, epochs: (u64, u64, u64)) -> SnapshotResp {
-        let (keys, tombstones, resp_seq, resp_world) = {
+        let (keys, resp_seq, resp_world) = {
             let mut st = self.state();
             let genuine = st.history.iter().any(|&(s, w)| s == seq && w == epochs);
-            if !genuine || seq < st.tombstone_floor || seq > st.seq {
+            if !genuine || seq > st.seq {
                 drop(st);
                 return self.fetch_full();
             }
@@ -356,13 +349,6 @@ impl FleetDaemon {
                 .filter(|(_, m)| m.last_seq > seq)
                 .map(|(k, _)| *k)
                 .collect();
-            let mut tomb_set: HashSet<MethodKey> = HashSet::new();
-            let mut tombstones = Vec::new();
-            for &(s, key) in st.tombstones.iter() {
-                if s > seq && tomb_set.insert(key) {
-                    tombstones.push(key);
-                }
-            }
             // Serving an entry in a delta is an adoption signal: these
             // families are live on real tenants — compact them last.
             let tick = st.next_tick();
@@ -371,7 +357,7 @@ impl FleetDaemon {
                     m.last_touch = tick;
                 }
             }
-            (keys, tombstones, st.seq, st.world)
+            (keys, st.seq, st.world)
         };
         let snapshot = self
             .cache
@@ -382,43 +368,38 @@ impl FleetDaemon {
             delta: true,
             seq: resp_seq,
             epochs: resp_world,
-            tombstones,
             snapshot,
         }
     }
 
     /// Accepts a publish-back: `snapshot_bytes` is an `HBSNAP02` image
     /// of the publisher's locally derived entries, `epochs` its world
-    /// triple. Entries the daemon already serves (same key *and*
-    /// version tuple) are deduplicated — only genuinely new material
-    /// bumps the sequence number, so republication storms cannot churn
-    /// every client's delta. Returns the number of new entries.
+    /// triple. Each derivation joins its method's family unless an
+    /// equal one is already there; only genuinely new material bumps
+    /// the sequence number, so republication storms cannot churn every
+    /// client's delta. The whole batch lands under the state lock, so a
+    /// concurrent fetch sees it wholly or not at all. Returns the number
+    /// of new derivations.
     ///
     /// # Errors
     ///
-    /// [`FleetError::Snapshot`] when the bytes fail to parse or load;
-    /// the tier is untouched (snapshot loads are all-or-nothing).
+    /// [`FleetError::Snapshot`] when the bytes fail to parse or
+    /// translate; the tier is untouched.
     pub fn publish(
         &self,
         epochs: (u64, u64, u64),
         snapshot_bytes: &[u8],
     ) -> Result<u64, FleetError> {
         let snap = CacheSnapshot::from_bytes(snapshot_bytes).map_err(FleetError::Snapshot)?;
-        let versions = snap.entry_versions().map_err(FleetError::Snapshot)?;
-        let fresh: Vec<MethodKey> = versions
-            .iter()
-            .filter(|(key, entry_id, sig_version, body_fp)| {
-                !self.cache.contains(key, *entry_id, *sig_version, *body_fp)
-            })
-            .map(|(key, _, _, _)| *key)
+        let derivations = snap.derivations().map_err(FleetError::Snapshot)?;
+        let mut st = self.state();
+        let fresh: Vec<MethodKey> = derivations
+            .into_iter()
+            .filter_map(|(key, d)| self.cache.insert(key, d).then_some(key))
             .collect();
         if fresh.is_empty() {
             return Ok(0);
         }
-        self.cache
-            .load_snapshot(&snap)
-            .map_err(FleetError::Snapshot)?;
-        let mut st = self.state();
         st.seq += 1;
         st.world = epochs;
         let (seq, tick) = (st.seq, st.next_tick());
@@ -437,41 +418,6 @@ impl FleetDaemon {
         Ok(fresh.len() as u64)
     }
 
-    /// Applies eviction notices: each named family is dropped together
-    /// with the families of its dependents (their derivations consulted
-    /// the evicted signature), and every family actually removed is
-    /// tombstoned so delta clients evict it too. Returns the number of
-    /// families dropped.
-    pub fn evict(&self, keys: &[MethodKey]) -> u64 {
-        let mut dropped: Vec<MethodKey> = Vec::new();
-        for key in keys {
-            // Dependents first: `evict_method` prunes the reverse edges
-            // of the family it removes, so reading them afterwards would
-            // lose the fan-out.
-            let mut family: Vec<MethodKey> = self.cache.dependents_of(key);
-            family.push(*key);
-            for k in family {
-                if self.cache.evict_method(&k) > 0 {
-                    dropped.push(k);
-                }
-            }
-        }
-        if dropped.is_empty() {
-            return 0;
-        }
-        let mut st = self.state();
-        st.seq += 1;
-        let seq = st.seq;
-        for key in &dropped {
-            st.meta.remove(key);
-            st.tombstones.push_back((seq, *key));
-        }
-        st.push_history();
-        drop(st);
-        self.evictions.add(dropped.len() as u64);
-        dropped.len() as u64
-    }
-
     /// One deterministic maintenance pass: LRU compaction to the entry
     /// cap, then atomic snapshot writeback (when configured). Returns
     /// `(families_compacted, wrote_snapshot)`.
@@ -481,11 +427,10 @@ impl FleetDaemon {
         (compacted, wrote)
     }
 
-    /// Evicts least-recently-adopted families until the tier fits the
+    /// Drops least-recently-adopted families until the tier fits the
     /// configured cap. Compaction is a capacity decision, not a world
-    /// change: it does **not** tombstone (clients holding the entries
-    /// keep them; they are still valid candidates) and does not bump
-    /// the sequence number.
+    /// change: clients holding the entries keep them (they are still
+    /// candidates), and the sequence number does not move.
     fn compact(&self) -> usize {
         if self.config.max_entries == 0 {
             return 0;
@@ -500,7 +445,7 @@ impl FleetDaemon {
                     .map(|(key, _)| *key)
             };
             let Some(victim) = victim else { break };
-            let removed = self.cache.evict_method(&victim);
+            let removed = self.cache.remove_family(&victim);
             self.state().meta.remove(&victim);
             if removed == 0 && self.cache.len() > self.config.max_entries {
                 // Metadata named a family the tier no longer holds and
@@ -520,26 +465,15 @@ impl FleetDaemon {
 
     /// Re-serializes the tier to the configured snapshot path — write
     /// to a temp file, then rename, so a crash mid-write never leaves a
-    /// torn artifact — and folds the tombstone log into it (the file is
-    /// a full image; tombstones at or below the written seq are no
-    /// longer needed for recovery, only for live delta clients, whose
-    /// floor rises accordingly).
+    /// torn artifact.
     fn writeback(&self) -> std::io::Result<bool> {
         let Some(path) = &self.config.snapshot_path else {
             return Ok(false);
         };
-        let seq_at_capture = self.state().seq;
         let bytes = self.cache.snapshot().to_bytes();
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, &bytes)?;
         std::fs::rename(&tmp, path)?;
-        let mut st = self.state();
-        st.tombstone_floor = st.tombstone_floor.max(seq_at_capture);
-        let floor = st.tombstone_floor;
-        while st.tombstones.front().is_some_and(|&(s, _)| s <= floor) {
-            st.tombstones.pop_front();
-        }
-        drop(st);
         self.writebacks.inc();
         Ok(true)
     }

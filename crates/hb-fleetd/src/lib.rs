@@ -4,11 +4,10 @@
 //! a [`hummingbird::SharedCache`] tier and serves per-method type
 //! derivations to N tenant *processes* over a Unix-domain socket — full
 //! snapshot fetches at boot, **delta** fetches past a watermark during
-//! steady state, publish-back of locally derived entries, and eviction
-//! notices when a tenant's type table mutates. The wire protocol
-//! (`HBFLEET1`, specified in `docs/HBFLEET1.md`) is a thin length-
-//! prefixed framing over the `HBSNAP02` snapshot encoding the workspace
-//! already ships.
+//! steady state, and publish-back of locally derived entries. The wire
+//! protocol (`HBFLEET2`, specified in `docs/HBFLEET2.md`) is a thin
+//! length-prefixed framing over the `HBSNAP02` snapshot encoding the
+//! workspace already ships.
 //!
 //! The daemon is deliberately dumb about soundness: it never validates
 //! a derivation, because it *cannot* — validity is a property of the
@@ -17,9 +16,13 @@
 //! fast path or witness replay) must pass, so a divergent, stale, or
 //! corrupted daemon degrades tenants to local checking, never to
 //! unsound adoption. Tests in this crate pin that property end to end.
+//! For the same reason no tenant's world change retires anything here:
+//! tenants that load different annotations publish different variants
+//! of a method, and the tier keeps up to `FAMILY_CAP` of them per
+//! method so each kind of tenant finds its own.
 //!
 //! Long-lived tiers get a bounded-memory and crash-recovery story from
-//! the maintenance pass ([`FleetDaemon::maintain`], schedulable on an
+//! the family cap and the maintenance pass ([`FleetDaemon::maintain`], schedulable on an
 //! `hb-sched` pool via [`FleetDaemon::start_maintenance`]): last-
 //! adoption LRU compaction to a configurable cap, and atomic snapshot
 //! writeback — recovery is "load file, serve fleet".

@@ -1,5 +1,5 @@
 //! The Unix-domain-socket front end: accept loop, per-connection
-//! threads, and the `HBFLEET1` request dispatch.
+//! threads, and the `HBFLEET2` request dispatch.
 //!
 //! Error containment is the design center. A malformed *payload* inside
 //! a well-framed request gets a typed [`wire::RESP_ERR`] and the
@@ -30,7 +30,7 @@ use std::time::Duration;
 /// in `accept` and is detached.
 const ACCEPT_EXIT_GRACE: Duration = Duration::from_millis(250);
 
-/// A listening `HBFLEET1` server bound to a socket path. Dropping it
+/// A listening `HBFLEET2` server bound to a socket path. Dropping it
 /// requests shutdown and joins the accept thread; the socket file is
 /// removed while it is still this server's.
 pub struct FleetServer {
@@ -138,7 +138,7 @@ fn accept_loop(listener: UnixListener, daemon: &Arc<FleetDaemon>) {
 fn serve_connection(mut stream: UnixStream, daemon: &FleetDaemon) {
     let mut magic = [0u8; 8];
     if stream.read_exact(&mut magic).is_err() || &magic != wire::MAGIC {
-        // Not an HBFLEET1 peer: close without a frame (there is no
+        // Not an HBFLEET2 peer: close without a frame (there is no
         // framing to speak yet).
         return;
     }
@@ -225,18 +225,6 @@ fn handle_request(
             let snapshot_bytes = c.take(c.remaining())?;
             let accepted = daemon.publish(epochs, snapshot_bytes)?;
             Ok(ack(accepted))
-        }
-        wire::EVICT => {
-            let mut c = wire::PayloadCursor::new(payload);
-            let n = c.u32()? as usize;
-            let mut keys = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                keys.push(c.key()?);
-            }
-            if c.remaining() != 0 {
-                return Err(FleetError::BadFrame("trailing bytes after evict keys"));
-            }
-            Ok(ack(daemon.evict(&keys)))
         }
         wire::STATS_V2 => Ok(Response::Frame(
             wire::RESP_STATS_V2,

@@ -1,5 +1,5 @@
 //! End-to-end tests for the fleet daemon: real Unix-domain sockets,
-//! real `HBFLEET1` frames, real tenants.
+//! real `HBFLEET2` frames, real tenants.
 //!
 //! The soundness tests mirror `core/tests/snapshot_tests.rs` one layer
 //! up: a daemon that serves derivations from a *divergent* world (a
@@ -116,16 +116,16 @@ fn clean_world_bytes() -> Vec<u8> {
 }
 
 /// The shadowing world of `snapshot_tests::eval_snapshot_world`, as
-/// publishable bytes: the surviving derivation's witness resolves `m`
-/// to `Sub#m`.
+/// publishable bytes: the one derivation's witness resolves `m` to
+/// `Sub#m`. The shadowing annotation loads after `talk.rb`, so the
+/// version key matches the clean world's.
 fn shadowing_world_bytes() -> Vec<u8> {
     let shared = Arc::new(SharedCache::new());
     let mut publisher = Hummingbird::builder().shared_cache(shared.clone()).build();
     publisher.load_file("talk.rb", TALK_RB).unwrap();
-    publisher.eval("Talk.new.compute(Sub.new)").unwrap();
     publisher.load_file("shadow.rb", SHADOWING_RB).unwrap();
     publisher.eval("Talk.new.compute(Sub.new)").unwrap();
-    assert_eq!(publisher.stats().checks_performed, 2);
+    assert_eq!(publisher.stats().checks_performed, 1);
     shared.snapshot().to_bytes()
 }
 
@@ -217,7 +217,6 @@ fn delta_fetch_serves_only_entries_past_the_watermark() {
         keys.contains(&key("b")) && keys.contains(&key("c")),
         "{keys:?}"
     );
-    assert!(delta.tombstones.is_empty());
 
     // Steady state: a delta from the *current* watermark is empty.
     let now = FleetWatermark {
@@ -236,49 +235,6 @@ fn delta_fetch_serves_only_entries_past_the_watermark() {
     let widened = client.fetch_delta(forged).expect("forged watermark");
     assert!(!widened.delta, "unrecognized watermark must widen to full");
     assert_eq!(entry_keys(&widened.snapshot).len(), 3);
-}
-
-#[test]
-fn eviction_notices_tombstone_dependent_families_for_delta_clients() {
-    let (daemon, _server, path) = start_daemon("evict", DaemonConfig::default());
-    let mut publisher = FleetClient::connect(&path).expect("connect pub");
-    publisher
-        .publish((1, 2, 3), &clean_world_bytes())
-        .expect("publish");
-
-    let mut watcher = FleetClient::connect(&path).expect("connect watch");
-    let full = watcher.fetch_full().expect("full");
-    let watermark = FleetWatermark {
-        seq: full.seq,
-        epochs: full.epochs,
-    };
-
-    // `Talk#compute`'s derivation consulted `Base#m`'s signature, so an
-    // eviction notice for `Base#m` must fan out to the dependent family
-    // even though `Base#m` itself holds no entry.
-    let dropped = publisher
-        .evict(&[MethodKey::instance("Base", "m")])
-        .expect("evict");
-    assert_eq!(dropped, 1, "the dependent Talk#compute family");
-    assert_eq!(daemon.cache().len(), 0);
-
-    let delta = watcher.fetch_delta(watermark).expect("delta");
-    assert!(delta.delta);
-    assert_eq!(entry_keys(&delta.snapshot).len(), 0);
-    assert_eq!(
-        delta.tombstones,
-        vec![MethodKey::instance("Talk", "compute")]
-    );
-
-    // A second eviction notice for the same key is a no-op: nothing
-    // left to drop, no seq churn.
-    assert_eq!(
-        publisher
-            .evict(&[MethodKey::instance("Base", "m")])
-            .expect("re-evict"),
-        0
-    );
-    assert_eq!(watcher.fetch_full().expect("refetch").seq, delta.seq);
 }
 
 // ---------------------------------------------------------------------
@@ -334,9 +290,8 @@ fn a_writer_adopts_another_tenants_derivation_of_its_own_redefinition() {
     let mut other = boot();
     const REDEFINED_A: &str = "class Farm\n  def a\n    10\n  end\nend\n";
 
-    // The writer redefines `Farm#a` and syncs without calling it: its
-    // eviction notice tombstones the family, and it holds no derivation
-    // of the new body.
+    // The writer redefines `Farm#a` and syncs without calling it: it
+    // holds no derivation of the new body.
     writer.load_file("farm_a.rb", REDEFINED_A).unwrap();
     writer.fleet_sync().expect("writer sync");
 
@@ -493,6 +448,45 @@ fn daemon_serving_a_world_with_an_extra_subtype_edge_is_rejected() {
     );
 }
 
+#[test]
+fn a_daemon_holding_both_worlds_variants_serves_each_world_its_own() {
+    let (daemon, _server, path) = start_daemon("variants", DaemonConfig::default());
+    let mut client = FleetClient::connect(&path).expect("connect");
+    assert_eq!(
+        client
+            .publish((1, 1, 1), &clean_world_bytes())
+            .expect("clean"),
+        1
+    );
+    assert_eq!(
+        client
+            .publish((2, 2, 2), &shadowing_world_bytes())
+            .expect("shadowing"),
+        1,
+        "the shadowing variant shares the clean one's version key and is kept"
+    );
+    assert_eq!(daemon.cache().len(), 2, "one family, two variants");
+
+    // Each world boots over the socket and adopts its own variant.
+    for (world, files) in [
+        ("clean", &[("talk.rb", TALK_RB)][..]),
+        (
+            "shadowing",
+            &[("talk.rb", TALK_RB), ("shadow.rb", SHADOWING_RB)],
+        ),
+    ] {
+        let mut adopter = Hummingbird::builder().fleet_socket(&path).build();
+        assert!(adopter.fleet_attached(), "{:?}", adopter.fleet_error());
+        for (name, src) in files {
+            adopter.load_file(name, src).unwrap();
+        }
+        adopter.eval("Talk.new.compute(Sub.new)").unwrap();
+        let s = adopter.stats();
+        assert_eq!(s.checks_performed, 0, "{world}: {s:?}");
+        assert_eq!(s.shared_hits, 1, "{world}: {s:?}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Containment: malformed frames, corrupt publishes, hostile peers.
 // ---------------------------------------------------------------------
@@ -577,13 +571,19 @@ fn malformed_frames_cost_one_connection_never_the_daemon() {
     let (op, _) = wire::read_frame(&mut truncated).expect("ping after refusal");
     assert_eq!(op, wire::RESP_ACK, "connection kept serving");
 
-    // 5. A response opcode sent as a request: refused, survives.
+    // 5. A response opcode sent as a request, and the retired eviction
+    //    notice `0x04`: refused, and the connection survives.
     let mut confused = UnixStream::connect(&path).expect("connect raw");
     confused.write_all(wire::MAGIC).unwrap();
     confused.read_exact(&mut buf).expect("handshake echo");
-    wire::write_frame(&mut confused, wire::RESP_SNAPSHOT, &[]).unwrap();
-    let (op, _) = wire::read_frame(&mut confused).expect("error frame");
-    assert_eq!(op, wire::RESP_ERR);
+    for opcode in [wire::RESP_SNAPSHOT, 0x04] {
+        wire::write_frame(&mut confused, opcode, &[]).unwrap();
+        let (op, _) = wire::read_frame(&mut confused).expect("error frame");
+        assert_eq!(op, wire::RESP_ERR, "opcode {opcode:#04x}");
+        wire::write_frame(&mut confused, wire::PING, &[]).unwrap();
+        let (op, _) = wire::read_frame(&mut confused).expect("ping after refusal");
+        assert_eq!(op, wire::RESP_ACK, "connection kept serving");
+    }
 
     // Through all of it: the tier is intact and the bystander's
     // connection never noticed.
@@ -650,42 +650,6 @@ fn corrupt_boot_snapshot_yields_a_warning_and_an_empty_serving_daemon() {
 }
 
 #[test]
-fn writeback_folds_the_tombstone_log_so_stale_deltas_widen_to_full() {
-    let file = std::env::temp_dir().join(format!("hb-fleetd-{}-fold.hbsnap", std::process::id()));
-    let _ = std::fs::remove_file(&file);
-    let (daemon, _server, path) = start_daemon(
-        "fold",
-        DaemonConfig {
-            snapshot_path: Some(file.clone()),
-            max_entries: 0,
-        },
-    );
-    let mut client = FleetClient::connect(&path).expect("connect");
-    client
-        .publish((1, 1, 1), &clean_world_bytes())
-        .expect("publish");
-    let full = client.fetch_full().expect("full");
-    let stale = FleetWatermark {
-        seq: full.seq,
-        epochs: full.epochs,
-    };
-
-    // Evict (tombstone at seq 2), then write back: the file is a full
-    // image, so the tombstone folds into it and the pre-eviction
-    // watermark can no longer have its suffix enumerated.
-    client
-        .evict(&[MethodKey::instance("Base", "m")])
-        .expect("evict");
-    daemon.maintain();
-    let widened = client.fetch_delta(stale).expect("stale delta");
-    assert!(
-        !widened.delta,
-        "folded tombstones force a full snapshot, never a wrong delta"
-    );
-    let _ = std::fs::remove_file(&file);
-}
-
-#[test]
 fn compaction_evicts_least_recently_adopted_families_down_to_the_cap() {
     let (daemon, _server, path) = start_daemon(
         "compact",
@@ -717,16 +681,18 @@ fn compaction_evicts_least_recently_adopted_families_down_to_the_cap() {
     let survivors = entry_keys(&client.fetch_full().expect("full").snapshot);
     assert_eq!(survivors, vec![key("c")], "LRU: the newest family survives");
 
-    // Compaction is a capacity decision, not a world change: no
-    // tombstones are minted for delta clients.
-    assert!(client
+    // Compaction is a capacity decision, not a world change: the seq
+    // does not move, so a delta from the last watermark is honoured and
+    // empty.
+    let delta = client
         .fetch_delta(FleetWatermark {
             seq: 3,
-            epochs: (1, 1, 1)
+            epochs: (1, 1, 1),
         })
-        .expect("delta")
-        .tombstones
-        .is_empty());
+        .expect("delta");
+    assert!(delta.delta);
+    assert_eq!(delta.seq, 3);
+    assert!(entry_keys(&delta.snapshot).is_empty());
 }
 
 #[test]

@@ -44,7 +44,7 @@ fn daemon_series_match_the_docs() {
     let mut emitted = emitted(&text, "hb_fleetd_");
     let mut documented = documented("hb_fleetd_");
     // Request and error counters, the request histogram, two connection
-    // counters, the six `DaemonStats` counters and the two readings.
+    // counters, the five `DaemonStats` counters and the three readings.
     assert_eq!(emitted.len(), 13, "{text}");
     emitted.sort_unstable();
     documented.sort_unstable();

@@ -44,8 +44,6 @@ pub enum EventKind {
     FleetDelta,
     /// A fleet publish round-trip completed.
     FleetPublish,
-    /// A fleet eviction notice was applied.
-    FleetEvict,
 }
 
 impl EventKind {
@@ -66,7 +64,6 @@ impl EventKind {
             EventKind::FleetFetch => "fleet_fetch",
             EventKind::FleetDelta => "fleet_delta",
             EventKind::FleetPublish => "fleet_publish",
-            EventKind::FleetEvict => "fleet_evict",
         }
     }
 }

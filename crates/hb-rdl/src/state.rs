@@ -290,11 +290,11 @@ pub struct PreHook {
 }
 
 /// A listener notified of every [`RdlEvent`] at the moment it is emitted,
-/// before any engine drains it. This is the fan-out channel by which a
-/// tenant's type-table mutations reach *process-wide* structures — the
-/// shared derivation tier evicts entries here, so other tenants stop
-/// seeing derivations checked against a signature that no longer exists
-/// anywhere. Sinks run on the mutating tenant's thread.
+/// before any engine drains it — for work that cannot wait for the
+/// engine's next drain. The engine's fast-entry flush is the production
+/// sink: a patched fast entry skips the hook probe, so it must be
+/// deoptimized before the mutating call returns. Sinks run on the
+/// mutating tenant's thread.
 pub trait RdlEventSink {
     /// Called once per emitted event, in emission order.
     fn on_rdl_event(&self, ev: &RdlEvent);
