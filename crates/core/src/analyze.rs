@@ -96,7 +96,7 @@ pub fn build_view(hb: &Hummingbird) -> ProgramView {
     }
 
     // Roots come from every loaded file's program, the one the thread's
-    // parse store already holds for that file id (so spans resolve
+    // source store already holds for that file id (so spans resolve
     // against the live source map). Bracketed files — `<corelib>`,
     // `<rails/…>`, `<eval>` — are framework substrate and harness glue:
     // their load-time code still contributes roots and call edges, but

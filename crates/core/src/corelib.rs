@@ -5,31 +5,35 @@
 //! calls, and every system that runs them ends with the same type table.
 //! So the first build on a thread evaluates them on a bare system, through
 //! the ordinary [`Hummingbird::load_file`] path, and captures the table
-//! ([`RdlState::capture_table`]). Every build on the thread, the first
-//! included, seeds its own table from that capture
-//! ([`RdlState::seed_table`]) and registers `<corelib>` in its source map.
-//! The file lands at the `FileId` the base recorded (it is the first file
-//! of every system), so the captured spans, blame labels and `analyze`
-//! roots resolve as they would after an evaluation. Fingerprints, versions
-//! and the table generation are the evaluated ones, so the shared tier and
-//! fleet adoption keep their identical-state fast path.
+//! ([`RdlState::capture_table`]), the shared `<corelib>` file and the
+//! program it ran. Every build on the thread, the first included, seeds
+//! its own table from that capture ([`RdlState::seed_table`]), registers
+//! the base's file in its source map ([`SourceMap::add_shared`]: nothing
+//! is copied, hashed or line-indexed) and keeps the base's program as its
+//! reload baseline. The file lands at the `FileId` the base recorded (it
+//! is the first file of every system), so the captured spans, blame
+//! labels and `analyze` roots resolve as they would after an evaluation.
+//! Fingerprints, versions and the table generation are the evaluated
+//! ones, so the shared tier and fleet adoption keep their identical-state
+//! fast path.
 //!
 //! A seeded table shares its entries with the base behind `Rc`. A system
 //! that changes a core-library entry (a new arm, a `replace`) changes its
 //! own copy: [`RdlState::add_type_at`] copies an entry before changing it.
-//! The base is per thread, like the parsed-program store, because entries
-//! are `Rc`: a process-wide base would need atomic reference counts on the
-//! dispatch lookup's per-call clone.
+//! The base is per thread, like the source store ([`hb_syntax::store`]),
+//! because entries are `Rc`: a process-wide base would need atomic
+//! reference counts on the dispatch lookup's per-call clone.
 //!
+//! [`SourceMap::add_shared`]: hb_syntax::SourceMap::add_shared
 //! [`RdlState::capture_table`]: hb_rdl::RdlState::capture_table
 //! [`RdlState::seed_table`]: hb_rdl::RdlState::seed_table
 //! [`RdlState::add_type_at`]: hb_rdl::RdlState::add_type_at
 
-use crate::reload::FileMethod;
 use crate::{Hummingbird, HummingbirdBuilder, CORELIB_ANNOTATIONS};
 use hb_rdl::TableCapture;
-use hb_syntax::FileId;
+use hb_syntax::{FileId, Program, SourceFile};
 use std::cell::{Cell, OnceCell};
+use std::rc::Rc;
 
 /// The name the core library is registered under.
 const CORELIB_FILE: &str = "<corelib>";
@@ -47,10 +51,12 @@ pub struct CorelibStats {
 /// What evaluating the core library leaves behind.
 struct Base {
     table: TableCapture,
+    /// The shared `<corelib>` file every seeded source map registers.
+    file: Rc<SourceFile>,
     /// The `FileId` every captured span points into.
-    file: FileId,
-    /// The reload baseline `load_file` recorded for `<corelib>`.
-    file_methods: Vec<FileMethod>,
+    id: FileId,
+    /// The program `load_file` ran: a seeded system's reload baseline.
+    program: Rc<Program>,
 }
 
 thread_local! {
@@ -70,20 +76,21 @@ fn evaluate() -> Base {
     let mut hb = HummingbirdBuilder::default().without_corelib().build();
     hb.load_file(CORELIB_FILE, CORELIB_ANNOTATIONS)
         .expect("core-library annotations must load");
-    let file = hb
+    let (id, file) = hb
         .interp
         .source_map
         .files()
         .find(|(_, f)| f.name == CORELIB_FILE)
-        .map(|(id, _)| id)
+        .map(|(id, f)| (id, f.clone()))
         .expect("load_file registered the core library");
     Base {
         table: hb.rdl.capture_table(),
         file,
-        file_methods: hb
-            .file_methods
+        id,
+        program: hb
+            .programs
             .remove(CORELIB_FILE)
-            .expect("load_file recorded the reload baseline"),
+            .expect("load_file kept the program it ran"),
     }
 }
 
@@ -98,17 +105,14 @@ fn evaluate() -> Base {
 pub(crate) fn seed(hb: &mut Hummingbird) {
     BASE.with(|base| {
         let base = base.get_or_init(evaluate);
-        let file = hb
-            .interp
-            .source_map
-            .add_file(CORELIB_FILE, CORELIB_ANNOTATIONS);
+        let id = hb.interp.source_map.add_shared(base.file.clone());
         assert_eq!(
-            file, base.file,
+            id, base.id,
             "<corelib> must register at the FileId its captured spans point into"
         );
         hb.rdl.seed_table(&base.table);
-        hb.file_methods
-            .insert(CORELIB_FILE.to_string(), base.file_methods.clone());
+        hb.programs
+            .insert(CORELIB_FILE.to_string(), base.program.clone());
     });
     SEEDED_BUILDS.with(|n| n.set(n.get() + 1));
 }

@@ -227,6 +227,12 @@ impl Engine {
     /// stored `sig_version` no longer matches the newly resolved entry),
     /// but dependents must be invalidated here.
     fn invalidate_shadowed(&self, st: &mut EngineState, interp: &Interp, key: &MethodKey) {
+        // Everything below only removes dependency edges: with none
+        // recorded (every annotation before the first check) there is
+        // nothing to walk for.
+        if st.dependents.is_empty() && st.neg_dependents.is_empty() {
+            return;
+        }
         // None→Some: derivations that relied on this name having *no*
         // annotation anywhere (unannotated-constructor `new`, class-level
         // fallback misses) have no shadowed entry to find below — their
@@ -242,7 +248,7 @@ impl Engine {
         if interp.registry.class(cid).is_module {
             for i in 0..interp.registry.class_count() as u32 {
                 let c = ClassId(i);
-                if c != cid && interp.registry.ancestors(c).contains(&cid) {
+                if c != cid && interp.registry.ancestor_chain(c).contains(&cid) {
                     self.invalidate_shadowed_along(st, interp, c, key);
                 }
             }

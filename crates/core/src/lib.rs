@@ -86,7 +86,7 @@ pub use hb_analyze::ResidueSummary;
 pub use infer::InferReport;
 pub use info::RegistryInfo;
 pub use obs::EngineObs;
-pub use reload::{FileMethod, ReloadReport};
+pub use reload::ReloadReport;
 pub use shared_cache::{SharedCache, SharedCacheStats};
 pub use snapshot::{CacheSnapshot, SnapshotError};
 pub use stats::{CheckLogItem, CheckVerdict, EngineStats};
@@ -396,7 +396,7 @@ impl HummingbirdBuilder {
             interp,
             rdl,
             engine,
-            file_methods: HashMap::new(),
+            programs: HashMap::new(),
             fleet,
             fleet_err,
         };
@@ -413,7 +413,9 @@ pub struct Hummingbird {
     pub interp: Interp,
     pub rdl: Rc<RdlState>,
     pub engine: Rc<Engine>,
-    pub(crate) file_methods: HashMap<String, Vec<FileMethod>>,
+    /// The program each file loaded by name last ran: the baseline
+    /// [`Hummingbird::reload_file`] diffs a new version against.
+    pub(crate) programs: HashMap<String, Rc<hb_syntax::Program>>,
     pub(crate) fleet: Option<fleet::FleetSession>,
     pub(crate) fleet_err: Option<FleetError>,
 }
@@ -426,14 +428,19 @@ impl Hummingbird {
 
     /// Loads a source file into the running system.
     ///
+    /// The file and its program come from the calling thread's source
+    /// store ([`hb_syntax::store`]): a text the thread has loaded before
+    /// is neither copied, hashed nor parsed again. The system keeps the
+    /// program it ran under `name`; [`Hummingbird::reload_file`] derives
+    /// the methods a new version removes from it, so loading builds no
+    /// reload baseline of its own.
+    ///
     /// # Errors
     ///
     /// Parse errors and uncaught runtime errors (including blame).
     pub fn load_file(&mut self, name: &str, src: &str) -> Result<Value, HbError> {
         let program = self.interp.parse(name, src)?;
-        // The reload baseline comes from the same program the file runs.
-        self.file_methods
-            .insert(name.to_string(), reload::file_methods(&program));
+        self.programs.insert(name.to_string(), program.clone());
         self.interp.eval_program(&program)
     }
 

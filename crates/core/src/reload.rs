@@ -7,7 +7,6 @@
 //! their dependents; removed methods invalidate dependents.
 
 use hb_il::{collect_method_defs, lower_method};
-use hb_syntax::Program;
 
 /// What a reload changed (feeds Table 2's columns).
 #[derive(Debug, Clone, Default)]
@@ -23,12 +22,15 @@ pub struct ReloadReport {
     pub dependents_invalidated: u64,
 }
 
-/// A method signature as tracked per file: `(owner, class_level, name)`.
-pub type FileMethod = (String, bool, String);
+/// `Owner#name`, or `Owner.name` for a class-level method.
+fn display(owner: &str, class_level: bool, name: &str) -> String {
+    format!("{owner}{}{name}", if class_level { "." } else { "#" })
+}
 
 impl crate::Hummingbird {
     /// Applies a live update of `name` to the new `src`, Rails-dev-mode
-    /// style, and reports what changed.
+    /// style, and reports what changed. The methods the update removes
+    /// are those the program `name` last ran defines and `src` does not.
     ///
     /// # Errors
     ///
@@ -41,57 +43,48 @@ impl crate::Hummingbird {
         let program = self.interp.parse(name, src)?;
         let defs = collect_method_defs(&program);
         let mut report = ReloadReport::default();
-        let mut new_set: Vec<FileMethod> = Vec::new();
 
         for d in &defs {
-            new_set.push((d.owner.clone(), d.self_method, d.name.clone()));
-            let display = format!(
-                "{}{}{}",
-                d.owner,
-                if d.self_method { "." } else { "#" },
-                d.name
-            );
             let existing = self.interp.registry.lookup(&d.owner).and_then(|cid| {
                 self.interp
                     .registry
                     .find_method_at(cid, &d.name, d.self_method)
             });
-            match existing {
-                None => report.added.push(display),
+            let list = match existing {
+                None => &mut report.added,
                 Some((_, entry)) => match &entry.body {
-                    hb_interp::MethodBody::Ast(old_def) => {
-                        let old_cfg = lower_method(old_def);
-                        let new_cfg = lower_method(&d.def);
-                        if !old_cfg.same_shape(&new_cfg) {
-                            report.changed.push(display);
-                        }
+                    hb_interp::MethodBody::Ast(old_def)
+                        if lower_method(old_def).same_shape(&lower_method(&d.def)) =>
+                    {
+                        continue
                     }
-                    _ => report.changed.push(display),
+                    _ => &mut report.changed,
                 },
-            }
+            };
+            list.push(display(&d.owner, d.self_method, &d.name));
         }
 
         // Methods present in the previous version of this file but not the
         // new one are removed (invalidating their dependents).
-        if let Some(old_set) = self.file_methods.get(name).cloned() {
-            for (owner, class_level, mname) in old_set {
-                let still = new_set
-                    .iter()
-                    .any(|(o, l, n)| o == &owner && *l == class_level && n == &mname);
+        if let Some(old) = self.programs.insert(name.to_string(), program.clone()) {
+            for gone in collect_method_defs(&old) {
+                let still = defs.iter().any(|d| {
+                    d.owner == gone.owner
+                        && d.self_method == gone.self_method
+                        && d.name == gone.name
+                });
                 if !still {
-                    if let Some(cid) = self.interp.registry.lookup(&owner) {
-                        self.interp.registry.remove_method(cid, &mname, class_level);
-                        report.removed.push(format!(
-                            "{}{}{}",
-                            owner,
-                            if class_level { "." } else { "#" },
-                            mname
-                        ));
+                    if let Some(cid) = self.interp.registry.lookup(&gone.owner) {
+                        self.interp
+                            .registry
+                            .remove_method(cid, &gone.name, gone.self_method);
+                        report
+                            .removed
+                            .push(display(&gone.owner, gone.self_method, &gone.name));
                     }
                 }
             }
         }
-        self.file_methods.insert(name.to_string(), new_set);
 
         // Re-evaluate: re-opens classes, overwrites defs, emitting the
         // events the engine needs.
@@ -101,13 +94,4 @@ impl crate::Hummingbird {
         report.dependents_invalidated = self.engine.stats().dependent_invalidations - before;
         Ok(report)
     }
-}
-
-/// The methods a program defines: the reload diffing baseline
-/// [`crate::Hummingbird::load_file`] records for each file.
-pub(crate) fn file_methods(program: &Program) -> Vec<FileMethod> {
-    collect_method_defs(program)
-        .into_iter()
-        .map(|d| (d.owner, d.self_method, d.name))
-        .collect()
 }

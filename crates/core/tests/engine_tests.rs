@@ -557,6 +557,34 @@ fn reload_detects_added_and_removed() {
 }
 
 #[test]
+fn reload_names_removed_methods_after_the_store_evicts_the_loaded_program() {
+    const V1: &str = "class Evicted\n def kept\n 1\n end\n def gone\n 2\n end\nend";
+    let mut hb = hb();
+    hb.load_file("evicted.rb", V1).unwrap();
+    // Push the loaded file and program out of this thread's source store.
+    for i in 0..=hb_syntax::store::STORE_CAPACITY {
+        let pad = format!("evicted_pad_{i} = {i}\n");
+        hb_syntax::parse_in(&mut hb_syntax::SourceMap::new(), "pad.rb", &pad).unwrap();
+    }
+    let report = hb
+        .reload_file("evicted.rb", "class Evicted\n def kept\n 1\n end\nend")
+        .unwrap();
+    assert_eq!(report.removed, vec!["Evicted#gone"]);
+    assert!(report.changed.is_empty() && report.added.is_empty());
+    assert!(hb.eval("Evicted.new.gone").is_err(), "the method is gone");
+    // The baseline came from the system, not the store: the store holds
+    // no program for the loaded version.
+    let (id, file) = hb
+        .source_map()
+        .files()
+        .find(|(_, f)| f.text == V1)
+        .expect("the loaded version stays registered");
+    let before = hb_syntax::store_stats();
+    hb_syntax::parse_file(id, file).unwrap();
+    assert_eq!(hb_syntax::store_stats().misses, before.misses + 1);
+}
+
+#[test]
 fn reload_invalidates_dependents_of_changed_methods() {
     let mut hb = hb();
     hb.load_file(

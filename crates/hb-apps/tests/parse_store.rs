@@ -1,14 +1,18 @@
-//! The per-thread parse store over the six subject apps.
+//! The per-thread source store and type-string memo over the six subject
+//! apps.
 //!
-//! A boot served from a warm store must be indistinguishable from a boot
-//! on a fresh thread: same derivations with bit-identical body
-//! fingerprints and epochs, same `check_all` diagnostics, same analysis.
-//! Re-booting the apps on one thread parses nothing, a first boot parses
-//! each file exactly once, and a serving tenant's source map does not
-//! grow with the number of requests.
+//! A boot served from a warm store and memo must be indistinguishable
+//! from a boot on a fresh thread: same derivations with bit-identical
+//! body fingerprints and epochs, same table, variable and signature
+//! fingerprints, same files and content hashes, same `check_all`
+//! diagnostics, same analysis. Re-booting the apps on one thread parses
+//! nothing and makes no new file, a first boot parses each file exactly
+//! once, and a serving tenant's source map does not grow with the number
+//! of requests.
 
 use hb_apps::talks_history::error_versions;
 use hb_apps::{all_apps, build_app, run_workload, talks, AppSpec};
+use hb_rdl::type_memo_stats;
 use hb_syntax::store_stats;
 use hummingbird::{
     CacheDumpEntry, CacheSnapshot, Hummingbird, MethodKey, Mode, ResidueSummary, SharedCache,
@@ -30,6 +34,12 @@ struct BootRecord {
     check_all: Vec<(String, String)>,
     analysis: Vec<String>,
     residue: ResidueSummary,
+    table_fingerprint: u64,
+    var_fingerprint: u64,
+    /// Every table entry's signature fingerprint.
+    sig_fingerprints: Vec<(MethodKey, u64)>,
+    /// Every registered file as `(name, content hash)`.
+    files: Vec<(String, u64)>,
 }
 
 /// Boots `spec` over a fresh shared tier, loads `extra` (a buggy file),
@@ -65,6 +75,19 @@ fn record(spec: &AppSpec, extra: Option<&str>) -> BootRecord {
             .map(|d| d.render(hb.source_map()))
             .collect(),
         residue: report.summary,
+        table_fingerprint: hb.rdl.table_fingerprint(),
+        var_fingerprint: hb.rdl.var_fingerprint(),
+        sig_fingerprints: hb
+            .rdl
+            .entries()
+            .into_iter()
+            .map(|(key, entry)| (key, entry.sig_fingerprint()))
+            .collect(),
+        files: hb
+            .source_map()
+            .files()
+            .map(|(_, f)| (f.name.clone(), f.content_hash()))
+            .collect(),
     }
 }
 
@@ -90,15 +113,25 @@ fn warm_store_boots_match_fresh_thread_boots() {
         // at Full's, and boot again from it.
         build_app(&spec, Mode::Original);
         record(&spec, extra);
-        let before = store_stats();
+        let before = (store_stats(), type_memo_stats());
         let warm = record(&spec, extra);
-        let after = store_stats();
+        let after = (store_stats(), type_memo_stats());
         assert_eq!(
-            after.misses, before.misses,
+            after.0.misses, before.0.misses,
             "{}: warm boot parsed",
             spec.name
         );
-        assert!(after.hits > before.hits);
+        assert_eq!(
+            after.0.file_misses, before.0.file_misses,
+            "{}: warm boot made a new file",
+            spec.name
+        );
+        assert_eq!(
+            after.1.misses, before.1.misses,
+            "{}: warm boot parsed a type string",
+            spec.name
+        );
+        assert!(after.0.hits > before.0.hits);
 
         let (fresh, fresh_stats) = std::thread::spawn(move || {
             let (spec, extra) = case(i);
@@ -129,11 +162,26 @@ fn rebooting_the_six_apps_on_one_thread_parses_nothing() {
             }
         };
         boot_and_serve();
-        let before = store_stats();
+        let before = (store_stats(), type_memo_stats());
         boot_and_serve();
-        let after = store_stats();
-        assert_eq!(after.misses, before.misses, "{mode:?}: a re-boot parsed");
-        assert!(after.hits > before.hits);
+        let after = (store_stats(), type_memo_stats());
+        assert_eq!(
+            after.0.misses, before.0.misses,
+            "{mode:?}: a re-boot parsed"
+        );
+        assert_eq!(
+            after.0.file_misses, before.0.file_misses,
+            "{mode:?}: a re-boot made a new file"
+        );
+        assert_eq!(
+            after.1.misses, before.1.misses,
+            "{mode:?}: a re-boot parsed a type string"
+        );
+        assert!(after.0.hits > before.0.hits);
+        assert!(after.0.file_hits > before.0.file_hits);
+        if mode == Mode::Full {
+            assert!(after.1.hits > before.1.hits, "the apps' annotations ran");
+        }
     }
 }
 

@@ -5,10 +5,11 @@
 //! at run-time", §1).
 
 use crate::conform::value_conforms;
+use crate::memo::method_type;
 use crate::state::{AnnotationSource, CheckPolicy, MethodKey, PreHook, RdlState};
+use hb_intern::Sym;
 use hb_interp::{ErrorKind, Flow, HbError, Interp, Value};
 use hb_syntax::{BlameTarget, DiagCode, DiagLabel, LabelRole, Span, TypeDiagnostic};
-use hb_types::parse_method_type;
 use std::rc::Rc;
 
 /// Installs RDL into an interpreter: stores the state extension and
@@ -63,10 +64,9 @@ fn err(kind: ErrorKind, msg: impl Into<String>) -> Flow {
     Flow::Error(HbError::new(kind, msg, Span::dummy()))
 }
 
-fn name_of(v: &Value, what: &str) -> Result<String, Flow> {
+fn name_of<'a>(v: &'a Value, what: &str) -> Result<&'a str, Flow> {
     match v {
-        Value::Str(s) => Ok(s.to_string()),
-        Value::Sym(s) => Ok(s.to_string()),
+        Value::Str(s) | Value::Sym(s) => Ok(s),
         other => Err(err(
             ErrorKind::ArgumentError,
             format!("{what}: expected method name (String/Symbol), got {other:?}"),
@@ -74,26 +74,57 @@ fn name_of(v: &Value, what: &str) -> Result<String, Flow> {
     }
 }
 
-/// Splits the target class and remaining args: an explicit leading class
-/// argument wins; otherwise the receiver must be a class (annotation inside
-/// a class body or a pre-hook with `self` rebound to the model class).
+/// The class a builtin targets, with the number of leading arguments that
+/// named it. An explicit leading class argument wins; then a class
+/// receiver (a class body, or a pre-hook with `self` rebound to the model
+/// class). With `instances`, an instance receiver targets its class: in
+/// instance context (e.g. a pre hook on an instance method, Fig. 2),
+/// annotations target the instance's class.
 fn target_class(
     interp: &Interp,
     recv: &Value,
     args: &[Value],
-    what: &str,
-) -> Result<(String, usize), Flow> {
-    if let Some(Value::Class(c)) = args.first() {
-        return Ok((interp.registry.name(*c).to_string(), 1));
+    instances: bool,
+) -> Option<(Sym, usize)> {
+    let name = |c| interp.registry.name_sym(c);
+    match (args.first(), recv) {
+        (Some(Value::Class(c)), _) => Some((name(*c), 1)),
+        (_, Value::Class(c)) => Some((name(*c), 0)),
+        (_, Value::Obj(o)) if instances => Some((name(o.class), 0)),
+        _ => None,
     }
-    match recv {
-        Value::Class(c) => Ok((interp.registry.name(*c).to_string(), 0)),
-        // In instance context (e.g. a pre hook on an instance method, Fig.
-        // 2), annotations target the instance's class.
-        Value::Obj(o) => Ok((interp.registry.name(o.class).to_string(), 0)),
-        _ => Err(err(
+}
+
+/// [`target_class`] for the annotation builtins, which need a class.
+fn annotated_class(
+    interp: &Interp,
+    recv: &Value,
+    args: &[Value],
+    what: &str,
+) -> Result<(Sym, usize), Flow> {
+    target_class(interp, recv, args, true).ok_or_else(|| {
+        err(
             ErrorKind::ArgumentError,
             format!("{what}: no target class (call inside a class or pass the class first)"),
+        )
+    })
+}
+
+/// Splits a `self.`-prefixed method name into `(class_level, name)`.
+fn method_name(raw: &str) -> (bool, &str) {
+    match raw.strip_prefix("self.") {
+        Some(m) => (true, m),
+        None => (false, raw),
+    }
+}
+
+/// The type string argument of `what`.
+fn type_string<'a>(v: &'a Value, what: &str) -> Result<&'a str, Flow> {
+    match v {
+        Value::Str(s) => Ok(s),
+        other => Err(err(
+            ErrorKind::ArgumentError,
+            format!("{what}: expected type string, got {other:?}"),
         )),
     }
 }
@@ -105,13 +136,11 @@ fn read_opts(opts: Option<&Value>) -> (bool, bool, bool) {
     let mut replace = false;
     if let Some(Value::Hash(h)) = opts {
         for (k, v) in h.borrow().iter() {
-            let key = match k {
-                Value::Str(s) => s.to_string(),
-                Value::Sym(s) => s.to_string(),
-                _ => continue,
+            let (Value::Str(key) | Value::Sym(key)) = k else {
+                continue;
             };
             let val = v.truthy();
-            match key.as_str() {
+            match &**key {
                 "check" | "typecheck" => check = val,
                 "dyn" | "dynamic_check" => dynamic = val,
                 "replace" => replace = val,
@@ -128,7 +157,7 @@ fn type_builtin(
     recv: Value,
     args: Vec<Value>,
 ) -> Result<Value, Flow> {
-    let (class, skip) = target_class(interp, &recv, &args, "type")?;
+    let (class, skip) = annotated_class(interp, &recv, &args, "type")?;
     let rest = &args[skip..];
     if rest.len() < 2 {
         return Err(err(
@@ -136,36 +165,20 @@ fn type_builtin(
             "type: expected method name and type string",
         ));
     }
-    let raw_name = name_of(&rest[0], "type")?;
-    let type_str = match &rest[1] {
-        Value::Str(s) => s.to_string(),
-        other => {
-            return Err(err(
-                ErrorKind::ArgumentError,
-                format!("type: expected type string, got {other:?}"),
-            ))
-        }
-    };
+    let (class_level, method) = method_name(name_of(&rest[0], "type")?);
+    let type_str = type_string(&rest[1], "type")?;
     let (check, dynamic, replace) = read_opts(rest.get(2));
-    let (class_level, method) = match raw_name.strip_prefix("self.") {
-        Some(m) => (true, m.to_string()),
-        None => (false, raw_name),
+    let key = MethodKey {
+        class,
+        class_level,
+        method: Sym::intern(method),
     };
-    let mt = parse_method_type(&type_str).map_err(|e| {
-        err(
-            ErrorKind::ArgumentError,
-            format!("type {class}#{method}: {e}"),
-        )
-    })?;
+    let mt = method_type(type_str)
+        .map_err(|e| err(ErrorKind::ArgumentError, format!("type {key}: {e}")))?;
     let source = if interp.in_dynamic_context() {
         AnnotationSource::Dynamic
     } else {
         AnnotationSource::Static
-    };
-    let key = MethodKey {
-        class: hb_intern::Sym::intern(&class),
-        class_level,
-        method: hb_intern::Sym::intern(&method),
     };
     // The builtin's call site *is* the annotation's registration site —
     // the span structured blame points at.
@@ -180,7 +193,8 @@ fn var_type_builtin(
     recv: Value,
     args: Vec<Value>,
 ) -> Result<Value, Flow> {
-    let (class, skip) = target_class(interp, &recv, &args, "var_type")?;
+    let (class, skip) = annotated_class(interp, &recv, &args, "var_type")?;
+    let class = class.as_str();
     let rest = &args[skip..];
     if rest.len() < 2 {
         return Err(err(
@@ -189,26 +203,17 @@ fn var_type_builtin(
         ));
     }
     let var = name_of(&rest[0], "var_type")?;
-    let type_str = match &rest[1] {
-        Value::Str(s) => s.to_string(),
-        other => {
-            return Err(err(
-                ErrorKind::ArgumentError,
-                format!("var_type: expected type string, got {other:?}"),
-            ))
-        }
-    };
-    let ty = hb_types::parse_type(&type_str)
+    let ty = hb_types::parse_type(type_string(&rest[1], "var_type")?)
         .map_err(|e| err(ErrorKind::ArgumentError, format!("var_type {var}: {e}")))?;
     let span = interp.current_builtin_span();
     if let Some(cvar) = var.strip_prefix("@@") {
-        state.set_cvar_type_at(&class, cvar, ty, span);
+        state.set_cvar_type_at(class, cvar, ty, span);
     } else if let Some(ivar) = var.strip_prefix('@') {
-        state.set_ivar_type_at(&class, ivar, ty, span);
+        state.set_ivar_type_at(class, ivar, ty, span);
     } else if let Some(gvar) = var.strip_prefix('$') {
         state.set_gvar_type_at(gvar, ty, span);
     } else {
-        state.set_ivar_type_at(&class, &var, ty, span);
+        state.set_ivar_type_at(class, var, ty, span);
     }
     Ok(Value::Nil)
 }
@@ -220,16 +225,12 @@ fn pre_builtin(
     args: Vec<Value>,
     block: Option<Value>,
 ) -> Result<Value, Flow> {
-    let (class, skip) = target_class(interp, &recv, &args, "pre")?;
+    let (class, skip) = annotated_class(interp, &recv, &args, "pre")?;
     let rest = &args[skip..];
     if rest.is_empty() {
         return Err(err(ErrorKind::ArgumentError, "pre: expected method name"));
     }
-    let raw_name = name_of(&rest[0], "pre")?;
-    let (class_level, method) = match raw_name.strip_prefix("self.") {
-        Some(m) => (true, m.to_string()),
-        None => (false, raw_name),
-    };
+    let (class_level, method) = method_name(name_of(&rest[0], "pre")?);
     let proc_val = match block {
         Some(Value::Proc(p)) => p,
         _ => return Err(err(ErrorKind::ArgumentError, "pre: no block given")),
@@ -237,9 +238,9 @@ fn pre_builtin(
     let span = interp.current_builtin_span();
     state.add_pre(
         MethodKey {
-            class: hb_intern::Sym::intern(&class),
+            class,
             class_level,
-            method: hb_intern::Sym::intern(&method),
+            method: Sym::intern(method),
         },
         PreHook { proc_val, span },
     );
@@ -267,17 +268,12 @@ fn check_policy_builtin(
 ) -> Result<Value, Flow> {
     // An explicit leading class argument wins; a class receiver (class
     // body) is next; otherwise the call is global scope.
-    let (explicit_class, skip) = match args.first() {
-        Some(Value::Class(c)) => (Some(interp.registry.name(*c).to_string()), 1),
-        _ => match &recv {
-            Value::Class(c) => (Some(interp.registry.name(*c).to_string()), 0),
-            _ => (None, 0),
-        },
-    };
+    let (explicit_class, skip) =
+        target_class(interp, &recv, &args, false).map_or((None, 0), |(c, n)| (Some(c), n));
     let rest = &args[skip..];
     let parse_policy = |v: &Value| -> Result<CheckPolicy, Flow> {
         let name = name_of(v, "check_policy")?;
-        CheckPolicy::parse(&name).ok_or_else(|| {
+        CheckPolicy::parse(name).ok_or_else(|| {
             err(
                 ErrorKind::ArgumentError,
                 format!("check_policy: unknown policy {name:?} (enforce/shadow/off)"),
@@ -288,7 +284,7 @@ fn check_policy_builtin(
         [policy] => {
             let policy = parse_policy(policy)?;
             match explicit_class {
-                Some(class) => state.set_class_policy(hb_intern::Sym::intern(&class), policy),
+                Some(class) => state.set_class_policy(class, policy),
                 None => state.set_global_policy(policy),
             }
         }
@@ -300,17 +296,13 @@ fn check_policy_builtin(
                      (call inside a class or pass the class first)",
                 ));
             };
-            let raw_name = name_of(method, "check_policy")?;
+            let (class_level, method) = method_name(name_of(method, "check_policy")?);
             let policy = parse_policy(policy)?;
-            let (class_level, method) = match raw_name.strip_prefix("self.") {
-                Some(m) => (true, m.to_string()),
-                None => (false, raw_name),
-            };
             state.set_method_policy(
                 MethodKey {
-                    class: hb_intern::Sym::intern(&class),
+                    class,
                     class_level,
-                    method: hb_intern::Sym::intern(&method),
+                    method: Sym::intern(method),
                 },
                 policy,
             );
@@ -333,7 +325,7 @@ fn rdl_cast_builtin(
 ) -> Result<Value, Flow> {
     let cast_span = interp.current_builtin_span();
     let type_str = match args.first() {
-        Some(Value::Str(s)) => s.to_string(),
+        Some(Value::Str(s)) => s,
         other => {
             return Err(err(
                 ErrorKind::ArgumentError,
@@ -341,7 +333,7 @@ fn rdl_cast_builtin(
             ))
         }
     };
-    let ty = hb_types::parse_type(&type_str)
+    let ty = hb_types::parse_type(type_str)
         .map_err(|e| err(ErrorKind::ArgumentError, format!("rdl_cast: {e}")))?;
     if !value_conforms(interp, &recv, &ty) {
         // The cast itself is the blame target: the program asserted a type
@@ -370,4 +362,44 @@ fn rdl_cast_builtin(
         )));
     }
     Ok(recv)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The error a `type` call with a malformed type string raises inside
+    /// `class Foo`, for the method name `name`.
+    fn bad_type_error(name: &str) -> HbError {
+        let mut interp = Interp::new();
+        install(&mut interp);
+        interp
+            .eval_str(&format!(
+                "class Foo\n  type {name:?}, \"(Fixnum -> String\"\nend"
+            ))
+            .unwrap_err()
+    }
+
+    #[test]
+    fn a_bad_type_string_names_the_method_by_its_key() {
+        let instance = bad_type_error("bar");
+        assert_eq!(instance.kind, ErrorKind::ArgumentError);
+        assert!(
+            instance.message.starts_with("type Foo#bar: "),
+            "{}",
+            instance.message
+        );
+        let class_level = bad_type_error("self.bar");
+        assert_eq!(class_level.kind, ErrorKind::ArgumentError);
+        assert!(
+            class_level.message.starts_with("type Foo.bar: "),
+            "{}",
+            class_level.message
+        );
+        assert_eq!(
+            instance.message.strip_prefix("type Foo#bar: "),
+            class_level.message.strip_prefix("type Foo.bar: "),
+            "the same parse error follows"
+        );
+    }
 }

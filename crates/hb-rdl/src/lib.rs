@@ -7,7 +7,7 @@
 //! repeated `type` calls; `pre` contracts are stored here and run before
 //! dispatch by the Hummingbird engine's dispatch hook, and they are where
 //! metaprogramming libraries generate types for the methods they create
-//! (Fig. 1).
+//! (Fig. 1). A thread parses each type string once ([`memo`]).
 //!
 //! The state also carries the embedding-facing *enforcement* surface the
 //! engine consults per dispatch (assembled through the
@@ -43,10 +43,12 @@
 
 pub mod builtins;
 pub mod conform;
+pub mod memo;
 pub mod state;
 
 pub use builtins::install as install_rdl;
 pub use conform::{type_of, value_conforms};
+pub use memo::{type_memo_stats, TypeMemoStats};
 pub use state::{
     AnnotationSource, CheckPolicy, DiagnosticSink, MethodKey, PreHook, RdlEvent, RdlEventSink,
     RdlState, RdlStats, Resolution, TableCapture, TableEntry, Witness, DEFAULT_DIAGNOSTICS_CAP,

@@ -7,7 +7,7 @@
 //! the lexer, abstract syntax tree, recursive-descent parser, pretty-printer
 //! and source-location/diagnostic machinery shared by the rest of the
 //! workspace, and the per-thread [`store`] through which [`parse_in`]
-//! parses each loaded text once per thread.
+//! registers and parses each loaded text once per thread.
 //!
 //! # Example
 //!

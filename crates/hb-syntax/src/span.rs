@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// Identifies a source file registered in a [`SourceMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -39,14 +40,16 @@ impl Span {
     }
 }
 
-/// A registered source file: name plus full text.
+/// A registered source file: name plus full text. Immutable once made:
+/// every source map that registers the same `(name, text)` on a thread
+/// shares one `Rc<SourceFile>` from the thread's [`crate::store`].
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     pub name: String,
     pub text: String,
     /// Byte offsets of the start of each line.
     line_starts: Vec<u32>,
-    /// Hash of `text`, computed once at registration. A span's
+    /// Hash of `text`, computed once when the file is made. A span's
     /// `(content_hash, lo, hi)` triple identifies the exact source text of
     /// a definition, independent of which process parsed it — the
     /// multi-tenant shared derivation tier keys method bodies by it.
@@ -54,7 +57,8 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    fn new(name: String, text: String, content_hash: u64) -> SourceFile {
+    /// Copies `text`, indexes its lines and hashes it.
+    pub(crate) fn new(name: &str, text: &str) -> SourceFile {
         let mut line_starts = vec![0u32];
         for (i, b) in text.bytes().enumerate() {
             if b == b'\n' {
@@ -62,10 +66,10 @@ impl SourceFile {
             }
         }
         SourceFile {
-            name,
-            text,
+            name: name.into(),
+            text: text.into(),
             line_starts,
-            content_hash,
+            content_hash: hb_intern::fingerprint64(text),
         }
     }
 
@@ -93,9 +97,10 @@ impl SourceFile {
 /// human-readable positions in diagnostics.
 #[derive(Debug, Default)]
 pub struct SourceMap {
-    files: Vec<SourceFile>,
-    /// Content hash → files with that hash, for [`SourceMap::add_file`]'s
-    /// dedup.
+    files: Vec<Rc<SourceFile>>,
+    /// Content hash → files with that hash, for the dedup in
+    /// [`SourceMap::add_shared`]. The hash is the file's own, so a
+    /// registration hashes nothing.
     by_hash: HashMap<u64, Vec<FileId>>,
 }
 
@@ -105,36 +110,43 @@ impl SourceMap {
         SourceMap::default()
     }
 
-    /// Registers a file and returns its id. Registering a byte-identical
-    /// `(name, text)` pair again returns the existing id, so a system
-    /// that evaluates the same snippet on every request keeps one file
-    /// for it (and its spans, and its parsed program, stay the same).
+    /// Registers a file and returns its id. The file is the calling
+    /// thread's shared copy of `(name, text)` (see [`crate::store`]), so
+    /// a text the thread has registered before is neither copied nor
+    /// hashed again. See [`SourceMap::add_shared`] for the dedup.
     pub fn add_file(&mut self, name: &str, text: &str) -> FileId {
-        let content_hash = hb_intern::fingerprint64(text);
+        self.add_shared(crate::store::shared_file(name, text))
+    }
+
+    /// Registers a shared file and returns its id. Registering a
+    /// byte-identical `(name, text)` pair again returns the existing id,
+    /// so a system that evaluates the same snippet on every request keeps
+    /// one file for it (and its spans, and its parsed program, stay the
+    /// same).
+    pub fn add_shared(&mut self, file: Rc<SourceFile>) -> FileId {
         let files = &self.files;
-        let same = self.by_hash.entry(content_hash).or_default();
+        let same = self.by_hash.entry(file.content_hash).or_default();
         if let Some(&id) = same.iter().find(|id| {
             let f = &files[id.0 as usize];
-            f.name == name && f.text == text
+            Rc::ptr_eq(f, &file) || (f.name == file.name && f.text == file.text)
         }) {
             return id;
         }
         let id = FileId(files.len() as u32);
         same.push(id);
-        self.files
-            .push(SourceFile::new(name.into(), text.into(), content_hash));
+        self.files.push(file);
         id
     }
 
     /// Looks up a registered file.
-    pub fn file(&self, id: FileId) -> Option<&SourceFile> {
+    pub fn file(&self, id: FileId) -> Option<&Rc<SourceFile>> {
         self.files.get(id.0 as usize)
     }
 
     /// Iterates every registered file with its id, in registration order.
     /// Whole-program tools (the `hb-analyze` root collector) fetch each
     /// file's program through this and [`crate::parse_file`].
-    pub fn files(&self) -> impl Iterator<Item = (FileId, &SourceFile)> {
+    pub fn files(&self) -> impl Iterator<Item = (FileId, &Rc<SourceFile>)> {
         self.files
             .iter()
             .enumerate()
@@ -173,7 +185,7 @@ mod tests {
 
     #[test]
     fn line_col_lookup() {
-        let f = SourceFile::new("t.rb".into(), "ab\ncd\nef".into(), 0);
+        let f = SourceFile::new("t.rb", "ab\ncd\nef");
         assert_eq!(f.line_col(0), (1, 1));
         assert_eq!(f.line_col(1), (1, 2));
         assert_eq!(f.line_col(3), (2, 1));
@@ -182,7 +194,7 @@ mod tests {
 
     #[test]
     fn line_col_at_newline_boundary() {
-        let f = SourceFile::new("t.rb".into(), "ab\ncd".into(), 0);
+        let f = SourceFile::new("t.rb", "ab\ncd");
         // The newline itself belongs to line 1.
         assert_eq!(f.line_col(2), (1, 3));
     }
