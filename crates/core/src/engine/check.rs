@@ -131,7 +131,6 @@ impl Engine {
             info: &RegistryInfo(&interp.registry),
             rdl: self.rdl.as_ref(),
             captured: captured.as_ref(),
-            opts: &self.check_opts,
             policy,
         });
         let check_ns = t_first.elapsed().as_nanos() as u64;

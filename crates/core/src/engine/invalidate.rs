@@ -141,9 +141,8 @@ impl Engine {
                 }
             }
         }
-        // Retraction mutates the type table and fans out through the
-        // event sinks (the fast-entry flush), which must not run under
-        // the state borrow. The retractions' own
+        // Retraction mutates the type table, which flushes the fast
+        // entries, outside the state borrow. The retractions' own
         // events are then drained by re-entering — guaranteed to
         // terminate because retracted entries are gone.
         drop(st);

@@ -34,11 +34,10 @@ use crate::derivation::{Derivation, Epochs};
 use crate::obs::EngineObs;
 use crate::shared_cache::SharedCache;
 use crate::stats::{CheckLogItem, EngineStats, PhaseTracker};
-use hb_check::CheckOptions;
 use hb_il::{lower_block_body, lower_method, MethodCfg};
 use hb_intern::Sym;
 use hb_interp::{ClassId, ExecTierState, Interp, MethodBody, MethodEntry};
-use hb_rdl::{type_of, MethodKey, RdlEvent, RdlEventSink, RdlState, Resolution, TableEntry};
+use hb_rdl::{type_of, MethodKey, RdlState, Resolution, TableEntry};
 use hb_sched::{CompletionQueue, Scheduler, WorldSnapshot};
 use hb_syntax::TypeDiagnostic;
 use hb_types::TypeEnv;
@@ -196,7 +195,6 @@ pub struct Engine {
     /// Memoise derivations (off only for the "No$" column of Table 1).
     caching: bool,
     state: RefCell<EngineState>,
-    check_opts: CheckOptions,
     /// Retention bound for the check log between drains (see
     /// [`crate::stats::DEFAULT_CHECK_LOG_CAP`]; builder-configured).
     check_log_cap: Cell<usize>,
@@ -233,7 +231,6 @@ impl Engine {
             rdl,
             caching,
             state: RefCell::new(EngineState::default()),
-            check_opts: CheckOptions::default(),
             check_log_cap: Cell::new(crate::stats::DEFAULT_CHECK_LOG_CAP),
             deferred_cap: Cell::new(crate::stats::DEFAULT_DEFERRED_CAP),
             shared: RefCell::new(None),
@@ -287,14 +284,14 @@ impl Engine {
     }
 
     /// Attaches the interpreter's execution-tier state so derivation
-    /// invalidation deoptimizes patched fast entries, and registers an
-    /// emission-time flush: any type-table mutation or enforcement change
-    /// drops every fast entry *synchronously*, before the mutating call
-    /// returns — a patched entry skips the hook probe entirely, so it
-    /// cannot be left to notice staleness lazily.
+    /// invalidation deoptimizes patched fast entries, and hands it to the
+    /// type table, which drops every fast entry *synchronously* on any
+    /// type-table mutation or enforcement change, before the mutating
+    /// call returns — a patched entry skips the hook probe entirely, so
+    /// it cannot be left to notice staleness lazily.
     pub fn attach_exec_tier(&self, tier: Rc<ExecTierState>) {
         self.state.borrow_mut().tier = Some(tier.clone());
-        self.rdl.add_event_sink(Rc::new(FastFlushSink { tier }));
+        self.rdl.attach_exec_tier(tier);
     }
 
     /// Attaches the process-wide shared derivation tier, making this
@@ -447,25 +444,5 @@ pub(crate) fn lower_entry(entry: &MethodEntry) -> Option<MethodCfg> {
         MethodBody::Ast(def) => Some(lower_method(def)),
         MethodBody::FromProc(p) => Some(lower_block_body(&p.params, &p.body, p.span)),
         MethodBody::Builtin(_) => None,
-    }
-}
-
-/// Deoptimizes the whole fast-entry patch table the moment any RDL event
-/// is emitted or enforcement configuration changes. Interpreter events are
-/// handled differently (the dispatch fast path refuses to fire while
-/// registry events are pending), but RDL mutations happen inside builtins
-/// with no pending-event guard on the dispatch probe — so the flush must be
-/// synchronous with the mutation.
-struct FastFlushSink {
-    tier: Rc<ExecTierState>,
-}
-
-impl RdlEventSink for FastFlushSink {
-    fn on_rdl_event(&self, _ev: &RdlEvent) {
-        self.tier.flush_all();
-    }
-
-    fn on_enforcement_changed(&self) {
-        self.tier.flush_all();
     }
 }

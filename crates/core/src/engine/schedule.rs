@@ -102,7 +102,6 @@ impl Engine {
             world,
             policy,
             trigger,
-            opts: self.check_opts,
             submitted_at,
         })
     }

@@ -44,18 +44,15 @@
 //! client treats both shapes identically, so a restarted or compacted
 //! daemon is indistinguishable from a slow one.
 
-use crate::derivation::{epochs_of, Derivation};
+use crate::derivation::epochs_of;
 use crate::engine::Engine;
-use crate::shared_cache::{CacheEventHook, SharedCache, FAMILY_CAP};
-use crate::snapshot::{CacheSnapshot, SnapshotError};
+use crate::shared_cache::SharedCache;
+use crate::snapshot::{put_u64, ByteReader, CacheSnapshot, SnapshotError, Truncated};
 use hb_interp::Interp;
-use hb_rdl::MethodKey;
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The `HBFLEET2` framing layer, shared verbatim by the client (here)
 /// and the daemon (`hb-fleetd`): an 8-byte magic handshake in each
@@ -63,6 +60,7 @@ use std::sync::{Arc, Mutex};
 /// payload` where `len` counts the opcode byte plus the payload.
 pub mod wire {
     use super::FleetError;
+    use crate::snapshot::{put_u32, put_u64, ByteReader};
     use std::io::{Read, Write};
 
     /// Protocol magic, exchanged by both sides immediately after
@@ -145,66 +143,6 @@ pub mod wire {
         Ok((opcode, body))
     }
 
-    // ----- payload encoding --------------------------------------------------
-
-    /// Appends a `u32` (little-endian).
-    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64` (little-endian).
-    pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Bounds-checked reader over a frame payload. Every overrun is the
-    /// typed [`FleetError::BadFrame`], never a panic or a misparse.
-    pub struct PayloadCursor<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> PayloadCursor<'a> {
-        /// A cursor over `buf`.
-        pub fn new(buf: &'a [u8]) -> PayloadCursor<'a> {
-            PayloadCursor { buf, pos: 0 }
-        }
-
-        /// Bytes remaining past the cursor.
-        pub fn remaining(&self) -> usize {
-            self.buf.len() - self.pos
-        }
-
-        /// Takes `n` raw bytes.
-        pub fn take(&mut self, n: usize) -> Result<&'a [u8], FleetError> {
-            let end = self
-                .pos
-                .checked_add(n)
-                .ok_or(FleetError::BadFrame("length overflow"))?;
-            let s = self
-                .buf
-                .get(self.pos..end)
-                .ok_or(FleetError::BadFrame("payload truncated"))?;
-            self.pos = end;
-            Ok(s)
-        }
-
-        /// Reads one byte.
-        pub fn u8(&mut self) -> Result<u8, FleetError> {
-            Ok(self.take(1)?[0])
-        }
-
-        /// Reads a `u32` (little-endian).
-        pub fn u32(&mut self) -> Result<u32, FleetError> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-        }
-
-        /// Reads a `u64` (little-endian).
-        pub fn u64(&mut self) -> Result<u64, FleetError> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-        }
-    }
-
     /// A decoded [`RESP_SNAPSHOT`] payload: the new watermark and the
     /// (possibly delta-restricted) `HBSNAP02` snapshot bytes.
     #[derive(Debug, Clone)]
@@ -236,7 +174,7 @@ pub mod wire {
 
     /// Decodes a [`RESP_SNAPSHOT`] payload.
     pub fn decode_snapshot_resp(payload: &[u8]) -> Result<SnapshotResp, FleetError> {
-        let mut c = PayloadCursor::new(payload);
+        let mut c = ByteReader::new(payload);
         let delta = c.u8()? != 0;
         let seq = c.u64()?;
         let epochs = (c.u64()?, c.u64()?, c.u64()?);
@@ -392,6 +330,12 @@ impl From<std::io::Error> for FleetError {
     }
 }
 
+impl From<Truncated> for FleetError {
+    fn from(_: Truncated) -> FleetError {
+        FleetError::BadFrame("payload truncated")
+    }
+}
+
 /// The client's position in the daemon's publication stream: the
 /// sequence number and world epoch triple the daemon reported on the
 /// last fetch, echoed back verbatim on the next delta fetch. Opaque by
@@ -461,7 +405,7 @@ impl FleetClient {
         if op != wire::RESP_ACK {
             return Err(FleetError::UnexpectedOpcode(op));
         }
-        let mut c = wire::PayloadCursor::new(&body);
+        let mut c = ByteReader::new(&body);
         let v = c.u64()?;
         if c.remaining() != 0 {
             return Err(FleetError::BadFrame("trailing bytes after ack"));
@@ -481,10 +425,10 @@ impl FleetClient {
         watermark: FleetWatermark,
     ) -> Result<wire::SnapshotResp, FleetError> {
         let mut payload = Vec::with_capacity(32);
-        wire::put_u64(&mut payload, watermark.seq);
-        wire::put_u64(&mut payload, watermark.epochs.0);
-        wire::put_u64(&mut payload, watermark.epochs.1);
-        wire::put_u64(&mut payload, watermark.epochs.2);
+        put_u64(&mut payload, watermark.seq);
+        put_u64(&mut payload, watermark.epochs.0);
+        put_u64(&mut payload, watermark.epochs.1);
+        put_u64(&mut payload, watermark.epochs.2);
         self.expect_snapshot(wire::FETCH_DELTA, &payload)
     }
 
@@ -497,9 +441,9 @@ impl FleetClient {
         snapshot_bytes: &[u8],
     ) -> Result<u64, FleetError> {
         let mut payload = Vec::with_capacity(snapshot_bytes.len() + 24);
-        wire::put_u64(&mut payload, epochs.0);
-        wire::put_u64(&mut payload, epochs.1);
-        wire::put_u64(&mut payload, epochs.2);
+        put_u64(&mut payload, epochs.0);
+        put_u64(&mut payload, epochs.1);
+        put_u64(&mut payload, epochs.2);
         payload.extend_from_slice(snapshot_bytes);
         self.expect_ack(wire::PUBLISH, &payload)
     }
@@ -532,58 +476,6 @@ impl FleetClient {
     }
 }
 
-/// The insert observer a fleet-attached tenant registers on its
-/// [`SharedCache`]: every derivation new to the tier is pending
-/// publication until the next [`FleetSession::sync`], at most
-/// [`FAMILY_CAP`] per method, the oldest dropped first as the tier
-/// does, so a tenant that never syncs stays bounded. The `suppress`
-/// latch masks the echo while the session itself applies
-/// daemon-fetched entries — without it every fetch would immediately
-/// republish.
-#[derive(Default)]
-pub(crate) struct FleetTracker {
-    pending: Mutex<HashMap<MethodKey, Vec<Derivation>>>,
-    suppress: AtomicBool,
-}
-
-impl FleetTracker {
-    fn take(&self) -> HashMap<MethodKey, Vec<Derivation>> {
-        std::mem::take(&mut self.pending.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Masks tracking until the guard drops (daemon-fetch application).
-    fn suppressed(self: &Arc<Self>) -> SuppressGuard {
-        self.suppress.store(true, Ordering::Release);
-        SuppressGuard {
-            tracker: self.clone(),
-        }
-    }
-}
-
-struct SuppressGuard {
-    tracker: Arc<FleetTracker>,
-}
-
-impl Drop for SuppressGuard {
-    fn drop(&mut self) {
-        self.tracker.suppress.store(false, Ordering::Release);
-    }
-}
-
-impl CacheEventHook for FleetTracker {
-    fn on_insert(&self, key: &MethodKey, d: &Derivation) {
-        if self.suppress.load(Ordering::Acquire) {
-            return;
-        }
-        let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-        let family = pending.entry(*key).or_default();
-        family.push(d.clone());
-        if family.len() > FAMILY_CAP {
-            family.remove(0);
-        }
-    }
-}
-
 /// What one fleet sync round ([`crate::Hummingbird::fleet_sync`]) did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetSyncReport {
@@ -598,21 +490,25 @@ pub struct FleetSyncReport {
 }
 
 /// A tenant's live attachment to the fleet daemon: the connected
-/// client, the mutation tracker, and the current watermark. Created by
-/// `HummingbirdBuilder::fleet_socket`, driven by
-/// `Hummingbird::fleet_sync`.
+/// client, the shared tier's entry stamp it has published up to, and
+/// the current watermark. Created by `HummingbirdBuilder::fleet_socket`,
+/// driven by `Hummingbird::fleet_sync`.
 pub struct FleetSession {
     client: FleetClient,
-    tracker: Arc<FleetTracker>,
     shared: Arc<SharedCache>,
+    /// Derivations stamped past this entered the tier since the last
+    /// sync applied its fetch ([`SharedCache::entered_since`]); they are
+    /// the next sync's publications.
+    published: u64,
     watermark: Option<FleetWatermark>,
 }
 
 impl FleetSession {
-    /// Connects to the daemon at `path`, registers the mutation tracker
-    /// on `shared`, and warm-boots the tier with a full snapshot fetch,
-    /// which `engine` counts in `fleet_fetches` and, with observability
-    /// on, records in the fleet-fetch histogram and as a span.
+    /// Connects to the daemon at `path` and warm-boots `shared` with a
+    /// full snapshot fetch, which `engine` counts in `fleet_fetches` and,
+    /// with observability on, records in the fleet-fetch histogram and as
+    /// a span. What the tier held before, and what the fetch loaded, is
+    /// never published.
     ///
     /// # Errors
     ///
@@ -627,14 +523,10 @@ impl FleetSession {
     ) -> Result<FleetSession, FleetError> {
         let t0 = std::time::Instant::now();
         let mut client = FleetClient::connect(path)?;
-        let tracker = Arc::new(FleetTracker::default());
-        shared.add_event_hook(Arc::downgrade(&tracker) as _);
         let resp = client.fetch_full()?;
         let snap = CacheSnapshot::from_bytes(&resp.snapshot).map_err(FleetError::Snapshot)?;
-        {
-            let _mask = tracker.suppressed();
-            shared.load_snapshot(&snap).map_err(FleetError::Snapshot)?;
-        }
+        shared.load_snapshot(&snap).map_err(FleetError::Snapshot)?;
+        let published = shared.seq();
         engine.count(|s| s.fleet_fetches += 1);
         if let Some(obs) = engine.obs() {
             let ns = t0.elapsed().as_nanos() as u64;
@@ -643,8 +535,8 @@ impl FleetSession {
         }
         Ok(FleetSession {
             client,
-            tracker,
             shared,
+            published,
             watermark: Some(FleetWatermark {
                 seq: resp.seq,
                 epochs: resp.epochs,
@@ -652,35 +544,33 @@ impl FleetSession {
         })
     }
 
-    /// One synchronization round: publish the derivations new to the
-    /// tier since the last round, then fetch the delta past the current
-    /// watermark and load it into the shared tier as candidates for the
-    /// next local miss. The engine's own derivations are left alone; a
+    /// One synchronization round: publish the derivations that entered
+    /// the tier since the last round applied its fetch, then fetch the
+    /// delta past the current watermark and load it into the shared tier
+    /// as candidates for the next local miss. The fetched derivations
+    /// take entry stamps too, and the round ends by moving `published`
+    /// past them, so they never echo back to the daemon. A derivation
+    /// another thread lands in the tier during the round is therefore
+    /// not published. The engine's own derivations are left alone; a
     /// fetched entry changes nothing in this tenant's world, so only its
     /// own events retire them (Definition 1). An error detaches the
-    /// session (see [`crate::Hummingbird::fleet_sync`]), and its pending
-    /// publications go with it.
+    /// session (see [`crate::Hummingbird::fleet_sync`]), and its
+    /// unpublished derivations go with it.
     pub(crate) fn sync(
         &mut self,
         engine: &Engine,
         interp: &mut Interp,
     ) -> Result<FleetSyncReport, FleetError> {
         // Land queued scheduler results and type-table events first so
-        // the tracker has seen every local mutation up to "now".
+        // the tier holds every local derivation up to "now".
         engine.process_events(interp);
 
         let obs = engine.obs();
         let mut report = FleetSyncReport::default();
 
-        let mut pending: Vec<(MethodKey, Vec<Derivation>)> =
-            self.tracker.take().into_iter().collect();
-        if !pending.is_empty() {
-            pending.sort_unstable_by_key(|(key, _)| *key);
-            let snap = CacheSnapshot::of(
-                pending
-                    .iter()
-                    .flat_map(|(key, family)| family.iter().map(move |d| (key, d))),
-            );
+        let entered = self.shared.entered_since(self.published);
+        if !entered.is_empty() {
+            let snap = CacheSnapshot::of(entered.iter().map(|(key, d)| (key, d)));
             let epochs = epochs_of(interp, &engine.rdl);
             let t_pub = std::time::Instant::now();
             self.client.publish(epochs, &snap.to_bytes())?;
@@ -710,14 +600,10 @@ impl FleetSession {
         let snap = CacheSnapshot::from_bytes(&resp.snapshot).map_err(FleetError::Snapshot)?;
         report.fetched_entries = snap.entry_count();
         report.delta = resp.delta;
-        {
-            // Applying the daemon's view must not echo back as pending
-            // publications next round.
-            let _mask = self.tracker.suppressed();
-            self.shared
-                .load_snapshot(&snap)
-                .map_err(FleetError::Snapshot)?;
-        }
+        self.shared
+            .load_snapshot(&snap)
+            .map_err(FleetError::Snapshot)?;
+        self.published = self.shared.seq();
         self.watermark = Some(FleetWatermark {
             seq: resp.seq,
             epochs: resp.epochs,
@@ -737,10 +623,6 @@ impl FleetSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn k(c: &str, m: &str) -> MethodKey {
-        MethodKey::instance(c, m)
-    }
 
     #[test]
     fn frames_round_trip() {
@@ -830,43 +712,5 @@ mod tests {
             wire::DaemonStats::from_prometheus("hb_fleetd_seq 2\n"),
             Err(FleetError::BadFrame(_))
         ));
-    }
-
-    fn der(entry_id: u64) -> Derivation {
-        Derivation {
-            entry_id,
-            sig_version: 1,
-            body_fp: Some(1),
-            own_sig_fp: 1,
-            epochs: (1, 1, 1),
-            witnesses: Arc::new([]),
-            cast_sites: Arc::new([]),
-        }
-    }
-
-    #[test]
-    fn tracker_records_and_suppresses() {
-        let tracker = Arc::new(FleetTracker::default());
-        tracker.on_insert(&k("Talk", "title"), &der(1));
-        {
-            let _mask = tracker.suppressed();
-            tracker.on_insert(&k("User", "name"), &der(2));
-        }
-        tracker.on_insert(&k("Talk", "slug"), &der(3));
-        // A family keeps at most FAMILY_CAP pending derivations, the
-        // oldest dropped first.
-        for id in 10..10 + FAMILY_CAP as u64 + 1 {
-            tracker.on_insert(&k("Talk", "page"), &der(id));
-        }
-        let pubs = tracker.take();
-        assert_eq!(pubs[&k("Talk", "title")], vec![der(1)]);
-        assert_eq!(pubs[&k("Talk", "slug")], vec![der(3)]);
-        assert!(!pubs.contains_key(&k("User", "name")), "suppressed");
-        let page: Vec<u64> = pubs[&k("Talk", "page")]
-            .iter()
-            .map(|d| d.entry_id)
-            .collect();
-        assert_eq!(page, (11..11 + FAMILY_CAP as u64).collect::<Vec<_>>());
-        assert!(tracker.take().is_empty(), "taken");
     }
 }

@@ -50,9 +50,7 @@ use crate::sched::{capture_world, map_in_order, pool_for, sort_diagnostics};
 use crate::Hummingbird;
 use hb_analyze::callgraph::Caller;
 use hb_analyze::{build_call_graph, infer_candidates, SigCandidate};
-use hb_check::{
-    verify_candidate, CheckError, CheckOptions, CheckOutcome, CheckPolicy, CheckRequest,
-};
+use hb_check::{verify_candidate, CheckError, CheckOutcome, CheckPolicy, CheckRequest};
 use hb_il::MethodCfg;
 use hb_interp::Interp;
 use hb_rdl::{AnnotationSource, MethodKey, TableEntry};
@@ -103,7 +101,6 @@ fn run_verify(world: &WorldSnapshot, it: &VerifyItem) -> Result<CheckOutcome, Ch
         info: world,
         rdl: world,
         captured: it.captured.as_ref(),
-        opts: &CheckOptions::default(),
         policy: CheckPolicy::Enforce,
     })
 }

@@ -91,7 +91,7 @@ pub use shared_cache::{SharedCache, SharedCacheStats};
 pub use snapshot::{CacheSnapshot, SnapshotError};
 pub use stats::{CheckLogItem, CheckVerdict, EngineStats};
 
-pub use hb_check::{CheckError, CheckOptions, CheckRequest, TypeTable};
+pub use hb_check::{CheckError, CheckRequest, TypeTable};
 pub use hb_interp::{ErrorKind, ExecTier, HbError, Interp, Value};
 pub use hb_obs::{validate_json, HistogramSummary, ObsLevel};
 pub use hb_rdl::{CheckPolicy, DiagnosticSink, MethodKey, RdlState, RdlStats};

@@ -40,7 +40,7 @@ use hb_rdl::MethodKey;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// How many distinct derivations one method's family keeps. An insert
 /// past it drops the family's oldest.
@@ -48,9 +48,9 @@ pub const FAMILY_CAP: usize = 4;
 
 #[derive(Default)]
 struct Shard {
-    /// Method → its family: distinct derivations, oldest first, at most
-    /// [`FAMILY_CAP`] of them.
-    entries: HashMap<MethodKey, Vec<Derivation>>,
+    /// Method → its family: distinct derivations with their entry stamps,
+    /// oldest first, at most [`FAMILY_CAP`] of them.
+    entries: HashMap<MethodKey, Vec<(u64, Derivation)>>,
 }
 
 /// Aggregate counters (monotonic, relaxed).
@@ -60,21 +60,12 @@ pub struct SharedCacheStats {
     pub hits: u64,
     /// Lookups that returned none.
     pub misses: u64,
-    /// Derivations that entered the tier (equal re-inserts excluded).
+    /// Derivations that entered the tier (equal re-inserts excluded):
+    /// the last entry stamp given out ([`SharedCache::seq`]).
     pub inserts: u64,
     /// Derivations dropped to bound memory: the oldest of a family past
     /// [`FAMILY_CAP`], and whatever a poisoned shard held.
     pub evictions: u64,
-}
-
-/// Observer of tier inserts, called *after* the shard lock is released.
-/// The fleet client hangs its publication tracking here: every
-/// derivation new to the tier is a candidate for publish-back to the
-/// daemon. Hooks must be cheap and must not re-enter the tier (they run
-/// on whatever tenant thread performed the insert).
-pub trait CacheEventHook: Send + Sync {
-    /// `d` entered `key`'s family: no equal derivation was there.
-    fn on_insert(&self, key: &MethodKey, d: &Derivation);
 }
 
 /// The shared tier. Cheap to clone behind `Arc`; every method takes
@@ -84,11 +75,12 @@ pub struct SharedCache {
     hasher: RandomState,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// The tier-wide entry sequence: each derivation that enters takes
+    /// the next value as its stamp, under its shard's write lock. Relaxed
+    /// suffices: the shard lock publishes the stamped derivation, and the
+    /// counter orders no other data.
     inserts: AtomicU64,
     evictions: AtomicU64,
-    /// Held weakly: a hook lives exactly as long as its owner (a fleet
-    /// session) keeps it, and dead entries are pruned on the next read.
-    hooks: RwLock<Vec<Weak<dyn CacheEventHook>>>,
 }
 
 impl Default for SharedCache {
@@ -113,35 +105,7 @@ impl SharedCache {
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            hooks: RwLock::new(Vec::new()),
         }
-    }
-
-    /// Registers an insert observer (see [`CacheEventHook`]). The tier
-    /// holds it weakly: once its owner drops the last `Arc` (a tenant's
-    /// fleet session ends, or its attach fails), it is never called
-    /// again and its slot is pruned.
-    pub fn add_event_hook(&self, hook: Weak<dyn CacheEventHook>) {
-        self.hooks
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(hook);
-    }
-
-    /// The live hooks (upgraded out so no hook runs under the registry
-    /// lock). Dead ones are pruned on the way.
-    fn hooks(&self) -> Vec<Arc<dyn CacheEventHook>> {
-        let hooks = self.hooks.read().unwrap_or_else(|e| e.into_inner());
-        let live: Vec<Arc<dyn CacheEventHook>> = hooks.iter().filter_map(Weak::upgrade).collect();
-        let dead = live.len() < hooks.len();
-        drop(hooks);
-        if dead {
-            self.hooks
-                .write()
-                .unwrap_or_else(|e| e.into_inner())
-                .retain(|h| h.strong_count() > 0);
-        }
-        live
     }
 
     /// Shard by method key only, so a whole family lands in one shard.
@@ -216,6 +180,7 @@ impl SharedCache {
                 family
                     .iter()
                     .rev()
+                    .map(|(_, d)| d)
                     .filter(|d| d.version_key() == version)
                     .cloned()
                     .collect()
@@ -231,34 +196,56 @@ impl SharedCache {
         found
     }
 
-    /// Adds `d` to `key`'s family and returns true, or returns false and
-    /// changes nothing when an equal derivation is already there. A
-    /// family past [`FAMILY_CAP`] drops its oldest. A derivation without
-    /// a body fingerprint has no identity another tenant could match, so
-    /// it is not added.
+    /// Adds `d` to `key`'s family, stamped with the next entry sequence
+    /// number, and returns true; or returns false and changes nothing
+    /// when an equal derivation is already there. A family past
+    /// [`FAMILY_CAP`] drops its oldest. A derivation without a body
+    /// fingerprint has no identity another tenant could match, so it is
+    /// not added.
     pub fn insert(&self, key: MethodKey, d: Derivation) -> bool {
         if d.body_fp.is_none() {
             return false;
         }
-        let dropped = {
-            let mut shard = self.shard_write(self.shard_of(&key));
-            let family = shard.entries.entry(key).or_default();
-            if family.contains(&d) {
-                return false;
-            }
-            family.push(d.clone());
-            let excess = family.len().saturating_sub(FAMILY_CAP);
-            family.drain(..excess);
-            excess
-        };
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        if dropped > 0 {
-            self.evictions.fetch_add(dropped as u64, Ordering::Relaxed);
+        let mut shard = self.shard_write(self.shard_of(&key));
+        let family = shard.entries.entry(key).or_default();
+        if family.iter().any(|(_, held)| *held == d) {
+            return false;
         }
-        for hook in self.hooks() {
-            hook.on_insert(&key, &d);
+        let stamp = self.inserts.fetch_add(1, Ordering::Relaxed) + 1;
+        family.push((stamp, d));
+        let excess = family.len().saturating_sub(FAMILY_CAP);
+        family.drain(..excess);
+        drop(shard);
+        if excess > 0 {
+            self.evictions.fetch_add(excess as u64, Ordering::Relaxed);
         }
         true
+    }
+
+    /// The stamp of the last derivation that entered the tier (0 while
+    /// none has).
+    pub fn seq(&self) -> u64 {
+        self.inserts.load(Ordering::Relaxed)
+    }
+
+    /// Every derivation still in the tier whose entry stamp is past
+    /// `stamp`, in key order, then entry order. A fleet session publishes
+    /// exactly these: what entered since its last sync.
+    pub fn entered_since(&self, stamp: u64) -> Vec<(MethodKey, Derivation)> {
+        let mut entered: Vec<(MethodKey, u64, Derivation)> = Vec::new();
+        for lock in self.shards.iter() {
+            let shard = self.shard_read(lock);
+            for (key, family) in shard.entries.iter() {
+                entered.extend(
+                    family
+                        .iter()
+                        .filter(|(s, _)| *s > stamp)
+                        .map(|(s, d)| (*key, *s, d.clone())),
+                );
+            }
+        }
+        entered.sort_unstable_by_key(|(key, s, _)| (*key, *s));
+        entered.into_iter().map(|(key, _, d)| (key, d)).collect()
     }
 
     /// Drops `key`'s whole family and returns how many derivations it
@@ -307,7 +294,7 @@ impl SharedCache {
         for lock in self.shards.iter() {
             let shard = self.shard_read(lock);
             for (key, family) in shard.entries.iter().filter(|(key, _)| keep(key)) {
-                kept.extend(family.iter().map(|d| (*key, d.clone())));
+                kept.extend(family.iter().map(|(_, d)| (*key, d.clone())));
             }
         }
         kept.sort_by_key(|(key, d)| (*key, d.version_key()));
@@ -358,6 +345,7 @@ impl SharedCache {
 mod tests {
     use super::*;
     use hb_rdl::{Resolution, Witness};
+    use std::sync::Arc;
 
     fn k(c: &str, m: &str) -> MethodKey {
         MethodKey::instance(c, m)
@@ -460,34 +448,36 @@ mod tests {
         assert_eq!(c.len(), 1);
     }
 
-    /// Counts the inserts it sees.
-    #[derive(Default)]
-    struct CountingHook(AtomicU64);
-
-    impl CacheEventHook for CountingHook {
-        fn on_insert(&self, _key: &MethodKey, _d: &Derivation) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     #[test]
-    fn dropped_hook_is_never_called_again_and_gets_pruned() {
+    fn entered_since_returns_what_entered_after_a_stamp_by_key_then_entry() {
         let c = SharedCache::new();
-        let kept = Arc::new(CountingHook::default());
-        let dropped = Arc::new(CountingHook::default());
-        c.add_event_hook(Arc::downgrade(&kept) as _);
-        c.add_event_hook(Arc::downgrade(&dropped) as _);
-        c.insert(k("Talk", "title"), der(1, 1, 1, vec![]));
-        let weak = Arc::downgrade(&dropped);
-        drop(dropped);
-        assert!(weak.upgrade().is_none(), "the tier keeps no hook alive");
-        c.insert(k("Talk", "slug"), der(2, 1, 1, vec![]));
-        assert_eq!(
-            kept.0.load(Ordering::Relaxed),
-            2,
-            "live hooks see every insert"
-        );
-        assert_eq!(c.hooks.read().unwrap().len(), 1, "the dead slot was pruned");
+        let (talk, user) = (k("Talk", "title"), k("User", "name"));
+        assert!(c.insert(user, der(1, 1, 1, vec![])));
+        let stamp = c.seq();
+        for (key, id) in [(user, 2), (talk, 3), (user, 4)] {
+            assert!(c.insert(key, der(id, 1, 1, vec![])));
+        }
+        assert!(!c.insert(talk, der(3, 1, 1, vec![])), "an equal re-insert");
+        assert_eq!(c.seq(), stamp + 3, "the re-insert took no stamp");
+        let ids = |since: u64| -> Vec<(MethodKey, u64)> {
+            c.entered_since(since)
+                .into_iter()
+                .map(|(key, d)| (key, d.entry_id))
+                .collect()
+        };
+        assert_eq!(ids(stamp), vec![(talk, 3), (user, 2), (user, 4)]);
+        assert_eq!(ids(0), vec![(talk, 3), (user, 1), (user, 2), (user, 4)]);
+        assert!(ids(c.seq()).is_empty());
+
+        // A full family of newer variants pushes 2 and 4, which entered
+        // after `stamp`, out at the cap; they are not returned.
+        let newer: Vec<u64> = (5..5 + FAMILY_CAP as u64).collect();
+        for &id in &newer {
+            assert!(c.insert(user, der(id, 1, 1, vec![])));
+        }
+        let mut expected = vec![(talk, 3)];
+        expected.extend(newer.iter().map(|&id| (user, id)));
+        assert_eq!(ids(stamp), expected);
     }
 
     #[test]

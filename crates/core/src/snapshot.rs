@@ -159,13 +159,24 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-// ----- encoding --------------------------------------------------------------
+impl From<Truncated> for SnapshotError {
+    fn from(_: Truncated) -> SnapshotError {
+        SnapshotError::Truncated
+    }
+}
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+// ----- encoding --------------------------------------------------------------
+//
+// The little-endian primitives below are also `HBFLEET2`'s, whose payloads
+// embed `HBSNAP02` bytes.
+
+/// Appends a `u32` (little-endian).
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Appends a `u64` (little-endian).
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -175,39 +186,61 @@ fn put_key(out: &mut Vec<u8>, k: &SnapKey) {
     put_u32(out, k.method);
 }
 
-struct Cursor<'a> {
+/// A read past the end of a [`ByteReader`]'s buffer. Each format maps it
+/// to its own typed error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Truncated;
+
+/// Bounds-checked little-endian reader: every overrun is [`Truncated`],
+/// never a panic or a misparse.
+pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(SnapshotError::Truncated)?;
+impl<'a> ByteReader<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> ByteReader<'a> {
+        ByteReader { buf, pos: 0 }
+    }
+
+    /// Bytes remaining past the reader.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Takes `n` raw bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], Truncated> {
+        let end = self.pos.checked_add(n).ok_or(Truncated)?;
+        let s = self.buf.get(self.pos..end).ok_or(Truncated)?;
         self.pos = end;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
+    /// Reads one byte.
+    pub fn u8(&mut self) -> Result<u8, Truncated> {
         Ok(self.take(1)?[0])
     }
 
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
+    /// Reads a `u32` (little-endian).
+    pub fn u32(&mut self) -> Result<u32, Truncated> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("take(4) yields 4 bytes"),
+        ))
+    }
+
+    /// Reads a `u64` (little-endian).
+    pub fn u64(&mut self) -> Result<u64, Truncated> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("take(8) yields 8 bytes"),
+        ))
+    }
+
+    fn bool(&mut self) -> Result<bool, Truncated> {
         Ok(self.u8()? != 0)
     }
 
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn key(&mut self) -> Result<SnapKey, SnapshotError> {
+    fn key(&mut self) -> Result<SnapKey, Truncated> {
         Ok(SnapKey {
             class: self.u32()?,
             class_level: self.bool()?,
@@ -409,10 +442,7 @@ impl CacheSnapshot {
         if fingerprint64(body) != expected {
             return Err(SnapshotError::BadChecksum);
         }
-        let mut c = Cursor {
-            buf: body,
-            pos: MAGIC.len(),
-        };
+        let mut c = ByteReader::new(&body[MAGIC.len()..]);
         let nsyms = c.u32()? as usize;
         let mut symbols = Vec::with_capacity(nsyms.min(1 << 16));
         for _ in 0..nsyms {

@@ -94,27 +94,13 @@ impl Default for CheckOutcome {
     }
 }
 
-/// Tunables for the checker.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckOptions {
-    /// Generic nesting depth beyond which types widen to `%any` (keeps loop
-    /// fixpoints finite).
-    pub widen_depth: usize,
-    /// Union width beyond which types widen to `%any`.
-    pub widen_width: usize,
-    /// Hard iteration bound for the fixpoint.
-    pub max_iterations: usize,
-}
-
-impl Default for CheckOptions {
-    fn default() -> CheckOptions {
-        CheckOptions {
-            widen_depth: 8,
-            widen_width: 12,
-            max_iterations: 20_000,
-        }
-    }
-}
+/// Generic nesting depth beyond which types widen to `%any` (keeps loop
+/// fixpoints finite).
+const WIDEN_DEPTH: usize = 8;
+/// Union width beyond which types widen to `%any`.
+const WIDEN_WIDTH: usize = 12;
+/// Hard iteration bound for the fixpoint.
+const MAX_ITERATIONS: usize = 20_000;
 
 /// Everything one just-in-time check needs: the body, the receiver
 /// context, the signature under check *and the identity/site of the
@@ -143,8 +129,6 @@ pub struct CheckRequest<'a> {
     /// Types of captured locals when checking `define_method` procs
     /// (Fig. 2).
     pub captured: Option<&'a TypeEnv>,
-    /// Checker tunables.
-    pub opts: &'a CheckOptions,
     /// The enforcement policy this check runs under. The checker's
     /// judgement is policy-independent; under [`CheckPolicy::Shadow`] a
     /// failure's diagnostic additionally carries a note label marking
@@ -202,7 +186,6 @@ fn check_sig_arms(req: &CheckRequest) -> Result<CheckOutcome, CheckError> {
         info,
         rdl,
         captured,
-        opts,
         ..
     } = *req;
     let mut out = CheckOutcome::default();
@@ -212,7 +195,6 @@ fn check_sig_arms(req: &CheckRequest) -> Result<CheckOutcome, CheckError> {
         let mut ck = Checker {
             info,
             rdl,
-            opts,
             self_class,
             self_type: if class_level {
                 Type::ClassObj(self_class)
@@ -261,7 +243,6 @@ pub fn generic_params(class: Sym) -> &'static [&'static str] {
 struct Checker<'a> {
     info: &'a dyn ClassInfo,
     rdl: &'a dyn TypeTable,
-    opts: &'a CheckOptions,
     self_class: Sym,
     self_type: Type,
     /// The checked method's name.
@@ -431,7 +412,7 @@ impl<'a> Checker<'a> {
                 }
             }
             Type::Union(arms) => {
-                if arms.len() > self.opts.widen_width {
+                if arms.len() > WIDEN_WIDTH {
                     Type::Any
                 } else {
                     Type::union_of(arms.iter().map(|a| self.widen(a, depth)).collect())
@@ -443,7 +424,7 @@ impl<'a> Checker<'a> {
 
     fn widen_env(&self, env: &TypeEnv) -> TypeEnv {
         env.iter()
-            .map(|(k, v)| (k.clone(), self.widen(v, self.opts.widen_depth)))
+            .map(|(k, v)| (k.clone(), self.widen(v, WIDEN_DEPTH)))
             .collect()
     }
 
@@ -477,7 +458,7 @@ impl<'a> Checker<'a> {
         let mut iterations = 0usize;
         while let Some(bb) = work.pop_front() {
             iterations += 1;
-            if iterations > self.opts.max_iterations {
+            if iterations > MAX_ITERATIONS {
                 return Err(self.err_own(
                     DiagCode::NonConvergence,
                     format!("type checking of {} did not converge", self.method),

@@ -12,8 +12,7 @@ pub mod info;
 pub mod table;
 
 pub use checker::{
-    check_sig, generic_params, verify_candidate, CheckError, CheckOptions, CheckOutcome,
-    CheckRequest,
+    check_sig, generic_params, verify_candidate, CheckError, CheckOutcome, CheckRequest,
 };
 pub use derivation::{Derivation, Epochs, VersionKey};
 pub use hb_rdl::CheckPolicy;

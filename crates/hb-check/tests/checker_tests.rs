@@ -1,7 +1,7 @@
 //! Checker tests: each exercises a distinct rule or error class, including
 //! every category of historical Talks error from the paper's §5.
 
-use hb_check::{check_sig, CheckOptions, CheckRequest, ClassInfo, MapClassInfo};
+use hb_check::{check_sig, CheckRequest, ClassInfo, MapClassInfo};
 use hb_il::{collect_method_defs, lower_method, MethodCfg};
 use hb_rdl::{AnnotationSource, MethodKey, RdlState};
 use hb_syntax::{parse_program, Span};
@@ -27,7 +27,6 @@ fn run_check(
         info,
         rdl,
         captured,
-        opts: &CheckOptions::default(),
         policy: hb_check::CheckPolicy::Enforce,
     })
 }

@@ -16,6 +16,7 @@
 use crate::daemon::FleetDaemon;
 use hummingbird::fleet::wire;
 use hummingbird::fleet::FleetError;
+use hummingbird::snapshot::{put_u64, ByteReader};
 use std::io::{Read, Write};
 use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -164,7 +165,7 @@ fn serve_connection(mut stream: UnixStream, daemon: &FleetDaemon) {
             Ok(Response::Frame(op, body)) => wire::write_frame(&mut stream, op, &body).is_ok(),
             Ok(Response::Shutdown) => {
                 let mut ack = Vec::with_capacity(8);
-                wire::put_u64(&mut ack, 0);
+                put_u64(&mut ack, 0);
                 let _ = wire::write_frame(&mut stream, wire::RESP_ACK, &ack);
                 daemon.request_shutdown();
                 false
@@ -189,7 +190,7 @@ enum Response {
 
 fn ack(value: u64) -> Response {
     let mut body = Vec::with_capacity(8);
-    wire::put_u64(&mut body, value);
+    put_u64(&mut body, value);
     Response::Frame(wire::RESP_ACK, body)
 }
 
@@ -207,7 +208,7 @@ fn handle_request(
             ))
         }
         wire::FETCH_DELTA => {
-            let mut c = wire::PayloadCursor::new(payload);
+            let mut c = ByteReader::new(payload);
             let seq = c.u64()?;
             let epochs = (c.u64()?, c.u64()?, c.u64()?);
             if c.remaining() != 0 {
@@ -220,7 +221,7 @@ fn handle_request(
             ))
         }
         wire::PUBLISH => {
-            let mut c = wire::PayloadCursor::new(payload);
+            let mut c = ByteReader::new(payload);
             let epochs = (c.u64()?, c.u64()?, c.u64()?);
             let snapshot_bytes = c.take(c.remaining())?;
             let accepted = daemon.publish(epochs, snapshot_bytes)?;

@@ -315,6 +315,45 @@ fn a_writer_adopts_another_tenants_derivation_of_its_own_redefinition() {
 }
 
 #[test]
+fn a_session_publishes_what_enters_its_tier_after_it_attaches() {
+    let (_daemon, _server, path) = start_daemon("entered", DaemonConfig::default());
+    let shared = Arc::new(SharedCache::new());
+    let mut before = Hummingbird::builder().shared_cache(shared.clone()).build();
+    before.load_file("talk.rb", TALK_RB).unwrap();
+    before.eval("Talk.new.compute(Sub.new)").unwrap();
+    assert_eq!(shared.len(), 1, "Talk#compute is in the tier");
+
+    let mut session = Hummingbird::builder()
+        .shared_cache(shared.clone())
+        .fleet_socket(&path)
+        .build();
+    assert!(session.fleet_attached(), "{:?}", session.fleet_error());
+    let first = session.fleet_sync().expect("first sync");
+    assert_eq!(first.published, 0, "what the tier held at attach stays");
+
+    // Another engine on the same tier lands a derivation; the session
+    // publishes it at its next sync.
+    let mut other = Hummingbird::builder().shared_cache(shared.clone()).build();
+    other.load_file("farm.rb", FARM_RB).unwrap();
+    other.eval("Farm.new.a").unwrap();
+    assert_eq!(session.fleet_sync().expect("sync").published, 1);
+    assert_eq!(
+        session.fleet_sync().expect("quiet sync").published,
+        0,
+        "nothing new"
+    );
+
+    let daemon_tier = FleetClient::connect(&path)
+        .expect("connect")
+        .fetch_full()
+        .expect("fetch");
+    assert_eq!(
+        entry_keys(&daemon_tier.snapshot),
+        vec![MethodKey::instance("Farm", "a")]
+    );
+}
+
+#[test]
 fn sync_failure_detaches_the_session_and_tenant_degrades_to_local() {
     let (_daemon, server, path) = start_daemon("detach", DaemonConfig::default());
     let mut tenant = Hummingbird::builder().fleet_socket(&path).build();

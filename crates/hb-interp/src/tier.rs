@@ -14,10 +14,10 @@
 
 use crate::value::{ClassId, Value};
 use hb_il::bytecode::{compile_method, Chunk};
-use hb_intern::MethodKey;
+use hb_intern::{FastBuildHasher, FastMap, MethodKey};
 use hb_syntax::ast::MethodDefNode;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::rc::Rc;
 
 /// How method bodies execute.
@@ -36,15 +36,15 @@ pub enum ExecTier {
 /// interpreter.
 pub struct ExecTierState {
     tier: Cell<ExecTier>,
-    /// The probe structure for the dispatch hot path: one open-addressed
-    /// `u64` set keyed on `(receiver class, entry id)`.
-    hot: RefCell<FastSet>,
+    /// The probe set for the dispatch hot path, keyed on `(receiver
+    /// class, entry id)`: exactly the pairs `by_key` holds.
+    hot: RefCell<HashSet<u64, FastBuildHasher>>,
     /// Patched entries by derivation cache key, for precise depatch when a
     /// single derivation is invalidated.
-    by_key: RefCell<HashMap<MethodKey, (ClassId, u64)>>,
+    by_key: RefCell<FastMap<MethodKey, (ClassId, u64)>>,
     /// Compiled chunks by method-entry id; `None` records "outside the
     /// compilable subset", so the bail decision is made once per entry.
-    chunks: RefCell<hb_intern::FastMap<u64, Option<Rc<Chunk>>>>,
+    chunks: RefCell<FastMap<u64, Option<Rc<Chunk>>>>,
     /// Register-file pool, recycled across calls.
     regs: RefCell<Vec<Vec<Value>>>,
     bytecode_compiled: Cell<u64>,
@@ -57,9 +57,9 @@ impl ExecTierState {
     pub fn new() -> ExecTierState {
         ExecTierState {
             tier: Cell::new(ExecTier::TreeWalk),
-            hot: RefCell::new(FastSet::new()),
-            by_key: RefCell::new(HashMap::new()),
-            chunks: RefCell::new(hb_intern::FastMap::default()),
+            hot: RefCell::default(),
+            by_key: RefCell::default(),
+            chunks: RefCell::default(),
             regs: RefCell::new(Vec::new()),
             bytecode_compiled: Cell::new(0),
             fast_entries_patched: Cell::new(0),
@@ -90,7 +90,7 @@ impl ExecTierState {
     /// checked fast prologue? Counts the hit.
     #[inline]
     pub fn fast_hit(&self, recv_class: ClassId, entry_id: u64) -> bool {
-        let hit = self.hot.borrow().contains(fast_key(recv_class, entry_id));
+        let hit = self.hot.borrow().contains(&fast_key(recv_class, entry_id));
         if hit {
             self.fast_hits.set(self.fast_hits.get() + 1);
         }
@@ -106,23 +106,18 @@ impl ExecTierState {
         }
         // Steady-state fast path: the pair is already live in the probe
         // set, so the common re-admission (every guarded cache-hit call)
-        // is one open-addressed probe, not a `by_key` hash insert.
-        if self.hot.borrow().contains(fast_key(recv_class, entry_id)) {
+        // is one probe, not a `by_key` insert.
+        let pair = fast_key(recv_class, entry_id);
+        let mut hot = self.hot.borrow_mut();
+        if hot.contains(&pair) {
             return;
         }
-        let mut by_key = self.by_key.borrow_mut();
-        match by_key.insert(key, (recv_class, entry_id)) {
-            Some(prev) if prev == (recv_class, entry_id) => return,
-            Some(_) => {
-                // Re-admission under a new entry id (reload): rebuild so
-                // the superseded pair does not linger in the probe set.
-                drop(by_key);
-                self.rebuild_hot();
-            }
-            None => {
-                self.hot.borrow_mut().insert(fast_key(recv_class, entry_id));
-            }
+        if let Some((cid, id)) = self.by_key.borrow_mut().insert(key, (recv_class, entry_id)) {
+            // Re-admission under a new entry id (reload): the superseded
+            // pair must not linger in the probe set.
+            hot.remove(&fast_key(cid, id));
         }
+        hot.insert(pair);
         self.fast_entries_patched
             .set(self.fast_entries_patched.get() + 1);
     }
@@ -130,10 +125,9 @@ impl ExecTierState {
     /// Deoptimizes one derivation: the method returns to its guarded
     /// prologue. No-op (and no count) when the key was never patched.
     pub fn depatch(&self, key: &MethodKey) {
-        let removed = self.by_key.borrow_mut().remove(key);
-        if removed.is_some() {
+        if let Some((cid, id)) = self.by_key.borrow_mut().remove(key) {
+            self.hot.borrow_mut().remove(&fast_key(cid, id));
             self.deopts.set(self.deopts.get() + 1);
-            self.rebuild_hot();
         }
     }
 
@@ -149,15 +143,6 @@ impl ExecTierState {
     fn clear_patches(&self) {
         self.by_key.borrow_mut().clear();
         self.hot.borrow_mut().clear();
-    }
-
-    fn rebuild_hot(&self) {
-        let by_key = self.by_key.borrow();
-        let mut hot = self.hot.borrow_mut();
-        hot.clear();
-        for &(cid, id) in by_key.values() {
-            hot.insert(fast_key(cid, id));
-        }
     }
 
     /// The compiled chunk for a method entry, compiling on first request.
@@ -223,95 +208,10 @@ impl Default for ExecTierState {
     }
 }
 
-/// Nonzero probe key: entry ids start at 1 and the class id is offset, so
-/// the zero slot value can mean "empty".
+/// The probe key of a `(receiver class, entry id)` pair.
 #[inline]
 fn fast_key(cid: ClassId, entry_id: u64) -> u64 {
     ((cid.0 as u64 + 1) << 40) ^ entry_id.wrapping_add(1)
-}
-
-/// A minimal open-addressed set of nonzero `u64` keys. The dispatch hot
-/// path cannot afford a SipHash `HashMap` probe; this is one multiply, a
-/// mask, and typically one load.
-struct FastSet {
-    /// Power-of-two slot array; 0 = empty. Rebuilt (never tombstoned) on
-    /// removal, which is fine because deopts are rare events.
-    slots: Vec<u64>,
-    len: usize,
-}
-
-impl FastSet {
-    fn new() -> FastSet {
-        FastSet {
-            slots: Vec::new(),
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn hash(key: u64) -> u64 {
-        // splitmix64 finalizer: cheap, well-mixed.
-        let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    #[inline]
-    fn contains(&self, key: u64) -> bool {
-        if self.slots.is_empty() {
-            return false;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (Self::hash(key) as usize) & mask;
-        loop {
-            let s = self.slots[i];
-            if s == key {
-                return true;
-            }
-            if s == 0 {
-                return false;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn insert(&mut self, key: u64) {
-        debug_assert_ne!(key, 0);
-        if self.slots.is_empty() || (self.len + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (Self::hash(key) as usize) & mask;
-        loop {
-            let s = self.slots[i];
-            if s == key {
-                return;
-            }
-            if s == 0 {
-                self.slots[i] = key;
-                self.len += 1;
-                return;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.len = 0;
-    }
-
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![0; new_cap]);
-        self.len = 0;
-        for key in old {
-            if key != 0 {
-                self.insert(key);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -325,21 +225,6 @@ mod tests {
             class_level: false,
             method: Sym::intern(m),
         }
-    }
-
-    #[test]
-    fn fast_set_insert_contains_grow() {
-        let mut s = FastSet::new();
-        assert!(!s.contains(fast_key(ClassId(1), 1)));
-        for i in 1..200u64 {
-            s.insert(fast_key(ClassId(3), i));
-        }
-        for i in 1..200u64 {
-            assert!(s.contains(fast_key(ClassId(3), i)));
-        }
-        assert!(!s.contains(fast_key(ClassId(4), 5)));
-        s.clear();
-        assert!(!s.contains(fast_key(ClassId(3), 7)));
     }
 
     #[test]

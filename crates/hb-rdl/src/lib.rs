@@ -50,6 +50,6 @@ pub use builtins::install as install_rdl;
 pub use conform::{type_of, value_conforms};
 pub use memo::{type_memo_stats, TypeMemoStats};
 pub use state::{
-    AnnotationSource, CheckPolicy, DiagnosticSink, MethodKey, PreHook, RdlEvent, RdlEventSink,
-    RdlState, RdlStats, Resolution, TableCapture, TableEntry, Witness, DEFAULT_DIAGNOSTICS_CAP,
+    AnnotationSource, CheckPolicy, DiagnosticSink, MethodKey, PreHook, RdlEvent, RdlState,
+    RdlStats, Resolution, TableCapture, TableEntry, Witness, DEFAULT_DIAGNOSTICS_CAP,
 };

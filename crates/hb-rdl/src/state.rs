@@ -7,6 +7,7 @@
 //! a `MethodSig`.
 
 use hb_intern::Sym;
+use hb_interp::ExecTierState;
 use hb_syntax::{DiagLabel, LabelRole, Span, TypeDiagnostic};
 use hb_types::{MethodSig, MethodType, Type};
 use std::cell::RefCell;
@@ -289,26 +290,6 @@ pub struct PreHook {
     pub span: Span,
 }
 
-/// A listener notified of every [`RdlEvent`] at the moment it is emitted,
-/// before any engine drains it — for work that cannot wait for the
-/// engine's next drain. The engine's fast-entry flush is the production
-/// sink: a patched fast entry skips the hook probe, so it must be
-/// deoptimized before the mutating call returns. Sinks run on the
-/// mutating tenant's thread.
-pub trait RdlEventSink {
-    /// Called once per emitted event, in emission order.
-    fn on_rdl_event(&self, ev: &RdlEvent);
-
-    /// Called when enforcement configuration changes in a way emitted
-    /// events do not capture: a policy override is set, a `pre` contract
-    /// attaches, or a re-registration sets an entry's `check` or `dyn`
-    /// flag without adding an arm. The bytecode tier's fast-entry patch
-    /// table deoptimizes here — patched entries skip the per-call hook
-    /// probe entirely, which is only sound while policies are trivial, no
-    /// preconditions exist and the method is not flagged always-dynamic.
-    fn on_enforcement_changed(&self) {}
-}
-
 #[derive(Default)]
 pub struct RdlInner {
     /// Keyed with [`hb_intern::FastMap`]: `lookup_along` probes this map
@@ -383,9 +364,12 @@ pub struct TableCapture {
 #[derive(Default)]
 pub struct RdlState {
     pub inner: RefCell<RdlInner>,
-    /// Fan-out listeners (see [`RdlEventSink`]); notified outside the
-    /// `inner` borrow so sinks may read the table.
-    sinks: RefCell<Vec<Rc<dyn RdlEventSink>>>,
+    /// The interpreter's execution-tier state, once the engine attaches
+    /// it ([`RdlState::attach_exec_tier`]). Every emitted event and every
+    /// enforcement change flushes its fast entries before the mutating
+    /// call returns: a patched fast entry skips the hook probe, so it
+    /// cannot be left to notice staleness at the engine's next drain.
+    exec_tier: RefCell<Option<Rc<ExecTierState>>>,
     /// Streaming diagnostic listeners (see [`DiagnosticSink`]); notified
     /// outside the `inner` borrow so sinks may read the table.
     diag_sinks: RefCell<Vec<Rc<dyn DiagnosticSink>>>,
@@ -394,8 +378,12 @@ pub struct RdlState {
     /// read only this flag, so the default configuration never probes the
     /// policy maps.
     policies_nontrivial: std::cell::Cell<bool>,
-    /// Bumped with every enforcement-change notification (see
-    /// [`RdlEventSink::on_enforcement_changed`]).
+    /// Bumped with every enforcement change: a policy override is set, a
+    /// `pre` contract attaches, or a re-registration sets an entry's
+    /// `check` or `dyn` flag without adding an arm. Emitted events do not
+    /// capture these, and a patched fast entry is only sound while
+    /// policies are trivial, no precondition exists and the method is
+    /// not flagged always-dynamic.
     enforcement_gen: std::cell::Cell<u64>,
 }
 
@@ -428,23 +416,22 @@ impl RdlState {
         RdlState::default()
     }
 
-    /// Registers an event sink; every subsequently emitted [`RdlEvent`]
-    /// fans out to it.
-    pub fn add_event_sink(&self, sink: Rc<dyn RdlEventSink>) {
-        self.sinks.borrow_mut().push(sink);
+    /// Hands over the interpreter's execution-tier state, whose fast
+    /// entries every later table mutation or enforcement change flushes.
+    pub fn attach_exec_tier(&self, tier: Rc<ExecTierState>) {
+        *self.exec_tier.borrow_mut() = Some(tier);
     }
 
-    fn notify(&self, ev: &RdlEvent) {
-        for sink in self.sinks.borrow().iter() {
-            sink.on_rdl_event(ev);
+    /// Deoptimizes every fast entry (no-op before a tier is attached).
+    fn flush_fast_entries(&self) {
+        if let Some(tier) = &*self.exec_tier.borrow() {
+            tier.flush_all();
         }
     }
 
-    fn notify_enforcement_changed(&self) {
+    fn note_enforcement_changed(&self) {
         self.enforcement_gen.set(self.enforcement_gen.get() + 1);
-        for sink in self.sinks.borrow().iter() {
-            sink.on_enforcement_changed();
-        }
+        self.flush_fast_entries();
     }
 
     /// Adds a method type with no recorded registration site (tests and
@@ -479,8 +466,8 @@ impl RdlState {
     /// and span; Rolify's Fig. 2 `pre` re-registers its types on every
     /// call) changes nothing: no generation, fingerprint or event moves.
     /// A call that only sets the `check` or `dyn` flag emits no event but
-    /// notifies the enforcement-change sinks, since a patched fast entry
-    /// would otherwise skip the dynamic argument check `dyn` asks for.
+    /// counts as an enforcement change, since a patched fast entry would
+    /// otherwise skip the dynamic argument check `dyn` asks for.
     #[allow(clippy::too_many_arguments)]
     pub fn add_type_at(
         &self,
@@ -567,12 +554,12 @@ impl RdlState {
             }
         };
         if let Some(ev) = event {
-            inner.events.push(ev.clone());
+            inner.events.push(ev);
             drop(inner);
-            self.notify(&ev);
+            self.flush_fast_entries();
         } else if flags_changed {
             drop(inner);
-            self.notify_enforcement_changed();
+            self.note_enforcement_changed();
         }
     }
 
@@ -610,10 +597,9 @@ impl RdlState {
                 "retract-inferred",
             ),
         );
-        let ev = RdlEvent::TypeReplaced(*key);
-        inner.events.push(ev.clone());
+        inner.events.push(RdlEvent::TypeReplaced(*key));
         drop(inner);
-        self.notify(&ev);
+        self.flush_fast_entries();
         true
     }
 
@@ -774,7 +760,7 @@ impl RdlState {
             .entry((key.method, key.class_level))
             .or_default()
             .push((key.class, hook));
-        self.notify_enforcement_changed();
+        self.note_enforcement_changed();
     }
 
     /// True when no `pre` contract anywhere is registered under this
@@ -886,7 +872,7 @@ impl RdlState {
             inner.global_policy = policy;
             self.refresh_policy_triviality(&inner);
         }
-        self.notify_enforcement_changed();
+        self.note_enforcement_changed();
     }
 
     /// Sets a per-class policy override (exact class name; applies to a
@@ -898,7 +884,7 @@ impl RdlState {
             inner.class_policies.insert(class, policy);
             self.refresh_policy_triviality(&inner);
         }
-        self.notify_enforcement_changed();
+        self.note_enforcement_changed();
     }
 
     /// Sets a per-method policy override (exact key; matched against the
@@ -909,7 +895,7 @@ impl RdlState {
             inner.method_policies.insert(key, policy);
             self.refresh_policy_triviality(&inner);
         }
-        self.notify_enforcement_changed();
+        self.note_enforcement_changed();
     }
 
     /// Resolves the effective policy for a dispatch: method override
@@ -957,8 +943,8 @@ impl RdlState {
     }
 
     /// Monotonic generation of the enforcement configuration: bumped by
-    /// every enforcement-change notification (policy setters, `add_pre`,
-    /// a re-registration that only sets a flag), never otherwise.
+    /// every enforcement change (policy setters, `add_pre`, a
+    /// re-registration that only sets a flag), never otherwise.
     pub fn enforcement_generation(&self) -> u64 {
         self.enforcement_gen.get()
     }
@@ -1000,8 +986,8 @@ impl RdlState {
 
     /// Makes the table a copy of `capture`: afterwards every accessor
     /// answers as it would in the state the capture was taken from. No
-    /// event is emitted and no sink is notified; the mutations that built
-    /// the table happened elsewhere.
+    /// event is emitted and no fast entry is flushed; the mutations that
+    /// built the table happened elsewhere.
     ///
     /// # Panics
     ///
@@ -1206,7 +1192,7 @@ mod tests {
             let events = st.drain_events();
             assert!(changes || events.is_empty(), "{label}: {events:?}");
             // Only the flag-only change lacks an event, so only it
-            // notifies the enforcement-change sinks.
+            // counts as an enforcement change.
             let notified = st.enforcement_generation() != enforcement;
             assert_eq!(notified, label == "new flag", "{label}: notification");
         }
@@ -1316,6 +1302,23 @@ mod tests {
         );
         assert_eq!(seeded.entry(&key).unwrap().sig.arms.len(), 2);
         assert_eq!(src.entry(&key).unwrap().sig.arms.len(), 1);
+        seeded.add_type(
+            key,
+            mt("() -> Fixnum"),
+            false,
+            false,
+            AnnotationSource::Static,
+            true,
+        );
+        assert_eq!(
+            seeded.drain_events(),
+            vec![RdlEvent::ArmAdded(key), RdlEvent::TypeReplaced(key)]
+        );
+        assert_eq!(
+            src.drain_events(),
+            vec![RdlEvent::TypeAdded(key)],
+            "the changes stayed in the seeded copy"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::lock;
 use crate::world::WorldSnapshot;
-use hb_check::{check_sig, CheckOptions, CheckRequest, Derivation};
+use hb_check::{check_sig, CheckRequest, Derivation};
 use hb_il::MethodCfg;
 use hb_rdl::{CheckPolicy, MethodKey};
 use hb_syntax::{Span, TypeDiagnostic};
@@ -87,8 +87,6 @@ pub struct CheckTask {
     /// the engine records. `None` for eager parallel linting, which leaves
     /// blame reporting to the deterministic serial sweep.
     pub trigger: Option<Span>,
-    /// Checker tunables.
-    pub opts: CheckOptions,
     /// When the submitter enqueued the task. Stamped only when the
     /// submitting engine collects observability metrics; the worker
     /// turns it into [`TaskCompletion::queue_ns`].
@@ -110,7 +108,6 @@ impl CheckTask {
             info: self.world.as_ref(),
             rdl: self.world.as_ref(),
             captured: self.captured.as_ref(),
-            opts: &self.opts,
             policy: self.policy,
         };
         match check_sig(&req) {
@@ -260,7 +257,6 @@ pub(crate) mod tests {
             world: Arc::new(world),
             policy: CheckPolicy::Deferred,
             trigger: None,
-            opts: CheckOptions::default(),
             submitted_at: None,
         }
     }
