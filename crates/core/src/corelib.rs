@@ -24,6 +24,14 @@
 //! because entries are `Rc`: a process-wide base would need atomic
 //! reference counts on the dispatch lookup's per-call clone.
 //!
+//! The interpreter under every build has a per-thread base of its own:
+//! [`Interp::new`] forks the thread's bootstrapped core library (its
+//! classes, builtins and class constants) instead of defining it again.
+//! Every build, `Mode::Original` included, therefore starts from the same
+//! classes and method entry ids on every thread, so the entry-keyed
+//! derivations of identical tenants line up.
+//!
+//! [`Interp::new`]: hb_interp::Interp::new
 //! [`SourceMap::add_shared`]: hb_syntax::SourceMap::add_shared
 //! [`RdlState::capture_table`]: hb_rdl::RdlState::capture_table
 //! [`RdlState::seed_table`]: hb_rdl::RdlState::seed_table

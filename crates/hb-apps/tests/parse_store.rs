@@ -5,13 +5,15 @@
 //! from a boot on a fresh thread: same derivations with bit-identical
 //! body fingerprints and epochs, same table, variable and signature
 //! fingerprints, same files and content hashes, same `check_all`
-//! diagnostics, same analysis. Re-booting the apps on one thread parses
-//! nothing and makes no new file, a first boot parses each file exactly
-//! once, and a serving tenant's source map does not grow with the number
-//! of requests.
+//! diagnostics, same analysis, and the same class registry: shape
+//! fingerprint, hierarchy generation and method entry ids. Re-booting
+//! the apps on one thread parses nothing and makes no new file, a first
+//! boot parses each file exactly once, and a serving tenant's source map
+//! does not grow with the number of requests.
 
 use hb_apps::talks_history::error_versions;
 use hb_apps::{all_apps, build_app, run_workload, talks, AppSpec};
+use hb_interp::ClassId;
 use hb_rdl::type_memo_stats;
 use hb_syntax::store_stats;
 use hummingbird::{
@@ -40,6 +42,29 @@ struct BootRecord {
     sig_fingerprints: Vec<(MethodKey, u64)>,
     /// Every registered file as `(name, content hash)`.
     files: Vec<(String, u64)>,
+    /// The class registry's shape fingerprint and hierarchy generation.
+    shape: (u64, u64),
+    /// Every class's own methods as `(class, class-level, method, entry
+    /// id)`: a warm thread's interpreter is a fork of its bootstrap, a
+    /// fresh thread's the first fork of a new one.
+    methods: Vec<(String, bool, String, u64)>,
+}
+
+fn registry_methods(hb: &Hummingbird) -> Vec<(String, bool, String, u64)> {
+    let r = &hb.interp.registry;
+    let mut out = Vec::new();
+    for i in 0..r.class_count() as u32 {
+        let c = r.class(ClassId(i));
+        for (class_level, table) in [(false, &c.methods), (true, &c.smethods)] {
+            out.extend(
+                table
+                    .iter()
+                    .map(|(name, e)| (c.name.clone(), class_level, name.clone(), e.id)),
+            );
+        }
+    }
+    out.sort();
+    out
 }
 
 /// Boots `spec` over a fresh shared tier, loads `extra` (a buggy file),
@@ -88,6 +113,11 @@ fn record(spec: &AppSpec, extra: Option<&str>) -> BootRecord {
             .files()
             .map(|(_, f)| (f.name.clone(), f.content_hash()))
             .collect(),
+        shape: (
+            hb.interp.registry.shape_fingerprint(),
+            hb.interp.registry.hierarchy_generation(),
+        ),
+        methods: registry_methods(&hb),
     }
 }
 

@@ -26,8 +26,12 @@ pub enum MethodBody {
     Builtin(BuiltinFn),
 }
 
-/// A method table entry. `id` is globally unique and changes on
-/// redefinition, which lets the engine key CFG caches by it.
+/// A method table entry. `id` is unique within one registry and changes
+/// on redefinition, which lets the engine key CFG caches by it. It is not
+/// unique across registries: every interpreter's counter starts where the
+/// core library's bootstrap left it (see [`crate::Interp::new`]), so
+/// tenants that run the same code give their entries the same ids, and
+/// the shared tier matches derivations by them.
 #[derive(Clone)]
 pub struct MethodEntry {
     pub body: MethodBody,
@@ -51,9 +55,13 @@ pub struct ClassDef {
     pub is_module: bool,
     /// Included modules, in inclusion order (later lookups win).
     pub includes: Vec<ClassId>,
-    pub methods: FastMap<String, MethodEntry>,
-    /// Class-level (singleton) methods.
-    pub smethods: FastMap<String, MethodEntry>,
+    /// Instance methods. Copy-on-write: an interpreter forked from its
+    /// thread's bootstrap shares the core library's tables until
+    /// [`ClassRegistry::add_method`] or [`ClassRegistry::remove_method`]
+    /// first writes to one.
+    pub methods: Rc<FastMap<String, MethodEntry>>,
+    /// Class-level (singleton) methods, copy-on-write like `methods`.
+    pub smethods: Rc<FastMap<String, MethodEntry>>,
     /// For `Struct.new`-generated classes: the member names.
     pub struct_members: Option<Vec<String>>,
     /// Class-level instance variables (`@x` with a class as `self`).
@@ -66,6 +74,33 @@ pub struct ClassDef {
     /// Memoised resolution chain of this class's name (see
     /// `ClassRegistry::resolution_syms`), tagged the same way.
     resolution_cache: RefCell<Option<(u64, Arc<[Sym]>)>>,
+}
+
+impl ClassDef {
+    /// A copy for [`ClassRegistry::fork`]: the method tables and memoised
+    /// chains are shared, everything else is copied. Only a thread's
+    /// bootstrap is forked, and it sets no class ivars or cvars.
+    fn fork(&self) -> ClassDef {
+        debug_assert!(
+            self.ivars.is_empty() && self.cvars.is_empty(),
+            "{}: a forked class has no class ivars or cvars",
+            self.name
+        );
+        ClassDef {
+            name: self.name.clone(),
+            name_sym: self.name_sym,
+            superclass: self.superclass,
+            is_module: self.is_module,
+            includes: self.includes.clone(),
+            methods: self.methods.clone(),
+            smethods: self.smethods.clone(),
+            struct_members: self.struct_members.clone(),
+            ivars: FastMap::default(),
+            cvars: FastMap::default(),
+            ancestor_cache: self.ancestor_cache.clone(),
+            resolution_cache: self.resolution_cache.clone(),
+        }
+    }
 }
 
 /// An event emitted by the registry; drained by the Hummingbird engine to
@@ -135,10 +170,28 @@ impl ClassRegistry {
         ClassId(0)
     }
 
+    /// A copy of this registry for [`crate::Interp::new`]'s fork of the
+    /// thread's bootstrap: the same classes, method entries, entry-id
+    /// counter, hierarchy generation and shape fingerprint. The method
+    /// tables and the memoised chains are shared, not copied.
+    pub(crate) fn fork(&self) -> ClassRegistry {
+        debug_assert!(self.events.is_empty(), "the bootstrap drained its events");
+        ClassRegistry {
+            classes: self.classes.iter().map(ClassDef::fork).collect(),
+            by_name: self.by_name.clone(),
+            next_method_id: self.next_method_id,
+            hierarchy_gen: self.hierarchy_gen,
+            shape_fp: self.shape_fp,
+            events: Vec::new(),
+        }
+    }
+
     /// Defines a class (or re-opens it if the name exists). Returns its id.
     ///
-    /// Re-opening with a different superclass is ignored, as in Ruby when
-    /// the superclass is already set.
+    /// Re-opening changes nothing: the class keeps its superclass and its
+    /// module flag. Ruby raises `TypeError` when a reopening names another
+    /// superclass or reopens a module as a class; the evaluator raises it
+    /// before it gets here, where the span is known.
     pub fn define_class(
         &mut self,
         name: &str,
@@ -146,14 +199,6 @@ impl ClassRegistry {
         is_module: bool,
     ) -> ClassId {
         if let Some(&id) = self.by_name.get(name) {
-            let c = &mut self.classes[id.0 as usize];
-            if c.superclass.is_none() {
-                if let Some(s) = superclass {
-                    c.superclass = Some(s);
-                    self.hierarchy_gen += 1;
-                    self.mix_shape(("rewire", name, s.0));
-                }
-            }
             return id;
         }
         let superclass = superclass.or(if name == "Object" || is_module {
@@ -168,8 +213,8 @@ impl ClassRegistry {
             superclass,
             is_module,
             includes: Vec::new(),
-            methods: FastMap::default(),
-            smethods: FastMap::default(),
+            methods: Rc::default(),
+            smethods: Rc::default(),
             struct_members: None,
             ivars: FastMap::default(),
             cvars: FastMap::default(),
@@ -247,12 +292,8 @@ impl ClassRegistry {
         class_level: bool,
     ) -> u64 {
         let new_id = self.fresh_method_id();
-        let table = if class_level {
-            &mut self.classes[class.0 as usize].smethods
-        } else {
-            &mut self.classes[class.0 as usize].methods
-        };
-        let old = table.insert(name.to_string(), MethodEntry { body, id: new_id });
+        let table = self.table_mut(class, class_level);
+        let old = Rc::make_mut(table).insert(name.to_string(), MethodEntry { body, id: new_id });
         match old {
             Some(prev) => self.events.push(InterpEvent::MethodRedefined {
                 class,
@@ -272,20 +313,32 @@ impl ClassRegistry {
 
     /// Removes a method if present.
     pub fn remove_method(&mut self, class: ClassId, name: &str, class_level: bool) -> bool {
-        let table = if class_level {
-            &mut self.classes[class.0 as usize].smethods
+        let table = self.table_mut(class, class_level);
+        if !table.contains_key(name) {
+            return false;
+        }
+        Rc::make_mut(table).remove(name);
+        self.events.push(InterpEvent::MethodRemoved {
+            class,
+            name: name.to_string(),
+            class_level,
+        });
+        true
+    }
+
+    /// The method table [`ClassRegistry::add_method`] and
+    /// [`ClassRegistry::remove_method`] write, the only two writers: each
+    /// copies the table first if a fork still shares it.
+    fn table_mut(
+        &mut self,
+        class: ClassId,
+        class_level: bool,
+    ) -> &mut Rc<FastMap<String, MethodEntry>> {
+        let c = &mut self.classes[class.0 as usize];
+        if class_level {
+            &mut c.smethods
         } else {
-            &mut self.classes[class.0 as usize].methods
-        };
-        if table.remove(name).is_some() {
-            self.events.push(InterpEvent::MethodRemoved {
-                class,
-                name: name.to_string(),
-                class_level,
-            });
-            true
-        } else {
-            false
+            &mut c.methods
         }
     }
 

@@ -91,16 +91,80 @@ pub struct Interp {
     builtin_span: Span,
 }
 
+thread_local! {
+    /// The calling thread's bootstrapped interpreter, built by its first
+    /// [`Interp::new`] and only ever forked.
+    static BOOTSTRAP: Interp = Interp::bootstrap();
+}
+
 impl Interp {
     /// Creates an interpreter with the core library loaded.
+    ///
+    /// The core library is bootstrapped once per thread: the thread's first
+    /// call defines its classes and builtins, and every call, the first
+    /// included, returns a fork of that bootstrap. A fork shares the
+    /// builtin closures, which capture no per-interpreter state, and the
+    /// memoised ancestor and resolution chains; its method tables are
+    /// copy-on-write; it copies the rest of the class registry and the
+    /// class constants. It has its own `main` object and frame, source map,
+    /// execution-tier state, hook, extensions, memos and output. So it is
+    /// indistinguishable from a fresh bootstrap, down to the method entry
+    /// ids, the hierarchy generation and the shape fingerprint that
+    /// derivations, snapshots and shared-tier adoption compare, and
+    /// nothing one interpreter does reaches another.
     pub fn new() -> Interp {
-        let mut interp = Interp {
-            registry: ClassRegistry::new(),
-            constants: HashMap::new(),
+        BOOTSTRAP.with(Interp::fork)
+    }
+
+    /// Defines every core class and builtin: the thread's bootstrap,
+    /// which [`Interp::new`] forks.
+    fn bootstrap() -> Interp {
+        let mut interp = Interp::with_classes(ClassRegistry::new(), HashMap::new());
+        crate::stdlib::install(&mut interp);
+        // Classes registered during bootstrap are not interesting events.
+        interp.registry.events.clear();
+        interp
+    }
+
+    /// A fresh interpreter over a copy of the bootstrap's classes and
+    /// constants (see [`Interp::new`]).
+    fn fork(&self) -> Interp {
+        debug_assert!(self.globals.is_empty(), "the bootstrap sets no globals");
+        debug_assert!(
+            self.constants
+                .values()
+                .all(|v| matches!(v, Value::Class(_))),
+            "the bootstrap's constants are its classes"
+        );
+        Interp::with_classes(self.registry.fork(), self.constants.clone())
+    }
+
+    /// An interpreter over `registry` and `constants`, with everything
+    /// else fresh: no globals, a new `main` object and frame, source map
+    /// and execution-tier state, no hook or extensions, empty memos and
+    /// output.
+    fn with_classes(registry: ClassRegistry, constants: HashMap<String, Value>) -> Interp {
+        let object = registry.object();
+        let main = Value::Obj(Rc::new(Instance {
+            class: object,
+            ivars: RefCell::new(HashMap::new()),
+        }));
+        Interp {
+            registry,
+            constants,
             globals: HashMap::new(),
             source_map: SourceMap::new(),
             tier: Rc::new(ExecTierState::new()),
-            frames: Vec::new(),
+            frames: vec![Frame {
+                kind: FrameKind::Main,
+                self_val: main,
+                definee: object,
+                method: None,
+                args: vec![],
+                block: None,
+                checked: false,
+                nesting: Rc::new(vec![]),
+            }],
             hook: None,
             extensions: HashMap::new(),
             nesting_memo: RefCell::new((0, HashMap::new())),
@@ -113,26 +177,7 @@ impl Interp {
             // provide a generous native stack (see the edge-case tests).
             max_depth: 500,
             builtin_span: Span::dummy(),
-        };
-        crate::stdlib::install(&mut interp);
-        let object = interp.registry.object();
-        let main = Value::Obj(Rc::new(Instance {
-            class: object,
-            ivars: RefCell::new(HashMap::new()),
-        }));
-        interp.frames.push(Frame {
-            kind: FrameKind::Main,
-            self_val: main,
-            definee: object,
-            method: None,
-            args: vec![],
-            block: None,
-            checked: false,
-            nesting: Rc::new(vec![]),
-        });
-        // Classes registered during bootstrap are not interesting events.
-        interp.registry.events.clear();
-        interp
+        }
     }
 
     // ----- extensions & hooks ------------------------------------------------
@@ -1044,11 +1089,26 @@ impl Interp {
             }
             None => None,
         };
-        let existed = self.registry.lookup(&full_name).is_some();
+        let existing = self.registry.lookup(&full_name);
+        if let (Some(cid), false) = (existing, is_module) {
+            // Ruby refuses both before the body runs. The registry keeps a
+            // reopened class as it is, so it would ignore them silently.
+            let class = self.registry.class(cid);
+            let refusal = if class.is_module {
+                Some(format!("{full_name} is not a class"))
+            } else if sup.is_some_and(|s| class.superclass != Some(s)) {
+                Some(format!("superclass mismatch for class {full_name}"))
+            } else {
+                None
+            };
+            if let Some(msg) = refusal {
+                return Err(Flow::Error(HbError::new(ErrorKind::TypeError, msg, span)));
+            }
+        }
         let cid = self.registry.define_class(&full_name, sup, is_module);
         self.constants.insert(full_name.clone(), Value::Class(cid));
         // The `inherited` hook fires on fresh subclass creation.
-        if !existed && !is_module {
+        if existing.is_none() && !is_module {
             if let Some(s) = sup {
                 if self.registry.find_smethod(s, "inherited").is_some() {
                     self.call_method(
@@ -1597,5 +1657,209 @@ impl Interp {
 impl Default for Interp {
     fn default() -> Self {
         Interp::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hb_intern::FastMap;
+
+    /// What a fork must share with a fresh bootstrap, per class.
+    #[derive(Debug, PartialEq)]
+    struct ClassView {
+        name: String,
+        superclass: Option<ClassId>,
+        includes: Vec<ClassId>,
+        is_module: bool,
+        /// Own instance methods with their entry ids, by name.
+        methods: Vec<(String, u64)>,
+        /// Own class-level methods likewise.
+        smethods: Vec<(String, u64)>,
+        ivars: Vec<String>,
+        cvars: Vec<String>,
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct BootView {
+        classes: Vec<ClassView>,
+        constants: Vec<(String, ClassId)>,
+        hierarchy_generation: u64,
+        shape_fingerprint: u64,
+        /// The id `add_method` hands out next.
+        next_entry_id: u64,
+    }
+
+    fn sorted_keys<V>(map: &FastMap<String, V>) -> Vec<String> {
+        let mut keys: Vec<String> = map.keys().cloned().collect();
+        keys.sort();
+        keys
+    }
+
+    fn entries(table: &FastMap<String, MethodEntry>) -> Vec<(String, u64)> {
+        let mut v: Vec<(String, u64)> = table.iter().map(|(n, e)| (n.clone(), e.id)).collect();
+        v.sort();
+        v
+    }
+
+    /// Reads `interp`'s classes and constants. Reading the next entry id
+    /// adds a method to `Object`, so view an interpreter once, last.
+    fn view(interp: &mut Interp) -> BootView {
+        let r = &interp.registry;
+        let classes = (0..r.class_count() as u32)
+            .map(|i| {
+                let c = r.class(ClassId(i));
+                ClassView {
+                    name: c.name.clone(),
+                    superclass: c.superclass,
+                    includes: c.includes.clone(),
+                    is_module: c.is_module,
+                    methods: entries(&c.methods),
+                    smethods: entries(&c.smethods),
+                    ivars: sorted_keys(&c.ivars),
+                    cvars: sorted_keys(&c.cvars),
+                }
+            })
+            .collect();
+        let mut constants: Vec<(String, ClassId)> = interp
+            .constants
+            .iter()
+            .map(|(name, v)| match v {
+                Value::Class(c) => (name.clone(), *c),
+                other => panic!("constant {name} is {other:?}, not a class"),
+            })
+            .collect();
+        constants.sort();
+        let (hierarchy_generation, shape_fingerprint) =
+            (r.hierarchy_generation(), r.shape_fingerprint());
+        let object = r.object();
+        let probe = MethodBody::Builtin(Rc::new(|_, _, _, _| Ok(Value::Nil)));
+        BootView {
+            classes,
+            constants,
+            hierarchy_generation,
+            shape_fingerprint,
+            next_entry_id: interp.registry.add_method(object, "probe", probe, false),
+        }
+    }
+
+    /// Every builtin of `interp`, labelled `Class#name` or `Class.name`,
+    /// in label order.
+    fn builtins(interp: &Interp) -> Vec<(String, BuiltinFn)> {
+        let r = &interp.registry;
+        let mut out = Vec::new();
+        for i in 0..r.class_count() as u32 {
+            let c = r.class(ClassId(i));
+            for (sep, table) in [("#", &c.methods), (".", &c.smethods)] {
+                for (name, e) in table.iter() {
+                    if let MethodBody::Builtin(f) = &e.body {
+                        out.push((format!("{}{sep}{name}", c.name), f.clone()));
+                    }
+                }
+            }
+        }
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    fn address(f: &BuiltinFn) -> usize {
+        Rc::as_ptr(f) as *const () as usize
+    }
+
+    #[test]
+    fn a_fork_equals_a_fresh_bootstrap() {
+        let fresh = view(&mut Interp::bootstrap());
+        assert!(fresh.classes.len() > 30 && fresh.constants.len() > 30);
+        assert!(fresh.next_entry_id > 200, "the core library's builtins");
+        assert_eq!(view(&mut Interp::new()), fresh, "the thread's first fork");
+        assert_eq!(view(&mut Interp::new()), fresh, "a later fork");
+    }
+
+    #[test]
+    fn interpreters_on_a_thread_share_each_builtin_and_threads_do_not() {
+        let (a, b) = (Interp::new(), Interp::new());
+        let (a, b) = (builtins(&a), builtins(&b));
+        assert!(a.len() > 200, "the core library's builtins");
+        assert_eq!(a.len(), b.len());
+        for ((name, fa), (other, fb)) in a.iter().zip(&b) {
+            assert_eq!(name, other);
+            assert!(Rc::ptr_eq(fa, fb), "{name} is not shared on one thread");
+        }
+        // `a` stays alive while the other thread looks, so no address of
+        // its closures can be reused there.
+        let here: Vec<(String, usize)> = a.iter().map(|(n, f)| (n.clone(), address(f))).collect();
+        let shared = std::thread::spawn(move || {
+            let there = builtins(&Interp::new());
+            assert_eq!(there.len(), here.len());
+            here.iter()
+                .zip(&there)
+                .filter(|((_, addr), (_, f))| *addr == address(f))
+                .map(|((name, _), _)| name.clone())
+                .collect::<Vec<String>>()
+        })
+        .join()
+        .expect("the other thread's interpreter");
+        assert!(shared.is_empty(), "shared across threads: {shared:?}");
+    }
+
+    #[test]
+    fn nothing_one_interpreter_does_reaches_another() {
+        let fresh = view(&mut Interp::bootstrap());
+        let mut earlier = Interp::new();
+        let mut writer = Interp::new();
+        writer
+            .eval_str(
+                r#"
+class String
+  def upcase
+    "redefined"
+  end
+  @tag = 1
+  @@count = 2
+end
+class Object
+  def added_to_object
+    1
+  end
+end
+String.remove_method(:downcase)
+NEW_CONSTANT = 3
+$flag = 4
+@main_ivar = 5
+"#,
+            )
+            .expect("the writer's program runs");
+        let refused = writer
+            .eval_str("class Object < Object\nend")
+            .expect_err("a superclass for Object is refused");
+        assert_eq!(refused.kind, ErrorKind::TypeError);
+        let seen = writer
+            .eval_str(r#"["abc".upcase, added_to_object, NEW_CONSTANT, $flag, @main_ivar]"#)
+            .expect("the writer sees its own changes");
+        assert_eq!(writer.inspect(&seen), r#"["redefined", 1, 3, 4, 5]"#);
+        let string = writer.registry.lookup("String").expect("String");
+        assert!(writer.registry.find_method(string, "downcase").is_none());
+        let class = writer.registry.class(string);
+        assert!(!class.ivars.is_empty() && !class.cvars.is_empty());
+
+        let mut later = Interp::new();
+        for (label, interp) in [
+            ("an earlier fork", &mut earlier),
+            ("a later fork", &mut later),
+        ] {
+            let v = interp
+                .eval_str(
+                    r#"["abc".upcase, "ABC".downcase, respond_to?(:added_to_object), $flag, @main_ivar]"#,
+                )
+                .expect("the core library is intact");
+            assert_eq!(
+                interp.inspect(&v),
+                r#"["ABC", "abc", false, nil, nil]"#,
+                "{label}"
+            );
+            assert!(interp.constant("NEW_CONSTANT").is_none(), "{label}");
+        }
+        assert_eq!(view(&mut earlier), fresh, "an earlier fork");
+        assert_eq!(view(&mut later), fresh, "a later fork");
     }
 }

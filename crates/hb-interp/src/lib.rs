@@ -7,6 +7,14 @@
 //! ([`hooks::CallHook`]) on which Hummingbird builds its `pre` contracts
 //! and just-in-time static checks. An interpreter holds one hook.
 //!
+//! A thread bootstraps the core library once. Its first [`Interp::new`]
+//! defines the core classes and builtins; every call, that first one
+//! included, returns a fork of that bootstrap. A fork shares the builtin
+//! closures and copies the class registry, with copy-on-write method
+//! tables, so it costs a few microseconds. It numbers its method entries
+//! exactly as a fresh bootstrap would, so identical tenants keep identical
+//! entry ids (see [`Interp::new`]).
+//!
 //! # Example
 //!
 //! ```

@@ -273,3 +273,80 @@ fn output_capture_is_ordered() {
     assert_eq!(i.take_output(), "ab\nc");
     assert_eq!(i.take_output(), "", "take drains");
 }
+
+/// Runs `setup`, then `refused`, which must raise `TypeError` with
+/// `message` and leave the class graph's generation and shape fingerprint
+/// where `setup` left them, then `after` on the same interpreter.
+fn refused_reopening(setup: &str, refused: &str, message: &str, after: &str) -> Value {
+    let mut i = Interp::new();
+    i.eval_str(setup).expect("setup runs");
+    let shape = (
+        i.registry.hierarchy_generation(),
+        i.registry.shape_fingerprint(),
+    );
+    let e = i.eval_str(refused).expect_err("the reopening is refused");
+    assert_eq!(
+        (e.kind, e.message.as_str()),
+        (ErrorKind::TypeError, message)
+    );
+    assert_eq!(
+        (
+            i.registry.hierarchy_generation(),
+            i.registry.shape_fingerprint()
+        ),
+        shape,
+        "a refused reopening changes the class graph"
+    );
+    i.eval_str(after).expect("the interpreter still runs")
+}
+
+#[test]
+fn giving_object_a_superclass_raises_instead_of_closing_a_cycle() {
+    // Both programs once wired a superclass onto `Object`, and the
+    // ancestor walk followed the cycle until an allocation failed.
+    let v = refused_reopening(
+        "",
+        "class Object < Object\nend",
+        "superclass mismatch for class Object",
+        "1.to_s",
+    );
+    assert_eq!(v.primitive_to_s().as_deref(), Some("1"));
+    let v = refused_reopening(
+        "class Foo\nend",
+        "class Object < Foo\nend",
+        "superclass mismatch for class Object",
+        "Foo.new.to_s",
+    );
+    assert!(matches!(v, Value::Str(_)));
+}
+
+#[test]
+fn reopening_under_another_superclass_raises_and_keeps_the_class() {
+    let setup = "class A\nend\nclass B\nend\nclass C < A\n def x\n  1\n end\nend";
+    let v = refused_reopening(
+        setup,
+        "class C < B\n def y\n  2\n end\nend",
+        "superclass mismatch for class C",
+        "C.superclass == A && !C.new.respond_to?(:y)",
+    );
+    assert!(matches!(v, Value::Bool(true)), "{v:?}");
+    // Naming the class's own superclass, or none, reopens it.
+    let src =
+        format!("{setup}\nclass C < A\n def y\n  2\n end\nend\nclass C\nend\nC.new.x + C.new.y");
+    assert_eq!(eval_i(&src), 3);
+}
+
+#[test]
+fn class_reopening_a_module_raises() {
+    let v = refused_reopening(
+        "module M\n def m\n  1\n end\nend",
+        "class M\nend",
+        "M is not a class",
+        "module M\n def n\n  2\n end\nend\nclass K\n include M\nend\nK.new.m + K.new.n",
+    );
+    assert_eq!(v.primitive_to_s().as_deref(), Some("3"));
+    assert_eq!(
+        eval_err("class Comparable < Object\nend").message,
+        "Comparable is not a class"
+    );
+}
