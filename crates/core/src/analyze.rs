@@ -20,7 +20,7 @@
 //! [`sort_diagnostics`] pass, so parallel output is byte-identical to
 //! serial output.
 
-use crate::engine::lower_entry;
+use crate::engine::cfg_store::entry_cfg;
 use crate::sched::{map_in_order, pool_for, sort_diagnostics};
 use crate::Hummingbird;
 use hb_analyze::callgraph::analyze_call_graph;
@@ -63,7 +63,7 @@ pub fn build_view(hb: &Hummingbird) -> ProgramView {
             let mut pairs: Vec<(&String, &MethodEntry)> = table.iter().collect();
             pairs.sort_by_key(|(n, _)| *n);
             for (name, entry) in pairs {
-                let Some(cfg) = lower_entry(entry) else {
+                let Some(cfg) = entry_cfg(entry) else {
                     continue;
                 };
                 let key = MethodKey {
@@ -74,10 +74,7 @@ pub fn build_view(hb: &Hummingbird) -> ProgramView {
                 if matches!(entry.body, MethodBody::FromProc(_)) {
                     view.dynamic_defs.insert(key);
                 }
-                view.methods.push(MethodUnit {
-                    key,
-                    cfg: Arc::new(cfg),
-                });
+                view.methods.push(MethodUnit { key, cfg });
             }
         }
     }

@@ -2,7 +2,7 @@
 //! cached derivations they could falsify, together with their dependents
 //! and their patched fast entries.
 
-use super::{lower_entry, Engine, EngineState};
+use super::{cfg_store, Engine, EngineState};
 use hb_il::MethodCfg;
 use hb_intern::Sym;
 use hb_interp::{ClassId, Interp, InterpEvent};
@@ -46,11 +46,11 @@ impl Engine {
                     if let Some(new_cfg) = unchanged {
                         // Same body: re-point cached derivations at the new
                         // entry id instead of invalidating (dev-mode reload
-                        // CFG diffing, paper §4). Store the *freshly lowered*
-                        // CFG under the new id — the shape is identical but
-                        // its spans are current, so a later recheck blames
+                        // CFG diffing, paper §4). Record the new body's CFG
+                        // under the new id — the shape is identical but its
+                        // spans are current, so a later recheck blames
                         // post-reload source locations.
-                        st.cfgs.insert(new_id, Arc::new(new_cfg));
+                        st.cfgs.insert(new_id, new_cfg);
                         let mut repointed: Vec<MethodKey> = Vec::new();
                         for (key, d) in st.cache.iter_mut().filter(|(_, d)| d.entry_id == old_id) {
                             d.entry_id = new_id;
@@ -156,7 +156,7 @@ impl Engine {
     }
 
     /// If the redefinition is body-identical (per CFG shape), returns the
-    /// freshly lowered CFG of the new body (same shape, current spans).
+    /// CFG of the new body (same shape, current spans).
     fn redefinition_unchanged(
         st: &EngineState,
         interp: &Interp,
@@ -164,10 +164,10 @@ impl Engine {
         name: &str,
         class_level: bool,
         old_id: u64,
-    ) -> Option<MethodCfg> {
+    ) -> Option<Arc<MethodCfg>> {
         let old_cfg = st.cfgs.get(&old_id)?;
         let (_, entry) = interp.registry.find_method_at(class, name, class_level)?;
-        let new_cfg = lower_entry(&entry)?;
+        let new_cfg = cfg_store::entry_cfg(&entry)?;
         new_cfg.same_shape(old_cfg).then_some(new_cfg)
     }
 
@@ -303,6 +303,12 @@ impl Engine {
         class: ClassId,
         module: ClassId,
     ) {
+        // As in `invalidate_shadowed`: with no dependency edge recorded
+        // (every boot-time include) there is nothing to remove, so the
+        // table's keys are not even listed.
+        if st.dependents.is_empty() && st.neg_dependents.is_empty() {
+            return;
+        }
         let module_sym = interp.registry.name_sym(module);
         for mk in self
             .rdl

@@ -22,8 +22,11 @@
 //! * `invalidate` — Definition 1 invalidation from interpreter and type
 //!   table events;
 //! * `schedule` — task extraction, deferred admission, harvest and the
-//!   parallel `check_all` on the concurrent scheduler.
+//!   parallel `check_all` on the concurrent scheduler;
+//! * `cfg_store` — the per-thread store every lowering goes through, one
+//!   CFG per method body per thread.
 
+pub(crate) mod cfg_store;
 mod check;
 mod hook;
 mod invalidate;
@@ -34,7 +37,7 @@ use crate::derivation::{Derivation, Epochs};
 use crate::obs::EngineObs;
 use crate::shared_cache::SharedCache;
 use crate::stats::{CheckLogItem, EngineStats, PhaseTracker};
-use hb_il::{lower_block_body, lower_method, MethodCfg};
+use hb_il::MethodCfg;
 use hb_intern::Sym;
 use hb_interp::{ClassId, ExecTierState, Interp, MethodBody, MethodEntry};
 use hb_rdl::{type_of, MethodKey, RdlState, Resolution, TableEntry};
@@ -81,9 +84,9 @@ struct EngineState {
     /// annotation may re-check a method whose chain never sees it; a
     /// re-check is cheap and the edge map stays receiver-independent.
     neg_dependents: HashMap<(Sym, bool), HashSet<MethodKey>>,
-    /// Lowered bodies by method-entry id (also used for reload diffing).
-    /// `Arc` so a scheduler `CheckTask` captures the CFG without a deep
-    /// clone — lowering is cold-path either way.
+    /// The CFGs of the bodies this engine checked, by method-entry id: a
+    /// view of the thread's CFG store ([`cfg_store`]) that keeps a
+    /// redefined entry's old CFG for the same-body test.
     cfgs: HashMap<u64, Arc<MethodCfg>>,
     /// Memoised signature-content fingerprints by (key, version).
     sig_fps: HashMap<(MethodKey, u64), u64>,
@@ -376,13 +379,13 @@ impl Engine {
         st.flush_fast_entries();
     }
 
-    /// The lowered CFG of a body entry, lowered once and memoised by entry
-    /// id. `None` for builtins, which have no body to check.
+    /// The CFG of a body entry, from the thread's CFG store and recorded
+    /// by entry id. `None` for builtins, which have no body to check.
     fn cfg_for(&self, entry: &MethodEntry) -> Option<Arc<MethodCfg>> {
         if let Some(cfg) = self.state.borrow().cfgs.get(&entry.id) {
             return Some(cfg.clone());
         }
-        let cfg = Arc::new(lower_entry(entry)?);
+        let cfg = cfg_store::entry_cfg(entry)?;
         self.state.borrow_mut().cfgs.insert(entry.id, cfg.clone());
         Some(cfg)
     }
@@ -435,14 +438,4 @@ fn body_fingerprint(
         span.hi,
         captured,
     )))
-}
-
-/// Lowers a method entry with a body to a CFG (`None` for builtins): the
-/// one lowering the checker and the whole-program analyses share.
-pub(crate) fn lower_entry(entry: &MethodEntry) -> Option<MethodCfg> {
-    match &entry.body {
-        MethodBody::Ast(def) => Some(lower_method(def)),
-        MethodBody::FromProc(p) => Some(lower_block_body(&p.params, &p.body, p.span)),
-        MethodBody::Builtin(_) => None,
-    }
 }

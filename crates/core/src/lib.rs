@@ -80,6 +80,7 @@ pub mod stats;
 pub use analyze::AnalysisReport;
 pub use corelib::{corelib_stats, CorelibStats};
 pub use derivation::{Derivation, Epochs};
+pub use engine::cfg_store::{cfg_store_stats, CfgStoreStats, CFG_STORE_CAPACITY};
 pub use engine::{CacheDumpEntry, Engine};
 pub use fleet::{FleetClient, FleetError, FleetSyncReport, FleetWatermark};
 pub use hb_analyze::ResidueSummary;

@@ -6,7 +6,8 @@
 //! keep their cached derivations; changed methods invalidate themselves and
 //! their dependents; removed methods invalidate dependents.
 
-use hb_il::{collect_method_defs, lower_method};
+use crate::engine::cfg_store::def_cfg;
+use hb_il::collect_method_defs;
 
 /// What a reload changed (feeds Table 2's columns).
 #[derive(Debug, Clone, Default)]
@@ -54,7 +55,7 @@ impl crate::Hummingbird {
                 None => &mut report.added,
                 Some((_, entry)) => match &entry.body {
                     hb_interp::MethodBody::Ast(old_def)
-                        if lower_method(old_def).same_shape(&lower_method(&d.def)) =>
+                        if def_cfg(old_def).same_shape(&def_cfg(&d.def)) =>
                     {
                         continue
                     }

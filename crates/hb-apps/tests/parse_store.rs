@@ -1,5 +1,5 @@
-//! The per-thread source store and type-string memo over the six subject
-//! apps.
+//! The per-thread source store, type-string memo and CFG store over the
+//! six subject apps.
 //!
 //! A boot served from a warm store and memo must be indistinguishable
 //! from a boot on a fresh thread: same derivations with bit-identical
@@ -8,16 +8,18 @@
 //! diagnostics, same analysis, and the same class registry: shape
 //! fingerprint, hierarchy generation and method entry ids. Re-booting
 //! the apps on one thread parses nothing and makes no new file, a first
-//! boot parses each file exactly once, and a serving tenant's source map
-//! does not grow with the number of requests.
+//! boot parses each file exactly once, a serving tenant's source map
+//! does not grow with the number of requests, and a second cycle of
+//! Talks reloads lowers no method body.
 
-use hb_apps::talks_history::error_versions;
+use hb_apps::talks_history::{error_versions, run_update_requests, update_versions};
 use hb_apps::{all_apps, build_app, run_workload, talks, AppSpec};
 use hb_interp::ClassId;
 use hb_rdl::type_memo_stats;
 use hb_syntax::store_stats;
 use hummingbird::{
-    CacheDumpEntry, CacheSnapshot, Hummingbird, MethodKey, Mode, ResidueSummary, SharedCache,
+    cfg_store_stats, CacheDumpEntry, CacheSnapshot, Hummingbird, MethodKey, Mode, ResidueSummary,
+    SharedCache,
 };
 use std::sync::Arc;
 
@@ -243,4 +245,50 @@ fn identical_evals_leave_the_source_map_unchanged() {
     assert_eq!(hb.source_map().files().count(), files + 1);
     assert_eq!(store_stats().misses - before.misses, 1);
     assert_eq!(store_stats().hits - before.hits, 999);
+}
+
+/// One redeploy cycle of the Talks formatter, v1…v6 then back to v0,
+/// replaying the update requests after each reload: the reports' changed
+/// methods and dependents, and the checks each replay made.
+fn reload_cycle(hb: &mut Hummingbird) -> Vec<(Vec<String>, u64, usize)> {
+    let versions = update_versions();
+    [1, 2, 3, 4, 5, 6, 0]
+        .into_iter()
+        .map(|v| {
+            hb.eval("talks_seed").expect("reseed");
+            hb.engine.take_check_log();
+            let report = hb
+                .reload_file("talks/updates/formatter.rb", versions[v].1)
+                .expect("reload applies");
+            run_update_requests(hb);
+            let checks = hb.engine.take_check_log().len();
+            (report.changed, report.dependents_invalidated, checks)
+        })
+        .collect()
+}
+
+#[test]
+fn a_second_reload_cycle_on_a_warm_thread_lowers_nothing_new() {
+    let mut hb = build_app(&talks(), Mode::Full);
+    hb.load_file("talks/updates/formatter.rb", update_versions()[0].1)
+        .expect("formatter v0 loads");
+    hb.load_file(
+        "talks/updates/annotations.rb",
+        include_str!("../apps/talks/updates/annotations.rb"),
+    )
+    .expect("formatter annotations load");
+    run_update_requests(&mut hb);
+    let before = cfg_store_stats();
+    let first = reload_cycle(&mut hb);
+    let warm = cfg_store_stats();
+    assert!(
+        warm.misses > before.misses,
+        "the first cycle lowers new text"
+    );
+    let second = reload_cycle(&mut hb);
+    let after = cfg_store_stats();
+    assert_eq!(after.misses, warm.misses, "the second cycle lowered a body");
+    assert!(after.hits > warm.hits);
+    assert_eq!(first, second, "both cycles report and check the same");
+    assert!(second.iter().map(|(_, _, checks)| checks).sum::<usize>() > 0);
 }

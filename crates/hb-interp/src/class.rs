@@ -130,10 +130,20 @@ pub enum InterpEvent {
     },
 }
 
+/// The classes of primitive values, in [`ClassRegistry::class_of`]'s
+/// order: each kind's class is looked up by name when it is defined, not
+/// on every call.
+const PRIMITIVES: [&str; 11] = [
+    "NilClass", "Boolean", "Fixnum", "Float", "String", "Symbol", "Array", "Hash", "Range", "Proc",
+    "Class",
+];
+
 /// The registry of all classes and modules.
 pub struct ClassRegistry {
     classes: Vec<ClassDef>,
     by_name: FastMap<String, ClassId>,
+    /// The class of each of [`PRIMITIVES`], `Object` while undefined.
+    primitives: [ClassId; PRIMITIVES.len()],
     next_method_id: u64,
     /// Bumped whenever the class graph changes shape (superclass set or
     /// module included); memoised ancestor chains from older generations
@@ -155,6 +165,7 @@ impl ClassRegistry {
         let mut r = ClassRegistry {
             classes: Vec::new(),
             by_name: FastMap::default(),
+            primitives: [ClassId(0); PRIMITIVES.len()],
             next_method_id: 1,
             hierarchy_gen: 0,
             shape_fp: 0,
@@ -179,6 +190,7 @@ impl ClassRegistry {
         ClassRegistry {
             classes: self.classes.iter().map(ClassDef::fork).collect(),
             by_name: self.by_name.clone(),
+            primitives: self.primitives,
             next_method_id: self.next_method_id,
             hierarchy_gen: self.hierarchy_gen,
             shape_fp: self.shape_fp,
@@ -222,6 +234,7 @@ impl ClassRegistry {
             resolution_cache: RefCell::new(None),
         });
         self.by_name.insert(name.to_string(), id);
+        self.name_primitive(name);
         // A new class changes what name-based resolution can see (a chain
         // that previously degraded to [name, Object] now exists), so it is
         // a shape change like any other.
@@ -270,11 +283,20 @@ impl ClassRegistry {
         let old = self.class(id).name.clone();
         self.by_name.remove(&old);
         self.by_name.insert(new_name.to_string(), id);
+        self.name_primitive(&old);
+        self.name_primitive(new_name);
         let c = self.class_mut(id);
         c.name = new_name.to_string();
         c.name_sym = Sym::intern(new_name);
         self.hierarchy_gen += 1;
         self.mix_shape(("rename", id.0, new_name));
+    }
+
+    /// Re-resolves the primitive class `name`, if it is one.
+    fn name_primitive(&mut self, name: &str) {
+        if let Some(i) = PRIMITIVES.iter().position(|p| *p == name) {
+            self.primitives[i] = self.lookup(name).unwrap_or(self.object());
+        }
     }
 
     fn fresh_method_id(&mut self) -> u64 {
@@ -541,21 +563,21 @@ impl ClassRegistry {
 
     /// The runtime class of a value.
     pub fn class_of(&self, v: &Value) -> ClassId {
-        let name = match v {
-            Value::Nil => "NilClass",
-            Value::Bool(_) => "Boolean",
-            Value::Int(_) => "Fixnum",
-            Value::Float(_) => "Float",
-            Value::Str(_) => "String",
-            Value::Sym(_) => "Symbol",
-            Value::Array(_) => "Array",
-            Value::Hash(_) => "Hash",
-            Value::Range(_) => "Range",
-            Value::Proc(_) => "Proc",
+        let kind = match v {
+            Value::Nil => 0,
+            Value::Bool(_) => 1,
+            Value::Int(_) => 2,
+            Value::Float(_) => 3,
+            Value::Str(_) => 4,
+            Value::Sym(_) => 5,
+            Value::Array(_) => 6,
+            Value::Hash(_) => 7,
+            Value::Range(_) => 8,
+            Value::Proc(_) => 9,
             Value::Obj(o) => return o.class,
-            Value::Class(_) => "Class",
+            Value::Class(_) => 10,
         };
-        self.lookup(name).unwrap_or(self.object())
+        self.primitives[kind]
     }
 }
 

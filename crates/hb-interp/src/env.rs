@@ -1,15 +1,22 @@
 //! Lexical scopes for locals, shared between methods and their blocks.
+//!
+//! A scope is a [`FastMap`] from local name to value: every local read,
+//! and every write, hashes its name once per scope it visits on the way
+//! out, without SipHash's per-lookup set-up. A write to a local that some
+//! scope on the chain already binds updates that binding in place, so
+//! only a local's first assignment, and every parameter a call binds,
+//! allocates its name.
 
 use crate::value::Value;
+use hb_intern::FastMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A lexical scope frame. Blocks get child scopes whose reads and writes of
 /// existing variables reach the enclosing scope (Ruby closure semantics);
 /// new variables introduced inside a block stay block-local.
 pub struct Scope {
-    vars: RefCell<HashMap<String, Value>>,
+    vars: RefCell<FastMap<String, Value>>,
     parent: Option<ScopeRef>,
 }
 
@@ -20,7 +27,7 @@ impl Scope {
     /// A fresh root scope (method bodies, top level).
     pub fn root() -> ScopeRef {
         Rc::new(Scope {
-            vars: RefCell::new(HashMap::new()),
+            vars: RefCell::default(),
             parent: None,
         })
     }
@@ -28,7 +35,7 @@ impl Scope {
     /// A child scope capturing `parent` (block bodies).
     pub fn child(parent: &ScopeRef) -> ScopeRef {
         Rc::new(Scope {
-            vars: RefCell::new(HashMap::new()),
+            vars: RefCell::default(),
             parent: Some(parent.clone()),
         })
     }
@@ -50,22 +57,26 @@ impl Scope {
     /// Writes a variable: updates the innermost scope that already binds it,
     /// or defines it here.
     pub fn set(&self, name: &str, value: Value) {
-        if self.try_update(name, &value) {
-            return;
+        if let Err(value) = self.try_update(name, value) {
+            self.vars.borrow_mut().insert(name.to_string(), value);
         }
-        self.vars.borrow_mut().insert(name.to_string(), value);
     }
 
-    fn try_update(&self, name: &str, value: &Value) -> bool {
-        if self.vars.borrow().contains_key(name) {
-            self.vars
-                .borrow_mut()
-                .insert(name.to_string(), value.clone());
-            return true;
-        }
-        self.parent
-            .as_ref()
-            .is_some_and(|p| p.try_update(name, value))
+    /// Overwrites the innermost existing binding of `name` in place, or
+    /// hands `value` back when no scope on the chain binds it.
+    fn try_update(&self, name: &str, value: Value) -> Result<(), Value> {
+        let old = match self.vars.borrow_mut().get_mut(name) {
+            Some(slot) => std::mem::replace(slot, value),
+            None => {
+                return match &self.parent {
+                    Some(p) => p.try_update(name, value),
+                    None => Err(value),
+                }
+            }
+        };
+        // Dropped once the borrow has ended.
+        drop(old);
+        Ok(())
     }
 
     /// Defines a variable in *this* scope regardless of outer bindings

@@ -12,7 +12,7 @@ use crate::error::{ErrorKind, Flow, HbError};
 use crate::hooks::{CallHook, DispatchInfo};
 use crate::tier::ExecTierState;
 use crate::value::{ClassId, HashObj, Instance, ProcVal, Value};
-use hb_intern::Sym;
+use hb_intern::{FastMap, Sym};
 use hb_syntax::ast::*;
 use hb_syntax::parse_in;
 use hb_syntax::{SourceMap, Span};
@@ -42,7 +42,10 @@ pub struct Frame {
     pub definee: ClassId,
     /// `(owner, name)` of the currently executing method (for `super`).
     pub method: Option<(ClassId, Sym)>,
-    /// The method's arguments (for argument-forwarding `super`).
+    /// The arguments an argument-forwarding `super` passes on. A
+    /// tree-walk method frame takes them from its call and binds its
+    /// parameters from here, so a call copies no argument vector; a
+    /// bytecode frame holds none (`super` does not compile).
     pub args: Vec<Value>,
     /// The block passed to the current method (for `yield`).
     pub block: Option<Value>,
@@ -55,12 +58,16 @@ pub struct Frame {
 }
 
 /// Hierarchy-generation-tagged memo of per-class lexical nesting.
-type NestingMemo = (u64, HashMap<ClassId, Rc<Vec<String>>>);
+type NestingMemo = (u64, FastMap<ClassId, Rc<Vec<String>>>);
 
 /// The interpreter.
 pub struct Interp {
     pub registry: ClassRegistry,
-    constants: HashMap<String, Value>,
+    /// Constants by fully qualified name (`A::B`).
+    constants: FastMap<String, Value>,
+    /// The candidate name [`Interp::resolve_const`] spells, reused so a
+    /// constant reference allocates nothing.
+    const_name: RefCell<String>,
     globals: HashMap<String, Value>,
     pub source_map: SourceMap,
     /// Execution-tier state (bytecode chunks, fast-entry patch table).
@@ -76,7 +83,7 @@ pub struct Interp {
     nesting_memo: RefCell<NestingMemo>,
     /// Interned `name=` setter symbols, so attribute assignment does not
     /// allocate a fresh `String` per call.
-    setter_syms: RefCell<HashMap<String, Sym>>,
+    setter_syms: RefCell<FastMap<String, Sym>>,
     output: String,
     /// Echo `puts` output to stdout as well as the capture buffer.
     pub echo: bool,
@@ -119,7 +126,7 @@ impl Interp {
     /// Defines every core class and builtin: the thread's bootstrap,
     /// which [`Interp::new`] forks.
     fn bootstrap() -> Interp {
-        let mut interp = Interp::with_classes(ClassRegistry::new(), HashMap::new());
+        let mut interp = Interp::with_classes(ClassRegistry::new(), FastMap::default());
         crate::stdlib::install(&mut interp);
         // Classes registered during bootstrap are not interesting events.
         interp.registry.events.clear();
@@ -143,15 +150,16 @@ impl Interp {
     /// else fresh: no globals, a new `main` object and frame, source map
     /// and execution-tier state, no hook or extensions, empty memos and
     /// output.
-    fn with_classes(registry: ClassRegistry, constants: HashMap<String, Value>) -> Interp {
+    fn with_classes(registry: ClassRegistry, constants: FastMap<String, Value>) -> Interp {
         let object = registry.object();
         let main = Value::Obj(Rc::new(Instance {
             class: object,
-            ivars: RefCell::new(HashMap::new()),
+            ivars: RefCell::default(),
         }));
         Interp {
             registry,
             constants,
+            const_name: RefCell::default(),
             globals: HashMap::new(),
             source_map: SourceMap::new(),
             tier: Rc::new(ExecTierState::new()),
@@ -167,8 +175,8 @@ impl Interp {
             }],
             hook: None,
             extensions: HashMap::new(),
-            nesting_memo: RefCell::new((0, HashMap::new())),
-            setter_syms: RefCell::new(HashMap::new()),
+            nesting_memo: RefCell::default(),
+            setter_syms: RefCell::default(),
             output: String::new(),
             echo: false,
             // Guards runaway interpreted recursion. Each interpreted frame
@@ -354,22 +362,27 @@ impl Interp {
         self.constants.insert(name.to_string(), v);
     }
 
+    /// Resolves a constant reference lexically: `path` under each
+    /// enclosing nesting of the current frame, innermost first, then at
+    /// the top level.
     pub(crate) fn resolve_const(&self, path: &[String], span: Span) -> Result<Value, Flow> {
-        let joined = path.join("::");
         let nesting = &self.frame().nesting;
+        let mut name = self.const_name.borrow_mut();
         for i in (0..=nesting.len()).rev() {
-            let candidate = if i == 0 {
-                joined.clone()
-            } else {
-                format!("{}::{}", nesting[..i].join("::"), joined)
-            };
-            if let Some(v) = self.constants.get(&candidate) {
+            name.clear();
+            for (k, segment) in nesting[..i].iter().chain(path).enumerate() {
+                if k > 0 {
+                    name.push_str("::");
+                }
+                name.push_str(segment);
+            }
+            if let Some(v) = self.constants.get(name.as_str()) {
                 return Ok(v.clone());
             }
         }
         Err(Flow::Error(HbError::new(
             ErrorKind::NameError,
-            format!("uninitialized constant {joined}"),
+            format!("uninitialized constant {}", path.join("::")),
             span,
         )))
     }
@@ -897,7 +910,7 @@ impl Interp {
             .unwrap_or(self.registry.object());
         let inst = Instance {
             class: cid,
-            ivars: RefCell::new(HashMap::new()),
+            ivars: RefCell::default(),
         };
         inst.ivars
             .borrow_mut()
@@ -1007,12 +1020,8 @@ impl Interp {
     /// Writes an instance variable of `target`.
     pub fn ivar_set(&mut self, target: &Value, name: &str, v: Value) {
         match target {
-            Value::Obj(o) => {
-                o.ivars.borrow_mut().insert(name.to_string(), v);
-            }
-            Value::Class(cid) => {
-                self.class_ivars_mut(*cid).insert(name.to_string(), v);
-            }
+            Value::Obj(o) => set_in_place(&mut o.ivars.borrow_mut(), name, v),
+            Value::Class(cid) => set_in_place(self.class_ivars_mut(*cid), name, v),
             _ => {}
         }
     }
@@ -1090,12 +1099,13 @@ impl Interp {
             None => None,
         };
         let existing = self.registry.lookup(&full_name);
-        if let (Some(cid), false) = (existing, is_module) {
-            // Ruby refuses both before the body runs. The registry keeps a
+        if let Some(cid) = existing {
+            // Ruby refuses these before the body runs. The registry keeps a
             // reopened class as it is, so it would ignore them silently.
             let class = self.registry.class(cid);
-            let refusal = if class.is_module {
-                Some(format!("{full_name} is not a class"))
+            let refusal = if class.is_module != is_module {
+                let kind = if is_module { "module" } else { "class" };
+                Some(format!("{full_name} is not a {kind}"))
             } else if sup.is_some_and(|s| class.superclass != Some(s)) {
                 Some(format!("superclass mismatch for class {full_name}"))
             } else {
@@ -1347,12 +1357,12 @@ impl Interp {
                     self_val: recv,
                     definee: owner,
                     method: Some((owner, msym)),
-                    args: args.clone(),
+                    args,
                     block,
                     checked: mark_checked,
                     nesting,
                 });
-                let bind = self.bind_params(&def.params, args, &scope, false);
+                let bind = self.bind_params(&def.params, &scope);
                 let r = match bind {
                     Ok(()) => self.eval_body(&def.body, &scope),
                     Err(e) => Err(e),
@@ -1405,62 +1415,44 @@ impl Interp {
         Ok(())
     }
 
-    /// Binds parameters into `scope`. Must run with the callee frame already
-    /// pushed (defaults evaluate in the callee context). When `lenient`,
-    /// missing arguments become `nil` and extras are dropped (block
-    /// semantics).
-    fn bind_params(
-        &mut self,
-        params: &[Param],
-        args: Vec<Value>,
-        scope: &ScopeRef,
-        lenient: bool,
-    ) -> Result<(), Flow> {
-        let _ = lenient;
-        let positional: Vec<&Param> = params
+    /// Binds parameters into `scope` from the arguments the callee frame
+    /// owns, leaving them there for an argument-forwarding `super`. Must
+    /// run with the callee frame already pushed (defaults evaluate in the
+    /// callee context) and after the arity check.
+    fn bind_params(&mut self, params: &[Param], scope: &ScopeRef) -> Result<(), Flow> {
+        let given = self.frame().args.len();
+        let required = params
             .iter()
-            .filter(|p| !matches!(p.kind, ParamKind::Block))
-            .collect();
-        let n_rest_less: usize = positional
-            .iter()
-            .filter(|p| !matches!(p.kind, ParamKind::Rest))
+            .filter(|p| matches!(p.kind, ParamKind::Required))
             .count();
-        let mut args = args.into_iter();
-        let mut remaining = args.len();
-        let mut optional_budget = remaining.saturating_sub(
-            positional
-                .iter()
-                .filter(|p| matches!(p.kind, ParamKind::Required))
-                .count(),
-        );
-        let _ = n_rest_less;
-        for p in &positional {
-            match &p.kind {
-                ParamKind::Required => {
-                    let v = args.next().unwrap_or(Value::Nil);
-                    remaining = remaining.saturating_sub(1);
-                    scope.define(&p.name, v);
+        // Optionals take arguments only while more are given than the
+        // required parameters need.
+        let mut optional_budget = given.saturating_sub(required);
+        let mut next = 0;
+        for p in params {
+            let v = match &p.kind {
+                ParamKind::Required => self.frame().args.get(next).cloned(),
+                ParamKind::Optional(_) if optional_budget > 0 => {
+                    optional_budget -= 1;
+                    self.frame().args.get(next).cloned()
                 }
                 ParamKind::Optional(default) => {
-                    if optional_budget > 0 {
-                        let v = args.next().unwrap_or(Value::Nil);
-                        remaining = remaining.saturating_sub(1);
-                        optional_budget -= 1;
-                        scope.define(&p.name, v);
-                    } else {
-                        let v = self.eval(default, scope)?;
-                        scope.define(&p.name, v);
-                    }
+                    let v = self.eval(default, scope)?;
+                    scope.define(&p.name, v);
+                    continue;
                 }
+                // Rest takes whatever is left (required-after-rest is not
+                // supported).
                 ParamKind::Rest => {
-                    // Rest takes whatever is left beyond later requireds
-                    // (we do not support required-after-rest, so all).
-                    let rest: Vec<Value> = args.by_ref().collect();
-                    remaining = 0;
+                    let rest = self.frame().args.get(next..).unwrap_or_default().to_vec();
+                    next = given;
                     scope.define(&p.name, Value::array(rest));
+                    continue;
                 }
-                ParamKind::Block => {}
-            }
+                ParamKind::Block => continue,
+            };
+            next += 1;
+            scope.define(&p.name, v.unwrap_or(Value::Nil));
         }
         for p in params {
             if matches!(p.kind, ParamKind::Block) {
@@ -1660,10 +1652,19 @@ impl Default for Interp {
     }
 }
 
+/// Writes `map[name]`, allocating the key only for a new name.
+fn set_in_place(map: &mut FastMap<String, Value>, name: &str, v: Value) {
+    match map.get_mut(name) {
+        Some(slot) => *slot = v,
+        None => {
+            map.insert(name.to_string(), v);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hb_intern::FastMap;
 
     /// What a fork must share with a fresh bootstrap, per class.
     #[derive(Debug, PartialEq)]

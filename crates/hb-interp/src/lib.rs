@@ -15,6 +15,14 @@
 //! exactly as a fresh bootstrap would, so identical tenants keep identical
 //! entry ids (see [`Interp::new`]).
 //!
+//! A tree-walk call allocates only what it keeps: the argument vector,
+//! which the callee's [`Frame`] takes and binds its parameters from (an
+//! argument-forwarding `super` reads it there), and a [`Scope`] with one
+//! key per parameter. Locals, instance variables, constants and the
+//! classes of primitive values are looked up without SipHash or a
+//! formatted name, and a write to an existing local or instance
+//! variable updates it in place.
+//!
 //! # Example
 //!
 //! ```

@@ -7,7 +7,6 @@ use crate::class::MethodBody;
 use crate::value::{Instance, Value};
 use hb_syntax::Span;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 pub(crate) fn install(interp: &mut Interp) {
@@ -18,7 +17,7 @@ pub(crate) fn install(interp: &mut Interp) {
         }
         let inst = Value::Obj(Rc::new(Instance {
             class: cid,
-            ivars: RefCell::new(HashMap::new()),
+            ivars: RefCell::default(),
         }));
         if i.registry.find_method(cid, "initialize").is_some() {
             i.call_method(inst.clone(), "initialize", args, b, Span::dummy())?;
@@ -124,11 +123,19 @@ pub(crate) fn install(interp: &mut Interp) {
     });
     def_method(interp, "Class", "include", |i, recv, args, _b| {
         let cid = expect_class(&recv)?;
+        // Every argument is checked before any is included, as Ruby does.
+        let mut modules = Vec::with_capacity(args.len());
         for a in &args {
             match a {
-                Value::Class(m) => i.registry.include_module(cid, *m),
+                Value::Class(m) if i.registry.class(*m).is_module => modules.push(*m),
+                Value::Class(_) => {
+                    return Err(type_error("wrong argument type Class (expected Module)"))
+                }
                 other => return Err(type_error(format!("include: {other:?} is not a module"))),
             }
+        }
+        for m in modules {
+            i.registry.include_module(cid, m);
         }
         Ok(recv)
     });

@@ -57,7 +57,7 @@ pub(crate) fn install(interp: &mut Interp) {
                 };
                 let inst = Value::Obj(std::rc::Rc::new(crate::value::Instance {
                     class: cid,
-                    ivars: std::cell::RefCell::new(std::collections::HashMap::new()),
+                    ivars: std::cell::RefCell::default(),
                 }));
                 for (k, m) in ctor_members.iter().enumerate() {
                     i.ivar_set(&inst, m, args.get(k).cloned().unwrap_or(Value::Nil));

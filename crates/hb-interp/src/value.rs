@@ -35,7 +35,7 @@ pub enum Value {
 /// An instance of a user class: its class plus instance variables.
 pub struct Instance {
     pub class: ClassId,
-    pub ivars: RefCell<std::collections::HashMap<String, Value>>,
+    pub ivars: RefCell<hb_intern::FastMap<String, Value>>,
 }
 
 /// A block/proc: parameters, body, captured scope and captured `self`.

@@ -350,3 +350,175 @@ fn class_reopening_a_module_raises() {
         "Comparable is not a class"
     );
 }
+
+#[test]
+fn module_reopening_a_class_raises() {
+    let v = refused_reopening(
+        "class K\n def a\n  1\n end\nend",
+        "module K\n def b\n  2\n end\nend",
+        "K is not a module",
+        "[K.new.a, K.new.respond_to?(:b)]",
+    );
+    assert_eq!(format!("{v:?}"), "[1, false]");
+    assert_eq!(
+        eval_err("module String\nend").message,
+        "String is not a module"
+    );
+}
+
+#[test]
+fn including_a_class_raises_before_anything_is_included() {
+    let setup =
+        "module M\n def m\n  1\n end\nend\nclass Plain\n def pm\n  2\n end\nend\nclass K\nend";
+    let mut i = Interp::new();
+    i.eval_str(setup).expect("setup runs");
+    let shape = (
+        i.registry.hierarchy_generation(),
+        i.registry.shape_fingerprint(),
+    );
+    for refused in ["class K\n include Plain\nend", "K.include(M, Plain)"] {
+        let e = i.eval_str(refused).expect_err("the include is refused");
+        assert_eq!(
+            (e.kind, e.message.as_str()),
+            (
+                ErrorKind::TypeError,
+                "wrong argument type Class (expected Module)"
+            ),
+            "{refused}"
+        );
+        assert_eq!(
+            (
+                i.registry.hierarchy_generation(),
+                i.registry.shape_fingerprint()
+            ),
+            shape,
+            "{refused}: a refused include changes the class graph"
+        );
+    }
+    let v = i
+        .eval_str("[K.new.respond_to?(:m), K.new.respond_to?(:pm)]")
+        .expect("runs");
+    assert_eq!(format!("{v:?}"), "[false, false]");
+    assert_eq!(eval_i(&format!("{setup}\nK.include(M)\nK.new.m")), 1);
+}
+
+#[test]
+fn zsuper_forwards_the_calls_arguments_past_optional_parameters() {
+    // The call's own arguments, not the parameters' current values: an
+    // omitted optional takes the superclass's default, and a reassigned
+    // parameter is not seen.
+    let src = r#"
+class Base
+  def greet(a, b = "base")
+    a + "/" + b
+  end
+end
+class Kid < Base
+  def greet(a, b = "kid")
+    a = "changed"
+    super
+  end
+end
+k = Kid.new
+[k.greet("x"), k.greet("x", "y")]
+"#;
+    assert_eq!(format!("{:?}", eval(src)), r#"["x/base", "x/y"]"#);
+    let rest = r#"
+class Base
+  def all(*xs)
+    xs.size
+  end
+end
+class Kid < Base
+  def all(a, b = 2, *rest)
+    super
+  end
+end
+[Kid.new.all(1), Kid.new.all(1, 2, 3, 4)]
+"#;
+    assert_eq!(format!("{:?}", eval(rest)), "[1, 4]");
+}
+
+#[test]
+fn zsuper_from_a_block_raises_and_super_forwards_the_block() {
+    let e = eval_err(
+        r#"
+class Base
+  def twice(x)
+    [x, x]
+  end
+end
+class Kid < Base
+  def twice(x)
+    [1].map { |i| super }
+  end
+end
+Kid.new.twice(5)
+"#,
+    );
+    assert_eq!(
+        (e.kind, e.message.as_str()),
+        (ErrorKind::NameError, "super called outside of method")
+    );
+    let src = r#"
+class Base
+  def each_one(x)
+    yield x
+  end
+end
+class Kid < Base
+  def each_one(x)
+    super
+  end
+end
+Kid.new.each_one(3) { |v| v * 10 }
+"#;
+    assert_eq!(eval_i(src), 30);
+}
+
+#[test]
+fn nested_constants_resolve_innermost_first_then_at_the_top_level() {
+    let src = r#"
+X = 100
+module A
+  B = 1
+  X = 10
+  class C
+    def b
+      B
+    end
+    def ab
+      A::B
+    end
+    def x
+      X
+    end
+  end
+  def self.top
+    Y
+  end
+end
+Y = 1000
+c = A::C.new
+[c.b, c.ab, c.x, A.top]
+"#;
+    assert_eq!(format!("{:?}", eval(src)), "[1, 1, 10, 1000]");
+    for (program, missing) in [
+        ("module A\n def self.m\n  Nope\n end\nend\nA.m", "Nope"),
+        ("module A\nend\nA::Nope", "A::Nope"),
+        (
+            "class D\n def m\n  A::B::Nope\n end\nend\nD.new.m",
+            "A::B::Nope",
+        ),
+    ] {
+        let e = eval_err(program);
+        assert_eq!(
+            (e.kind, e.message),
+            (
+                ErrorKind::NameError,
+                format!("uninitialized constant {missing}")
+            ),
+            "{program}"
+        );
+    }
+}

@@ -128,9 +128,11 @@ fn int_arg(args: &[Value], i: usize, what: &str) -> Result<i64, Flow> {
     }
 }
 
+/// A row as a hash keyed by column name, in the order of the keys' quoted
+/// (`Debug`) spellings. Each key is quoted once, not once per comparison.
 fn row_to_hash(row: HashMap<String, Value>) -> Value {
     let mut pairs: Vec<(Value, Value)> = row.into_iter().map(|(k, v)| (Value::str(k), v)).collect();
-    pairs.sort_by(|a, b| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)));
+    pairs.sort_by_cached_key(|(k, _)| format!("{k:?}"));
     Value::hash_from(pairs)
 }
 
@@ -377,6 +379,29 @@ t.save
         hb.eval("Talk.find(1).destroy").unwrap();
         let err = hb.eval("Talk.find(1)").unwrap_err();
         assert_eq!(err.class_name(), "RecordNotFound");
+    }
+
+    #[test]
+    fn row_hash_keys_follow_their_quoted_spelling() {
+        // Quoted, `"name!"` sorts before `"name"` ('!' < '"'); raw, it
+        // sorts after. Every query returns the quoted order.
+        let mut hb = rails_hb();
+        hb.eval(
+            r#"
+DB.create_table("cols", { "title" => "String", "name" => "String", "name!" => "String", "a b" => "String" })
+DB.insert("cols", { "name" => "n", "name!" => "bang" })
+"#,
+        )
+        .unwrap();
+        let expected = r#"["a b", "id", "name!", "name", "title"]"#;
+        for query in [
+            "DB.find(\"cols\", 1).keys",
+            "DB.all(\"cols\")[0].keys",
+            "DB.where(\"cols\", \"name\", \"n\")[0].keys",
+        ] {
+            let keys = hb.eval(query).unwrap();
+            assert_eq!(format!("{keys:?}"), expected, "{query}");
+        }
     }
 
     #[test]

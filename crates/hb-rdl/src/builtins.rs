@@ -5,7 +5,7 @@
 //! at run-time", §1).
 
 use crate::conform::value_conforms;
-use crate::memo::method_type;
+use crate::memo::{method_type, value_type};
 use crate::state::{AnnotationSource, CheckPolicy, MethodKey, PreHook, RdlState};
 use hb_intern::Sym;
 use hb_interp::{ErrorKind, Flow, HbError, Interp, Value};
@@ -203,7 +203,7 @@ fn var_type_builtin(
         ));
     }
     let var = name_of(&rest[0], "var_type")?;
-    let ty = hb_types::parse_type(type_string(&rest[1], "var_type")?)
+    let ty = value_type(type_string(&rest[1], "var_type")?)
         .map_err(|e| err(ErrorKind::ArgumentError, format!("var_type {var}: {e}")))?;
     let span = interp.current_builtin_span();
     if let Some(cvar) = var.strip_prefix("@@") {
@@ -333,7 +333,7 @@ fn rdl_cast_builtin(
             ))
         }
     };
-    let ty = hb_types::parse_type(type_str)
+    let ty = value_type(type_str)
         .map_err(|e| err(ErrorKind::ArgumentError, format!("rdl_cast: {e}")))?;
     if !value_conforms(interp, &recv, &ty) {
         // The cast itself is the blame target: the program asserted a type
