@@ -1,10 +1,11 @@
 //! The per-thread CFG store: one lowering per method body per thread.
 //!
-//! Every path that needs a body's control-flow graph takes it from here:
-//! the first-call check ([`super::Engine::cfg_for`]), the scheduler's
-//! check tasks, the engine's same-body test when a method is redefined,
-//! [`crate::Hummingbird::reload_file`]'s report and the whole-program
-//! analyses. A store entry is keyed by the body node itself:
+//! Every path that needs a body's control-flow graph takes it from here
+//! through [`entry_cfg`]: the first-call check, the scheduler's check
+//! tasks, the engine's one same-body decision when a method is redefined
+//! (which takes both the retired and the new entry's CFG) and the
+//! whole-program analyses. A store entry is keyed by the body node
+//! itself:
 //!
 //! - a `def` by its `Rc<MethodDefNode>`, which the thread's program store
 //!   ([`hb_syntax::store`]) hands to every tenant that loads the same file
@@ -27,7 +28,6 @@
 use hb_il::{lower_block_body, lower_method, MethodCfg};
 use hb_intern::FastMap;
 use hb_interp::{MethodBody, MethodEntry};
-use hb_syntax::ast::MethodDefNode;
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -115,18 +115,13 @@ fn stored<T: 'static>(node: &Rc<T>, lower: impl FnOnce() -> MethodCfg) -> Arc<Me
     cfg
 }
 
-/// The CFG of a `def`, lowered at most once per thread while it stays in
-/// the store.
-pub(crate) fn def_cfg(def: &Rc<MethodDefNode>) -> Arc<MethodCfg> {
-    stored(def, || lower_method(def))
-}
-
 /// The CFG of a method entry's body from the calling thread's store
 /// (`None` for builtins, which have no body to lower): the one lowering
-/// the checker, reload and the whole-program analyses share.
+/// the checker, the same-body decision and the whole-program analyses
+/// share.
 pub(crate) fn entry_cfg(entry: &MethodEntry) -> Option<Arc<MethodCfg>> {
     match &entry.body {
-        MethodBody::Ast(def) => Some(def_cfg(def)),
+        MethodBody::Ast(def) => Some(stored(def, || lower_method(def))),
         MethodBody::FromProc(p) => Some(stored(&p.body, || {
             lower_block_body(&p.params, &p.body, p.span)
         })),
@@ -144,7 +139,13 @@ mod tests {
     use super::*;
     use crate::Hummingbird;
     use hb_il::collect_method_defs;
+    use hb_syntax::ast::MethodDefNode;
     use hb_syntax::{parse_program, Span};
+
+    /// The stored CFG of a `def`.
+    fn def_cfg(def: &Rc<MethodDefNode>) -> Arc<MethodCfg> {
+        stored(def, || lower_method(def))
+    }
 
     /// Hits and misses since `before`.
     fn delta(before: CfgStoreStats) -> (u64, u64) {
@@ -168,14 +169,14 @@ mod tests {
         )
     }
 
-    /// The CFG the tenant's engine checked `CfgProbe#m` against, and the
-    /// definition it belongs to.
+    /// The CFG the tenant's `CfgProbe#m` is checked against, from the
+    /// store, and the definition it belongs to.
     fn checked(hb: &Hummingbird) -> (Arc<MethodCfg>, Rc<MethodDefNode>) {
         let cid = hb.interp.registry.lookup("CfgProbe").expect("the class");
         let (_, entry) = hb.interp.registry.find_method(cid, "m").expect("m");
-        let cfg = hb.engine.state.borrow().cfgs.get(&entry.id).cloned();
+        let cfg = entry_cfg(&entry).expect("m has a body");
         match entry.body {
-            MethodBody::Ast(def) => (cfg.expect("the engine checked m"), def),
+            MethodBody::Ast(def) => (cfg, def),
             _ => panic!("m is a def"),
         }
     }
@@ -202,13 +203,14 @@ mod tests {
         let src = probe_src("  def m(x)\n    x + 1\n  end");
         let before = cfg_store_stats();
         let (a, b) = (tenant("shared.rb", &src), tenant("shared.rb", &src));
+        let lowered = delta(before);
         let ((cfg_a, def_a), (cfg_b, def_b)) = (checked(&a), checked(&b));
         assert!(
             Rc::ptr_eq(&def_a, &def_b),
             "the program store shares the def"
         );
         assert!(Arc::ptr_eq(&cfg_a, &cfg_b), "so the tenants share its CFG");
-        assert_eq!(delta(before), (1, 1), "lowered once, for the first tenant");
+        assert_eq!(lowered, (1, 1), "lowered once, for the first tenant");
         assert_eq!(
             *cfg_a,
             lower_method(&def_a),

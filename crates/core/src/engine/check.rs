@@ -3,7 +3,7 @@
 //! whole-program `check_all` built on the same path.
 
 use super::land::anchor_blame;
-use super::{body_fingerprint, captured_env, Engine};
+use super::{body_fingerprint, captured_env, cfg_store::entry_cfg, Engine};
 use crate::derivation::Provenance;
 use crate::info::RegistryInfo;
 use crate::sched::sort_diagnostics;
@@ -93,7 +93,7 @@ impl Engine {
             }
         }
         // Miss in both tiers: lower (or fetch) the body CFG.
-        let cfg = self.cfg_for(&info.entry).ok_or_else(|| {
+        let cfg = entry_cfg(&info.entry).ok_or_else(|| {
             HbError::new(
                 ErrorKind::Internal,
                 format!("cannot lower body of {}", cache_key.display()),

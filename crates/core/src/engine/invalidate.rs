@@ -2,12 +2,13 @@
 //! cached derivations they could falsify, together with their dependents
 //! and their patched fast entries.
 
-use super::{cfg_store, Engine, EngineState};
-use hb_il::MethodCfg;
+use super::cfg_store::entry_cfg;
+use super::{body_fingerprint, captured_env, Engine, EngineState};
+use hb_il::{InstrKind, MethodCfg, Rvalue};
 use hb_intern::Sym;
-use hb_interp::{ClassId, Interp, InterpEvent};
+use hb_interp::{ClassId, Interp, InterpEvent, MethodEntry};
 use hb_rdl::{AnnotationSource, MethodKey, RdlEvent};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 impl Engine {
@@ -32,28 +33,23 @@ impl Engine {
                     class,
                     name,
                     class_level,
-                    old_id,
-                    new_id,
+                    old,
+                    new,
                 } => {
-                    let unchanged = Self::redefinition_unchanged(
-                        &st,
-                        interp,
-                        class,
-                        &name,
-                        class_level,
-                        old_id,
-                    );
-                    if let Some(new_cfg) = unchanged {
+                    let key = key_of(interp, class, &name, class_level);
+                    if let Some((old_cfg, new_cfg)) = same_body(interp, &old, &new) {
                         // Same body: re-point cached derivations at the new
-                        // entry id instead of invalidating (dev-mode reload
-                        // CFG diffing, paper §4). Record the new body's CFG
-                        // under the new id — the shape is identical but its
-                        // spans are current, so a later recheck blames
-                        // post-reload source locations.
-                        st.cfgs.insert(new_id, new_cfg);
+                        // entry instead of invalidating (paper §4), stamped
+                        // with the new text's body fingerprint and cast
+                        // sites. Only this engine's copies change: the
+                        // shared tier keeps what was published.
+                        let captured = captured_env(interp, &new);
+                        let body_fp = body_fingerprint(interp, &new, captured.as_ref());
                         let mut repointed: Vec<MethodKey> = Vec::new();
-                        for (key, d) in st.cache.iter_mut().filter(|(_, d)| d.entry_id == old_id) {
-                            d.entry_id = new_id;
+                        for (key, d) in st.cache.iter_mut().filter(|(_, d)| d.entry_id == old.id) {
+                            d.entry_id = new.id;
+                            d.body_fp = body_fp;
+                            move_casts(&mut d.cast_sites, &old_cfg, &new_cfg);
                             repointed.push(*key);
                         }
                         // The derivation survives the reload, but any fast
@@ -62,11 +58,7 @@ impl Engine {
                         // re-admit it against the new id.
                         repointed.iter().for_each(|key| st.depatch(key));
                     } else {
-                        let key = MethodKey {
-                            class: interp.registry.name_sym(class),
-                            class_level,
-                            method: Sym::intern(&name),
-                        };
+                        st.note_change(|| key, |r| &mut r.changed);
                         Self::invalidate(&mut st, &key);
                         // An inferred signature was evidence about the
                         // old body, not user intent about the new one:
@@ -81,24 +73,20 @@ impl Engine {
                         }
                     }
                     // The retired entry id can never be dispatched again;
-                    // dropping its CFG and its dispatch records keeps long
-                    // reload sessions bounded.
-                    st.cfgs.remove(&old_id);
-                    st.records.retain(|&(_, id), _| id != old_id);
+                    // dropping its dispatch records keeps long reload
+                    // sessions bounded.
+                    st.records.retain(|&(_, id), _| id != old.id);
                 }
                 InterpEvent::MethodRemoved {
                     class,
                     name,
                     class_level,
+                    entry,
                 } => {
-                    let key = MethodKey {
-                        class: interp.registry.name_sym(class),
-                        class_level,
-                        method: Sym::intern(&name),
-                    };
+                    let key = key_of(interp, class, &name, class_level);
+                    st.note_change(|| key, |r| &mut r.removed);
                     Self::invalidate(&mut st, &key);
-                    // The event does not name the retired entry id.
-                    st.records.clear();
+                    st.records.retain(|&(_, id), _| id != entry.id);
                 }
                 InterpEvent::ModuleIncluded { class, module } => {
                     // A post-first-call include changes annotation
@@ -110,9 +98,17 @@ impl Engine {
                     // skips that check, so deoptimize everything.
                     st.flush_fast_entries();
                 }
-                InterpEvent::MethodAdded { .. } => {
+                InterpEvent::MethodAdded {
+                    class,
+                    name,
+                    class_level,
+                } => {
                     // New methods have no cached derivations, and directly
                     // cached overridees self-heal via the entry-id check.
+                    st.note_change(
+                        || key_of(interp, class, &name, class_level),
+                        |r| &mut r.added,
+                    );
                 }
             }
         }
@@ -153,22 +149,6 @@ impl Engine {
         if retracted {
             self.process_events(interp);
         }
-    }
-
-    /// If the redefinition is body-identical (per CFG shape), returns the
-    /// CFG of the new body (same shape, current spans).
-    fn redefinition_unchanged(
-        st: &EngineState,
-        interp: &Interp,
-        class: ClassId,
-        name: &str,
-        class_level: bool,
-        old_id: u64,
-    ) -> Option<Arc<MethodCfg>> {
-        let old_cfg = st.cfgs.get(&old_id)?;
-        let (_, entry) = interp.registry.find_method_at(class, name, class_level)?;
-        let new_cfg = cfg_store::entry_cfg(&entry)?;
-        new_cfg.same_shape(old_cfg).then_some(new_cfg)
     }
 
     /// Removes a cache entry and every entry that depends on it —
@@ -321,5 +301,105 @@ impl Engine {
             Self::invalidate_neg_dependents(st, mk.method, mk.class_level);
             self.invalidate_shadowed_along(st, interp, class, &mk);
         }
+    }
+}
+
+/// The cache key of `class`'s method `name`.
+fn key_of(interp: &Interp, class: ClassId, name: &str, class_level: bool) -> MethodKey {
+    MethodKey {
+        class: interp.registry.name_sym(class),
+        class_level,
+        method: Sym::intern(name),
+    }
+}
+
+/// The one same-body decision (paper §4 "Cache Invalidation"): `new` is
+/// `old`'s body again when their CFGs, both from the thread's store, are
+/// equal up to spans and, for a `define_method` proc, its captured locals
+/// have the same types (Fig. 2). Returns both CFGs when it is.
+fn same_body(
+    interp: &Interp,
+    old: &MethodEntry,
+    new: &MethodEntry,
+) -> Option<(Arc<MethodCfg>, Arc<MethodCfg>)> {
+    let (old_cfg, new_cfg) = (entry_cfg(old)?, entry_cfg(new)?);
+    (old_cfg.same_shape(&new_cfg) && captured_env(interp, old) == captured_env(interp, new))
+        .then_some((old_cfg, new_cfg))
+}
+
+/// The spans of `cfg`'s `rdl_cast` instructions, its block literals'
+/// included, as `(file, lo, hi)` in lowering order: two shape-equal CFGs
+/// list the same casts in the same order.
+fn cast_spans(cfg: &MethodCfg, out: &mut Vec<(u32, u32, u32)>) {
+    for instr in cfg.blocks.iter().flat_map(|b| &b.instrs) {
+        if let InstrKind::Assign {
+            rv: Rvalue::Cast { .. },
+            ..
+        } = instr.kind
+        {
+            out.push((instr.span.file.0, instr.span.lo, instr.span.hi));
+        }
+    }
+    for lit in &cfg.block_lits {
+        cast_spans(&lit.cfg, out);
+    }
+}
+
+/// Moves `sites`, cast sites checked in `old`, to the positions of the
+/// same casts in the shape-equal `new`.
+fn move_casts(sites: &mut Arc<[(u32, u32, u32)]>, old: &MethodCfg, new: &MethodCfg) {
+    if sites.is_empty() {
+        return;
+    }
+    let (mut from, mut to) = (Vec::new(), Vec::new());
+    cast_spans(old, &mut from);
+    cast_spans(new, &mut to);
+    let moved: BTreeSet<_> = sites
+        .iter()
+        .map(|site| from.iter().position(|s| s == site).map_or(*site, |i| to[i]))
+        .collect();
+    *sites = moved.into_iter().collect();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::body_fingerprint;
+    use crate::Hummingbird;
+    use hb_interp::MethodBody;
+    use hb_rdl::MethodKey;
+
+    fn version(pad: &str) -> String {
+        format!("class Restamp\n{pad}  def m(x)\n    x.rdl_cast(\"Fixnum\")\n  end\nend\n")
+    }
+
+    #[test]
+    fn a_kept_derivation_takes_the_new_texts_identity() {
+        let mut hb = Hummingbird::builder().build();
+        hb.load_file("restamp.rb", &version("")).unwrap();
+        hb.eval(
+            "class Restamp\n  type :m, \"(Object) -> Fixnum\", { \"check\" => true }\nend\n\
+             Restamp.new.m(1)",
+        )
+        .unwrap();
+        // The same shape, one line down.
+        let report = hb.reload_file("restamp.rb", &version("\n")).unwrap();
+        assert!(report.changed.is_empty(), "{report:?}");
+        let cid = hb.interp.registry.lookup("Restamp").unwrap();
+        let (_, entry) = hb.interp.registry.find_method(cid, "m").unwrap();
+        let MethodBody::Ast(def) = &entry.body else {
+            panic!("m is a def");
+        };
+        let key = MethodKey::instance("Restamp", "m");
+        let d = hb.engine.state.borrow().cache.get(&key).cloned().unwrap();
+        assert_eq!(d.entry_id, entry.id);
+        assert_eq!(d.body_fp, body_fingerprint(&hb.interp, &entry, None));
+        let [(file, lo, hi)] = d.cast_sites[..] else {
+            panic!("one cast site: {:?}", d.cast_sites);
+        };
+        assert_eq!(file, def.span.file.0, "the new text's file");
+        let text = &hb.source_map().file(def.span.file).unwrap().text;
+        assert_eq!(&text[lo as usize..hi as usize], "x.rdl_cast(\"Fixnum\")");
+        hb.eval("Restamp.new.m(2)").unwrap();
+        assert_eq!(hb.stats().checks_performed, 1, "the derivation was kept");
     }
 }

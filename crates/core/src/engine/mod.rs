@@ -20,7 +20,7 @@
 //!   derivations, the one place a derivation is stored, and the one place
 //!   a check is accounted. The soundness argument lives there;
 //! * `invalidate` — Definition 1 invalidation from interpreter and type
-//!   table events;
+//!   table events, with the one same-body decision per redefinition;
 //! * `schedule` — task extraction, deferred admission, harvest and the
 //!   parallel `check_all` on the concurrent scheduler;
 //! * `cfg_store` — the per-thread store every lowering goes through, one
@@ -35,9 +35,9 @@ mod schedule;
 
 use crate::derivation::{Derivation, Epochs};
 use crate::obs::EngineObs;
+use crate::reload::ReloadReport;
 use crate::shared_cache::SharedCache;
 use crate::stats::{CheckLogItem, EngineStats, PhaseTracker};
-use hb_il::MethodCfg;
 use hb_intern::Sym;
 use hb_interp::{ClassId, ExecTierState, Interp, MethodBody, MethodEntry};
 use hb_rdl::{type_of, MethodKey, RdlState, Resolution, TableEntry};
@@ -70,6 +70,8 @@ pub struct CacheDumpEntry {
 type ReplayKey = (Sym, bool, bool, Sym);
 /// A replayed lookup's answer: (resolved key, its version, its sig fingerprint).
 type ReplayResult = (MethodKey, u64, u64);
+/// One of a [`ReloadReport`]'s method lists.
+type ReportList = fn(&mut ReloadReport) -> &mut Vec<String>;
 
 #[derive(Default)]
 struct EngineState {
@@ -84,10 +86,6 @@ struct EngineState {
     /// annotation may re-check a method whose chain never sees it; a
     /// re-check is cheap and the edge map stays receiver-independent.
     neg_dependents: HashMap<(Sym, bool), HashSet<MethodKey>>,
-    /// The CFGs of the bodies this engine checked, by method-entry id: a
-    /// view of the thread's CFG store ([`cfg_store`]) that keeps a
-    /// redefined entry's old CFG for the same-body test.
-    cfgs: HashMap<u64, Arc<MethodCfg>>,
     /// Memoised signature-content fingerprints by (key, version).
     sig_fps: HashMap<(MethodKey, u64), u64>,
     /// The hook's dispatch records by `(receiver class, method entry id)`,
@@ -124,6 +122,10 @@ struct EngineState {
     obs: Option<Rc<EngineObs>>,
     stats: EngineStats,
     phase: PhaseTracker,
+    /// While a reload runs ([`Engine::start_recording`]): the changes
+    /// `process_events` judged, and `stats.dependent_invalidations` when
+    /// recording began.
+    recording: Option<(ReloadReport, u64)>,
 }
 
 impl EngineState {
@@ -135,6 +137,21 @@ impl EngineState {
         self.cache
             .get(key)
             .is_some_and(|d| d.entry_id == entry_id && d.sig_version == sig_version)
+    }
+
+    /// Records a judged change of `key` in the report's `list` while a
+    /// reload is recording, once per method: under the first change.
+    fn note_change(&mut self, key: impl FnOnce() -> MethodKey, list: ReportList) {
+        let Some((report, _)) = &mut self.recording else {
+            return;
+        };
+        let shown = key().display();
+        if ![&report.changed, &report.added, &report.removed]
+            .iter()
+            .any(|l| l.contains(&shown))
+        {
+            list(report).push(shown);
+        }
     }
 
     /// Deoptimizes one fast entry (no-op without the bytecode tier).
@@ -379,15 +396,21 @@ impl Engine {
         st.flush_fast_entries();
     }
 
-    /// The CFG of a body entry, from the thread's CFG store and recorded
-    /// by entry id. `None` for builtins, which have no body to check.
-    fn cfg_for(&self, entry: &MethodEntry) -> Option<Arc<MethodCfg>> {
-        if let Some(cfg) = self.state.borrow().cfgs.get(&entry.id) {
-            return Some(cfg.clone());
-        }
-        let cfg = cfg_store::entry_cfg(entry)?;
-        self.state.borrow_mut().cfgs.insert(entry.id, cfg.clone());
-        Some(cfg)
+    /// Starts recording the method changes [`Engine::process_events`]
+    /// judges, from every drain until [`Engine::stop_recording`]: the
+    /// hook's drains mid-evaluation included.
+    pub(crate) fn start_recording(&self) {
+        let mut st = self.state.borrow_mut();
+        st.recording = Some((ReloadReport::default(), st.stats.dependent_invalidations));
+    }
+
+    /// Stops recording and reports the changes judged meanwhile, with
+    /// the dependent derivations they invalidated.
+    pub(crate) fn stop_recording(&self) -> ReloadReport {
+        let mut st = self.state.borrow_mut();
+        let (mut report, before) = st.recording.take().expect("recording started");
+        report.dependents_invalidated = st.stats.dependent_invalidations - before;
+        report
     }
 }
 

@@ -4,7 +4,7 @@
 //! from there through the same funnel as local checks (see `land`).
 
 use super::land::anchor_blame;
-use super::{body_fingerprint, captured_env, Engine, EngineState};
+use super::{body_fingerprint, captured_env, cfg_store::entry_cfg, Engine, EngineState};
 use crate::derivation::{epochs_of, Provenance};
 use crate::sched::{capture_world, pool_for};
 use crate::stats::CheckVerdict;
@@ -77,7 +77,7 @@ impl Engine {
         policy: CheckPolicy,
         trigger: Option<Span>,
     ) -> Option<CheckTask> {
-        let cfg = self.cfg_for(mentry)?;
+        let cfg = entry_cfg(mentry)?;
         let captured = captured_env(interp, mentry);
         let body_fp = body_fingerprint(interp, mentry, captured.as_ref());
         let mut st = self.state.borrow_mut();

@@ -414,8 +414,9 @@ pub struct Hummingbird {
     pub interp: Interp,
     pub rdl: Rc<RdlState>,
     pub engine: Rc<Engine>,
-    /// The program each file loaded by name last ran: the baseline
-    /// [`Hummingbird::reload_file`] diffs a new version against.
+    /// The program each file loaded by name last ran: what
+    /// [`Hummingbird::reload_file`] takes the methods a new version
+    /// removes from.
     pub(crate) programs: HashMap<String, Rc<hb_syntax::Program>>,
     pub(crate) fleet: Option<fleet::FleetSession>,
     pub(crate) fleet_err: Option<FleetError>,

@@ -280,6 +280,38 @@ A.new.m
 }
 
 #[test]
+fn define_method_redefinition_rechecks_when_a_captured_local_changes_type() {
+    // Fig. 2: a proc body is judged under its captured locals' types, so
+    // the same block literal capturing a value of another type is a new
+    // body.
+    let mut hb = hb();
+    hb.eval(
+        r#"
+class P
+  type :m, "() -> Fixnum", { "check" => true }
+  def self.make(v)
+    define_method(:m) { v }
+  end
+end
+P.make(1)
+P.new.m
+"#,
+    )
+    .unwrap();
+    assert_eq!(hb.stats().checks_performed, 1);
+    let v = hb.eval("P.make(2)\nP.new.m").unwrap();
+    assert_eq!(format!("{v:?}"), "2");
+    assert_eq!(
+        hb.stats().checks_performed,
+        1,
+        "another Fixnum capture keeps the derivation"
+    );
+    let err = hb.eval("P.make(\"s\")\nP.new.m").unwrap_err();
+    assert_eq!(err.kind, ErrorKind::TypeBlame, "{err}");
+    assert_eq!(hb.stats().checks_failed, 1);
+}
+
+#[test]
 fn dependent_invalidation_on_type_replace() {
     let mut hb = hb();
     hb.eval(
@@ -634,6 +666,98 @@ end
     // of changed methods, so caller_m rechecks too.
     let s = hb.stats();
     assert!(s.checks_performed >= 4, "{}", s.checks_performed);
+}
+
+#[test]
+fn reload_reports_a_method_defined_over_an_inherited_one_as_added() {
+    let mut hb = hb();
+    let base = "class Base\n def greet\n 1\n end\nend\nclass Kid < Base\n";
+    hb.load_file("kid.rb", &format!("{base}end")).unwrap();
+    let report = hb
+        .reload_file("kid.rb", &format!("{base} def greet\n 1\n end\nend"))
+        .unwrap();
+    assert_eq!(report.added, vec!["Kid#greet"]);
+    assert!(report.changed.is_empty() && report.removed.is_empty());
+}
+
+#[test]
+fn reload_reports_a_method_defined_over_a_builtin_as_added() {
+    let mut hb = hb();
+    hb.load_file("to_s.rb", "class Kid\nend").unwrap();
+    let report = hb
+        .reload_file("to_s.rb", "class Kid\n def to_s\n \"kid\"\n end\nend")
+        .unwrap();
+    assert_eq!(report.added, vec!["Kid#to_s"]);
+    assert!(report.changed.is_empty() && report.removed.is_empty());
+}
+
+#[test]
+fn reload_keeps_dependents_of_an_unchanged_callee_that_was_never_checked() {
+    let src = r#"
+class Pair
+  def callee
+    1
+  end
+  def caller_m(n)
+    if n > 0
+      callee
+    else
+      0
+    end
+  end
+end
+"#;
+    let mut hb = hb();
+    hb.load_file("pair.rb", src).unwrap();
+    hb.eval(
+        r#"
+class Pair
+  type :callee, "() -> Fixnum", { "check" => true }
+  type :caller_m, "(Fixnum) -> Fixnum", { "check" => true }
+end
+Pair.new.caller_m(0)
+"#,
+    )
+    .unwrap();
+    assert_eq!(hb.stats().checks_performed, 1, "callee is never called");
+    // The same bodies, one line down.
+    let report = hb.reload_file("pair.rb", &format!("\n{src}")).unwrap();
+    assert!(report.changed.is_empty(), "{report:?}");
+    assert_eq!(report.dependents_invalidated, 0);
+    hb.eval("Pair.new.caller_m(0)").unwrap();
+    assert_eq!(hb.stats().checks_performed, 1, "nothing is re-checked");
+}
+
+#[test]
+fn reload_does_not_report_a_method_removed_before_it() {
+    let mut hb = hb();
+    hb.load_file(
+        "foo.rb",
+        "class Foo\n def bar\n 1\n end\n def baz\n 2\n end\nend",
+    )
+    .unwrap();
+    hb.eval("class Foo\n remove_method :bar\nend").unwrap();
+    let report = hb
+        .reload_file("foo.rb", "class Foo\n def baz\n 2\n end\nend")
+        .unwrap();
+    assert!(report.removed.is_empty(), "{report:?}");
+    assert!(report.changed.is_empty() && report.added.is_empty());
+}
+
+#[test]
+fn reload_reports_changes_judged_while_the_file_runs() {
+    // The call between the class bodies dispatches through the engine's
+    // hook, which judges `a`'s redefinition before the file ends.
+    let version = |n: u32| {
+        format!("class M\n def a\n {n}\n end\nend\nM.new.a\nclass M\n def b\n {n}\n end\nend\n")
+    };
+    let mut hb = hb();
+    hb.load_file("m.rb", &version(1)).unwrap();
+    hb.eval("class M\n type :a, \"() -> Fixnum\", { \"check\" => true }\nend\nM.new.a")
+        .unwrap();
+    let report = hb.reload_file("m.rb", &version(2)).unwrap();
+    assert_eq!(report.changed, vec!["M#a", "M#b"]);
+    assert!(report.added.is_empty() && report.removed.is_empty());
 }
 
 #[test]

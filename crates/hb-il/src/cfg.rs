@@ -219,26 +219,26 @@ impl MethodCfg {
                 .sum::<usize>()
     }
 
-    /// Structural equality ignoring spans: used by dev-mode reloading to
-    /// decide whether a method actually changed (paper §4 "Cache
-    /// Invalidation").
+    /// Structural equality ignoring spans, nested block literals
+    /// included: the engine's test of whether a redefined method's body
+    /// changed (paper §4 "Cache Invalidation"). Walks both CFGs in place.
     pub fn same_shape(&self, other: &MethodCfg) -> bool {
-        Self::strip(self) == Self::strip(other)
+        std::ptr::eq(self, other)
+            || (self.name == other.name
+                && self.params == other.params
+                && self.entry == other.entry
+                && pairwise(&self.blocks, &other.blocks, |a, b| {
+                    a.term == b.term && pairwise(&a.instrs, &b.instrs, |x, y| x.kind == y.kind)
+                })
+                && pairwise(&self.block_lits, &other.block_lits, |a, b| {
+                    a.params == b.params && a.cfg.same_shape(&b.cfg)
+                }))
     }
+}
 
-    fn strip(cfg: &MethodCfg) -> MethodCfg {
-        let mut c = cfg.clone();
-        c.span = Span::dummy();
-        for b in &mut c.blocks {
-            for i in &mut b.instrs {
-                i.span = Span::dummy();
-            }
-        }
-        for bl in &mut c.block_lits {
-            bl.cfg = Self::strip(&bl.cfg);
-        }
-        c
-    }
+/// Whether `a` and `b` have equal lengths and `eq` holds for every pair.
+fn pairwise<T>(a: &[T], b: &[T], eq: impl Fn(&T, &T) -> bool) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| eq(x, y))
 }
 
 impl fmt::Display for Operand {
@@ -342,6 +342,57 @@ mod tests {
         let a = tiny_cfg();
         let mut b = tiny_cfg();
         b.blocks[2].term = Terminator::Return(Operand::TrueConst);
+        assert!(!a.same_shape(&b));
+    }
+
+    /// `tiny_cfg` passing a block literal with `params` (a `tiny_cfg`
+    /// that reads `x`) to a call; every span starts at `lo` or later.
+    fn with_block(params: Vec<IlParam>, lo: u32) -> MethodCfg {
+        let span = |i: u32| Span::new(hb_syntax::FileId(1), lo + i, lo + i + 1);
+        let mut cfg = tiny_cfg();
+        cfg.blocks[1].instrs.push(Instr {
+            kind: InstrKind::Assign {
+                local: "%t".into(),
+                rv: Rvalue::Call {
+                    recv: None,
+                    name: "each".into(),
+                    args: vec![],
+                    block: Some(BlockLitId(0)),
+                },
+            },
+            span: span(0),
+        });
+        let mut body = tiny_cfg();
+        body.name = "<block>".into();
+        body.span = span(1);
+        body.blocks[1].instrs.push(Instr {
+            kind: InstrKind::Assign {
+                local: "%u".into(),
+                rv: Rvalue::Use(Operand::Local("x".into())),
+            },
+            span: span(2),
+        });
+        cfg.block_lits.push(BlockLit { params, cfg: body });
+        cfg
+    }
+
+    fn param(name: &str) -> Vec<IlParam> {
+        vec![IlParam {
+            name: name.into(),
+            kind: IlParamKind::Required,
+        }]
+    }
+
+    #[test]
+    fn same_shape_ignores_spans_inside_block_literals() {
+        let (a, b) = (with_block(param("x"), 10), with_block(param("x"), 40));
+        assert_ne!(a, b, "the spans differ");
+        assert!(a.same_shape(&b));
+    }
+
+    #[test]
+    fn same_shape_compares_block_literal_params() {
+        let (a, b) = (with_block(param("x"), 10), with_block(param("y"), 10));
         assert!(!a.same_shape(&b));
     }
 

@@ -27,7 +27,8 @@ pub enum MethodBody {
 }
 
 /// A method table entry. `id` is unique within one registry and changes
-/// on redefinition, which lets the engine key CFG caches by it. It is not
+/// on redefinition, which lets the engine tell the entry a derivation was
+/// checked against from the one that replaced it. It is not
 /// unique across registries: every interpreter's counter starts where the
 /// core library's bootstrap left it (see [`crate::Interp::new`]), so
 /// tenants that run the same code give their entries the same ids, and
@@ -105,24 +106,26 @@ impl ClassDef {
 
 /// An event emitted by the registry; drained by the Hummingbird engine to
 /// drive cache invalidation (paper rules (EDef) / Definition 1).
-#[derive(Debug, Clone, PartialEq)]
 pub enum InterpEvent {
     MethodAdded {
         class: ClassId,
         name: String,
         class_level: bool,
     },
+    /// A method table entry was replaced: the engine judges whether the
+    /// new body is the old one.
     MethodRedefined {
         class: ClassId,
         name: String,
         class_level: bool,
-        old_id: u64,
-        new_id: u64,
+        old: MethodEntry,
+        new: MethodEntry,
     },
     MethodRemoved {
         class: ClassId,
         name: String,
         class_level: bool,
+        entry: MethodEntry,
     },
     ModuleIncluded {
         class: ClassId,
@@ -314,15 +317,16 @@ impl ClassRegistry {
         class_level: bool,
     ) -> u64 {
         let new_id = self.fresh_method_id();
+        let new = MethodEntry { body, id: new_id };
         let table = self.table_mut(class, class_level);
-        let old = Rc::make_mut(table).insert(name.to_string(), MethodEntry { body, id: new_id });
+        let old = Rc::make_mut(table).insert(name.to_string(), new.clone());
         match old {
-            Some(prev) => self.events.push(InterpEvent::MethodRedefined {
+            Some(old) => self.events.push(InterpEvent::MethodRedefined {
                 class,
                 name: name.to_string(),
                 class_level,
-                old_id: prev.id,
-                new_id,
+                old,
+                new,
             }),
             None => self.events.push(InterpEvent::MethodAdded {
                 class,
@@ -336,14 +340,15 @@ impl ClassRegistry {
     /// Removes a method if present.
     pub fn remove_method(&mut self, class: ClassId, name: &str, class_level: bool) -> bool {
         let table = self.table_mut(class, class_level);
-        if !table.contains_key(name) {
+        let Some(entry) = table.get(name).cloned() else {
             return false;
-        }
+        };
         Rc::make_mut(table).remove(name);
         self.events.push(InterpEvent::MethodRemoved {
             class,
             name: name.to_string(),
             class_level,
+            entry,
         });
         true
     }

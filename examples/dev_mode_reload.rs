@@ -1,6 +1,8 @@
-//! Rails development mode (paper §4/§5): live-reload a file, diff method
-//! CFGs, invalidate only what changed (plus dependents), and watch which
-//! methods re-check.
+//! Rails development mode (paper §4/§5): live-reload a file and watch
+//! which methods re-check. The engine judges each redefined method once:
+//! a body whose CFG is unchanged up to spans keeps its cached derivation,
+//! a changed one invalidates itself and its dependents. Each row's
+//! counts are that judgement, as `reload_file` reports it.
 //!
 //! Run with: `cargo run -p hb-apps --example dev_mode_reload`
 
